@@ -62,13 +62,19 @@ class SourceTerm:
         if self.component not in (0, 1):
             raise ScenarioError("component must be 0 (x) or 1 (y)")
 
-    def value(self, x: float, y: float, t: float) -> float:
-        spatial = self.c * x**self.ax * y**self.ay
+    def spatial(self, x, y):
+        """Spatial factor c * x^ax * y^ay; x and y may be arrays."""
+        return self.c * x**self.ax * y**self.ay
+
+    def time_factor(self, t: float) -> float:
         if self.time == "sin":
-            return spatial * math.sin(self.omega * t)
+            return math.sin(self.omega * t)
         if self.time == "cos":
-            return spatial * math.cos(self.omega * t)
-        return spatial
+            return math.cos(self.omega * t)
+        return 1.0
+
+    def value(self, x: float, y: float, t: float) -> float:
+        return self.spatial(x, y) * self.time_factor(t)
 
     def time_derivative(self) -> "SourceTerm":
         if self.time == "sin":
@@ -99,15 +105,6 @@ def _parse_terms(raw, where: str) -> tuple[SourceTerm, ...]:
     return tuple(terms)
 
 
-def _eval_terms(terms, x, y, t, component=None) -> float:
-    return sum(term.value(x, y, t) for term in terms
-               if component is None or term.component == component)
-
-
-def _terms_zero(terms) -> bool:
-    return all(term.c == 0.0 for term in terms)
-
-
 # ---------------------------------------------------------------------------
 # Scenario
 # ---------------------------------------------------------------------------
@@ -133,7 +130,7 @@ class Scenario:
         return len(self.materials)
 
     def zero_input(self) -> bool:
-        return _terms_zero(self.source_f) and all(_terms_zero(g) for g in self.source_g)
+        return all(term.c == 0.0 for term in self.source_f + sum(self.source_g, ()))
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -263,84 +260,77 @@ def build_system(scn: Scenario, ops: DiscreteOperators):
     return formulations.schur_reduce_parabolic(ops, f, fdot, g, coupling)
 
 
-def _nodal_displacement_density(ops: DiscreteOperators, terms):
-    nodes = ops.vspace.mesh.nodes[ops.vspace.free_nodes]
-    nfree = len(ops.vspace.free_nodes)
+def _spatial_parts(space, blocks, size: int, offset: int = 0) -> list:
+    """(term, vector) for every source term: the term's spatial factor at the
+    free nodes of ``space``, placed in a zero vector of length ``size``.
 
-    def density(t: float) -> np.ndarray:
-        out = np.empty(2 * nfree)
-        for k, (x, y) in enumerate(nodes):
-            out[k] = _eval_terms(terms, x, y, t, component=0)
-            out[k + nfree] = _eval_terms(terms, x, y, t, component=1)
+    ``blocks`` holds one tuple of terms per stacked block of free-node values;
+    the first block starts at ``offset``.
+    """
+    nodes = space.mesh.nodes[space.free_nodes]
+    n = len(nodes)
+    parts = []
+    for b, terms in enumerate(blocks):
+        start = offset + b * n
+        for term in terms:
+            vec = np.zeros(size)
+            vec[start : start + n] = term.spatial(nodes[:, 0], nodes[:, 1])
+            parts.append((term, vec))
+    return parts
+
+
+def _separable_signal(parts, size: int):
+    """t -> sum of time_factor(t) * vector over the (term, vector) parts."""
+
+    def signal(t: float) -> np.ndarray:
+        out = np.zeros(size)
+        for term, vec in parts:
+            out += term.time_factor(t) * vec
         return out
 
-    return density
+    return signal
 
 
-def _nodal_pressure_density(ops: DiscreteOperators, per_network_terms):
-    nodes = ops.qspace.mesh.nodes[ops.qspace.free_nodes]
-
-    def density(t: float) -> np.ndarray:
-        cols = []
-        for terms in per_network_terms:
-            cols.append(np.array([_eval_terms(terms, x, y, t) for x, y in nodes]))
-        return np.concatenate(cols) if cols else np.zeros(0)
-
-    return density
+def _by_component(terms) -> tuple:
+    return tuple(tuple(t for t in terms if t.component == c) for c in (0, 1))
 
 
 def input_signal(scn: Scenario, ops: DiscreteOperators, system: PhDae):
     """Nodal-density input stacked according to the system's input blocks."""
-    vu = _nodal_displacement_density(ops, scn.source_f)
-    vp = _nodal_pressure_density(ops, scn.source_g)
-    dp = ops.dim_p
-    layout = []
-    g_cursor = 0
-    for name, size in system.input_blocks:
+    size = system.input_dim
+    parts = []
+    offset = network = 0
+    for name, block_size in system.input_blocks:
         if name == "f":
-            layout.append(("f", None, size))
+            parts += _spatial_parts(ops.vspace, _by_component(scn.source_f), size, offset)
         elif name == "g":
-            count = size // dp if dp else 0
-            layout.append(("g", (g_cursor * dp, g_cursor * dp + size), size))
-            g_cursor += count
-        else:
-            layout.append(("zero", None, size))
-
-    def v(t: float) -> np.ndarray:
-        parts = []
-        vp_t = None
-        for kind, span, size in layout:
-            if kind == "f":
-                parts.append(vu(t))
-            elif kind == "g":
-                if vp_t is None:
-                    vp_t = vp(t)
-                parts.append(vp_t[span[0] : span[1]])
-            else:
-                parts.append(np.zeros(size))
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    return v
+            count = block_size // ops.dim_p if ops.dim_p else 0
+            parts += _spatial_parts(ops.qspace, scn.source_g[network : network + count],
+                                    size, offset)
+            network += count
+        offset += block_size
+    return _separable_signal(parts, size)
 
 
 def load_signals(scn: Scenario, ops: DiscreteOperators):
     """Assembled load vectors f(t), fdot(t), g(t) for the reduction machinery."""
-    vu = _nodal_displacement_density(ops, scn.source_f)
-    vu_dot = _nodal_displacement_density(ops, tuple(t.time_derivative() for t in scn.source_f))
-    vp = _nodal_pressure_density(ops, scn.source_g)
+    du, mdp = ops.dim_u, ops.networks * ops.dim_p
+    rates = tuple(t.time_derivative() for t in scn.source_f)
     mp = formulations.blocked_unit_mass(ops)
+
+    def load(M, parts, size):
+        return _separable_signal([(term, M @ vec) for term, vec in parts], size)
+
     return (
-        lambda t: ops.mass_u @ vu(t),
-        lambda t: ops.mass_u @ vu_dot(t),
-        lambda t: mp @ vp(t),
+        load(ops.mass_u, _spatial_parts(ops.vspace, _by_component(scn.source_f), du), du),
+        load(ops.mass_u, _spatial_parts(ops.vspace, _by_component(rates), du), du),
+        load(mp, _spatial_parts(ops.qspace, scn.source_g, mdp), mdp),
     )
 
 
 def initial_pressure_vector(scn: Scenario, ops: DiscreteOperators) -> np.ndarray:
-    nodes = ops.qspace.mesh.nodes[ops.qspace.free_nodes]
-    cols = [np.array([_eval_terms(terms, x, y, 0.0) for x, y in nodes])
-            for terms in scn.initial_pressure]
-    return np.concatenate(cols) if cols else np.zeros(0)
+    size = len(scn.initial_pressure) * ops.dim_p
+    return _separable_signal(_spatial_parts(ops.qspace, scn.initial_pressure, size), size)(0.0)
 
 
 def initial_state(scn: Scenario, ops: DiscreteOperators, system) -> np.ndarray:
@@ -369,6 +359,15 @@ def time_grid(scn: Scenario) -> np.ndarray:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _checked_system(scn: Scenario, ops: DiscreteOperators):
+    """The scenario's descriptor system with its structure and index reports."""
+    system = build_system(scn, ops)
+    if isinstance(system, formulations.ParabolicReduction):
+        system = system.as_phdae()
+    return (system, phdae.validate_structure(system, tol=scn.tol),
+            dae_analysis.classify_phdae_index(system, seed=scn.seed))
+
+
 def cmd_check(scn: Scenario) -> tuple[dict, int]:
     ops = build_operators(scn)
     report: dict = {"formulation": scn.formulation, "route": scn.route}
@@ -378,15 +377,11 @@ def cmd_check(scn: Scenario) -> tuple[dict, int]:
         report["ellipticity"] = ell.to_dict()
         ok = ok and ell.elliptic
     try:
-        system = build_system(scn, ops)
+        system, structure, index = _checked_system(scn, ops)
     except _NUMERICAL_ERRORS as exc:
         report["error"] = str(exc)
         report["pass"] = False
         return report, 1
-    if isinstance(system, formulations.ParabolicReduction):
-        system = system.as_phdae()
-    structure = phdae.validate_structure(system, tol=scn.tol)
-    index = dae_analysis.classify_phdae_index(system, seed=scn.seed)
     report["structure"] = structure.to_dict()
     report["index"] = index.to_dict()
     ok = ok and structure.verdict
@@ -395,17 +390,9 @@ def cmd_check(scn: Scenario) -> tuple[dict, int]:
 
 
 def cmd_simulate(scn: Scenario, out_path: str) -> tuple[dict, int]:
-    ops = build_operators(scn)
-    system = build_system(scn, ops)
-    if isinstance(system, formulations.ParabolicReduction):
-        signal = system.g_tilde
-        system = system.as_phdae()
-    else:
-        signal = input_signal(scn, ops, system)
-    z0 = initial_state(scn, ops, system)
-    grid = time_grid(scn)
-    step = timeint.integrate_midpoint if scn.integrator == "midpoint" else timeint.integrate_euler
-    traj = step(system, z0, signal, grid)
+    integrate = (timeint.integrate_midpoint if scn.integrator == "midpoint"
+                 else timeint.integrate_euler)
+    _, traj = _run(scn, build_operators(scn), integrate)
     traj.to_csv(out_path)
     residual = float(np.max(traj.balance_residuals())) if scn.steps else 0.0
     summary = {
@@ -427,17 +414,16 @@ _TRAJECTORY_PAIRS = {
 }
 
 
-def _run(scn: Scenario, ops: DiscreteOperators):
+def _run(scn: Scenario, ops: DiscreteOperators, integrate):
+    """Build the scenario's system and integrate it from its consistent start."""
     system = build_system(scn, ops)
     if isinstance(system, formulations.ParabolicReduction):
         signal = system.g_tilde
-        system_ph = system.as_phdae()
+        system = system.as_phdae()
     else:
-        system_ph = system
-        signal = input_signal(scn, ops, system_ph)
-    z0 = initial_state(scn, ops, system_ph)
-    traj = timeint.integrate_midpoint(system_ph, z0, signal, time_grid(scn))
-    return system_ph, traj
+        signal = input_signal(scn, ops, system)
+    z0 = initial_state(scn, ops, system)
+    return system, integrate(system, z0, signal, time_grid(scn))
 
 
 def _pressure_block(system: PhDae, traj: timeint.Trajectory) -> np.ndarray:
@@ -473,8 +459,8 @@ def cmd_compare(first: Scenario, second: Scenario) -> tuple[dict, int]:
         if by_tag["full"].materials != by_tag["sqrt"].materials:
             raise ScenarioError("the full/sqrt comparison needs identical materials")
         ops = build_operators(by_tag["full"])
-        sys_full, traj_full = _run(by_tag["full"], ops)
-        sys_sqrt, traj_sqrt = _run(by_tag["sqrt"], ops)
+        sys_full, traj_full = _run(by_tag["full"], ops, timeint.integrate_midpoint)
+        sys_sqrt, traj_sqrt = _run(by_tag["sqrt"], ops, timeint.integrate_midpoint)
         S = numkit.sqrtm_spd(ops.stiff_elast)
         mapped = traj_full.states.copy()
         u = sys_full.state_slice("u")
@@ -488,7 +474,7 @@ def cmd_compare(first: Scenario, second: Scenario) -> tuple[dict, int]:
     runs = {}
     for tag, scn in by_tag.items():
         ops = build_operators(scn)
-        runs[tag] = _run(scn, ops)
+        runs[tag] = _run(scn, ops, timeint.integrate_midpoint)
     if pair == frozenset(("quasi_static", "alt_qs")):
         devs = []
         for label in ("u", "p"):
@@ -506,11 +492,7 @@ def cmd_compare(first: Scenario, second: Scenario) -> tuple[dict, int]:
 
 def cmd_export(scn: Scenario, out_dir: str) -> tuple[dict, int]:
     ops = build_operators(scn)
-    system = build_system(scn, ops)
-    if isinstance(system, formulations.ParabolicReduction):
-        system = system.as_phdae()
-    structure = phdae.validate_structure(system, tol=scn.tol)
-    index = dae_analysis.classify_phdae_index(system, seed=scn.seed)
+    system, structure, index = _checked_system(scn, ops)
     phdae.save_phdae(system, out_dir, tol=scn.tol)
     blocks = {
         "mass_rho": ops.mass_rho,

@@ -101,11 +101,18 @@ def classify_phdae_index(sys: PhDae, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 def _schur_blocks(ops: DiscreteOperators, coupling: NetworkCoupling | None):
+    """D-bar, K-bar, the factored M-bar and the Schur matrix K_A + D-bar^T M-bar^-1 D-bar."""
     dbar = stacked_coupling(ops)
-    mbar = blocked_storage_mass(ops)
-    kbar = kbar_matrix(ops, coupling)
-    minv_d = numkit.solve(mbar, dbar) if dbar.size else dbar
-    return dbar, mbar, kbar, minv_d
+    mbar = numkit.Factorization(blocked_storage_mass(ops))
+    schur = ops.stiff_elast + dbar.T @ mbar.solve(dbar)
+    return dbar, kbar_matrix(ops, coupling), mbar, schur
+
+
+def _backward_error(A, x, b) -> float:
+    """Normwise backward error |A x - b| / (|A| |x| + |b|) in the infinity norm."""
+    scale = np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
+    # a zero scale means A x and b vanish, so the residual does too
+    return float(np.linalg.norm(A @ x - b, np.inf) / scale) if scale > 0.0 else 0.0
 
 
 def consistent_initialization(ops: DiscreteOperators, p0, f0, fdot0, g0,
@@ -116,31 +123,29 @@ def consistent_initialization(ops: DiscreteOperators, p0, f0, fdot0, g0,
     The loads f0, fdot0, g0 are assembled (dual) vectors at t = 0.  In the
     quasi-static case these relations are forced; for regular systems they
     simply provide an admissible start compatible with the rho -> 0 limit.
+    Both solves must reach a normwise backward error of at most ``tol``
+    (default 1e-10).
     """
     p0 = np.asarray(p0, dtype=float)
     f0 = np.asarray(f0, dtype=float)
     fdot0 = np.asarray(fdot0, dtype=float)
     g0 = np.asarray(g0, dtype=float)
-    dbar, mbar, kbar, minv_d = _schur_blocks(ops, coupling)
+    dbar, kbar, mbar, schur = _schur_blocks(ops, coupling)
     ka = ops.stiff_elast
 
-    u0 = numkit.solve(ka, dbar.T @ p0 + f0)
-    schur = ka + dbar.T @ minv_d
+    rhs_u = dbar.T @ p0 + f0
+    u0 = numkit.solve(ka, rhs_u)
     # differentiating K_A u = D^T p + f along the flow gives the velocity
     # relation with +fdot on the right-hand side
-    rhs = -dbar.T @ numkit.solve(mbar, kbar @ p0) + fdot0 \
-        + dbar.T @ numkit.solve(mbar, g0)
-    w0 = numkit.solve(schur, rhs)
+    rhs_w = fdot0 - dbar.T @ mbar.solve(kbar @ p0 - g0)
+    w0 = numkit.solve(schur, rhs_w)
 
-    scale = 1.0 + max(float(np.max(np.abs(f0))) if f0.size else 0.0,
-                      float(np.max(np.abs(p0))) if p0.size else 0.0)
-    if tol is None:
-        tol = 1e-10 * scale
-    r_u = float(np.linalg.norm(ka @ u0 - dbar.T @ p0 - f0))
-    r_w = float(np.linalg.norm(schur @ w0 - rhs))
-    if max(r_u, r_w) > tol:
+    err_u = _backward_error(ka, u0, rhs_u)
+    err_w = _backward_error(schur, w0, rhs_w)
+    if max(err_u, err_w) > (1e-10 if tol is None else tol):
         raise numkit.SingularMatrixError(
-            f"initialization solves did not converge (residuals {r_u:.3e}, {r_w:.3e})"
+            f"initialization solves did not converge "
+            f"(backward errors {err_u:.3e}, {err_w:.3e})"
         )
     return w0, u0
 
@@ -152,11 +157,8 @@ def hidden_constraint_residual(ops: DiscreteOperators, w, p, fdot, g,
     p = np.asarray(p, dtype=float)
     fdot = np.asarray(fdot, dtype=float)
     g = np.asarray(g, dtype=float)
-    dbar, mbar, kbar, minv_d = _schur_blocks(ops, coupling)
-    ka = ops.stiff_elast
-    resid = (ka + dbar.T @ minv_d) @ w \
-        + dbar.T @ numkit.solve(mbar, kbar @ p) - fdot \
-        - dbar.T @ numkit.solve(mbar, g)
+    dbar, kbar, mbar, schur = _schur_blocks(ops, coupling)
+    resid = schur @ w + dbar.T @ mbar.solve(kbar @ p - g) - fdot
     return float(np.linalg.norm(resid))
 
 

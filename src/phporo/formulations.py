@@ -329,16 +329,15 @@ class ParabolicReduction:
     f: object             # t -> displacement load
     fdot: object          # t -> its time derivative
     g: object             # t -> pressure load
+    elastic: numkit.Factorization  # K_A, factored once for every later solve
 
     def g_tilde(self, t: float) -> np.ndarray:
-        correction = stacked_coupling(self.ops) @ numkit.solve(
-            self.ops.stiff_elast, np.asarray(self.fdot(t), dtype=float)
-        )
+        correction = stacked_coupling(self.ops) @ self.elastic.solve(self.fdot(t))
         return np.asarray(self.g(t), dtype=float) - correction
 
     def recover_displacement(self, p, t: float) -> np.ndarray:
         rhs = stacked_coupling(self.ops).T @ np.asarray(p, float) + np.asarray(self.f(t), float)
-        return numkit.solve(self.ops.stiff_elast, rhs)
+        return self.elastic.solve(rhs)
 
     def as_phdae(self, tol: float | None = None) -> PhDae:
         """Wrap as a descriptor system with direct load input (G = identity)."""
@@ -354,10 +353,10 @@ def schur_reduce_parabolic(ops: DiscreteOperators, f, fdot, g,
                            coupling: NetworkCoupling | None = None) -> ParabolicReduction:
     """Eliminate the displacement through the invertible elastic operator."""
     dbar = stacked_coupling(ops)
-    x = numkit.solve(ops.stiff_elast, dbar.T) if dbar.size else dbar.T
-    mass = blocked_storage_mass(ops) + dbar @ x
+    elastic = numkit.Factorization(ops.stiff_elast)
+    mass = blocked_storage_mass(ops) + dbar @ elastic.solve(dbar.T)
     mass = 0.5 * (mass + mass.T)
-    return ParabolicReduction(mass, kbar_matrix(ops, coupling), ops, f, fdot, g)
+    return ParabolicReduction(mass, kbar_matrix(ops, coupling), ops, f, fdot, g, elastic)
 
 
 # ---------------------------------------------------------------------------

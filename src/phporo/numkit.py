@@ -69,20 +69,12 @@ def skew_defect(M) -> float:
 
 def is_symmetric(M, tol: float | None = None) -> bool:
     """True iff max |M_ij - M_ji| <= tol."""
-    A = as_matrix(M)
-    _require_square(A, "is_symmetric")
-    if tol is None:
-        tol = default_tol(A)
-    return symmetry_defect(A) <= tol
+    return symmetry_defect(M) <= (default_tol(M) if tol is None else tol)
 
 
 def is_skew(M, tol: float | None = None) -> bool:
     """True iff max |M_ij + M_ji| <= tol (diagonal bounded by tol)."""
-    A = as_matrix(M)
-    _require_square(A, "is_skew")
-    if tol is None:
-        tol = default_tol(A)
-    return skew_defect(A) <= tol
+    return skew_defect(M) <= (default_tol(M) if tol is None else tol)
 
 
 def sym_skew_split(M) -> tuple[np.ndarray, np.ndarray]:
@@ -169,29 +161,45 @@ def sqrtm_spd(M, tol: float | None = None) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def solve(M, b) -> np.ndarray:
-    """Solve M x = b with LU factorization and explicit singularity detection.
+class Factorization:
+    """LU factorization of a square matrix with explicit singularity detection.
 
-    Accepts a vector or a matrix right-hand side.  A pivot below
-    ``1e-13 * max(1, max pivot)`` raises ``SingularMatrixError``.
+    A pivot below ``1e-13 * max(1, max pivot)`` raises ``SingularMatrixError``
+    whose message starts with ``what``.  The factor is kept, so every later
+    ``solve`` costs two triangular solves.
     """
-    A = as_matrix(M)
-    _require_square(A, "solve")
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != A.shape[0]:
-        raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {A.shape[0]}")
-    if A.size == 0:
-        return np.zeros_like(rhs)
-    with warnings.catch_warnings():
-        # singularity is detected and raised explicitly below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if float(np.min(pivots)) <= 1e-13 * max(1.0, float(np.max(pivots))):
-        raise SingularMatrixError(
-            f"matrix numerically singular (smallest pivot {np.min(pivots):.3e})"
-        )
-    return lu_solve((lu, piv), rhs, check_finite=False)
+
+    def __init__(self, M, what: str = "matrix"):
+        A = as_matrix(M)
+        _require_square(A, "factorization")
+        self.size = A.shape[0]
+        self._lu = None
+        if A.size == 0:
+            return
+        with warnings.catch_warnings():
+            # singularity is detected and raised explicitly below
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(A, check_finite=False)
+        pivots = np.abs(np.diag(lu))
+        if float(np.min(pivots)) <= 1e-13 * max(1.0, float(np.max(pivots))):
+            raise SingularMatrixError(
+                f"{what} numerically singular (smallest pivot {np.min(pivots):.3e})"
+            )
+        self._lu = (lu, piv)
+
+    def solve(self, b) -> np.ndarray:
+        """Solve for a vector or a matrix right-hand side."""
+        rhs = np.asarray(b, dtype=float)
+        if rhs.shape[0] != self.size:
+            raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {self.size}")
+        if self._lu is None:
+            return np.zeros_like(rhs)
+        return lu_solve(self._lu, rhs, check_finite=False)
+
+
+def solve(M, b) -> np.ndarray:
+    """Solve M x = b once; see ``Factorization`` for the singularity rule."""
+    return Factorization(M).solve(b)
 
 
 def block_diag(*blocks) -> np.ndarray:
@@ -211,52 +219,32 @@ def block_diag(*blocks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # MatrixMarket import/export (coordinate and dense array formats)
 # ---------------------------------------------------------------------------
+# scipy.io is imported on use: importing it with the package would slow
+# every start-up for the few commands that write or read files.
 
-_MM_COORD = "%%MatrixMarket matrix coordinate real general"
-_MM_ARRAY = "%%MatrixMarket matrix array real general"
+_MM_FORMATS = ("coordinate", "array")
 
 
 def write_matrix_market(path, M, fmt: str = "coordinate") -> None:
-    """Write M in MatrixMarket format (1-based indices, real general)."""
+    """Write M in MatrixMarket format (real general, 17 significant digits)."""
+    from scipy.io import mmwrite
+    from scipy.sparse import coo_array
+
     A = as_matrix(M)
-    lines = []
-    if fmt == "coordinate":
-        lines.append(_MM_COORD)
-        ii, jj = np.nonzero(A)
-        lines.append(f"{A.shape[0]} {A.shape[1]} {len(ii)}")
-        for i, j in zip(ii, jj):
-            lines.append(f"{i + 1} {j + 1} {float(A[i, j])!r}")
-    elif fmt == "array":
-        lines.append(_MM_ARRAY)
-        lines.append(f"{A.shape[0]} {A.shape[1]}")
-        # array format is column-major by convention
-        for j in range(A.shape[1]):
-            for i in range(A.shape[0]):
-                lines.append(f"{float(A[i, j])!r}")
-    else:
+    if fmt not in _MM_FORMATS:
         raise ValueError(f"unknown MatrixMarket format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # an open file keeps mmwrite from appending ".mtx" to the path
+    with open(path, "wb") as fh:
+        mmwrite(fh, coo_array(A) if fmt == "coordinate" else A,
+                precision=17, symmetry="general")
 
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a real general MatrixMarket file written in either format."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("%")]
-    if header == _MM_COORD:
-        nr, nc, nnz = (int(tok) for tok in rows[0].split())
-        A = np.zeros((nr, nc))
-        if len(rows) - 1 != nnz:
-            raise ValueError(f"expected {nnz} coordinate entries, found {len(rows) - 1}")
-        for ln in rows[1:]:
-            si, sj, sv = ln.split()
-            A[int(si) - 1, int(sj) - 1] = float(sv)
-        return A
-    if header == _MM_ARRAY:
-        nr, nc = (int(tok) for tok in rows[0].split())
-        vals = np.array([float(v) for v in rows[1:]])
-        if vals.size != nr * nc:
-            raise ValueError(f"expected {nr * nc} array entries, found {vals.size}")
-        return vals.reshape((nc, nr)).T
-    raise ValueError(f"unsupported MatrixMarket header: {header!r}")
+    from scipy.io import mminfo, mmread
+
+    _, _, _, fmt, field, symmetry = mminfo(path)
+    if fmt not in _MM_FORMATS or field != "real" or symmetry != "general":
+        raise ValueError(f"unsupported MatrixMarket header: {fmt} {field} {symmetry}")
+    A = mmread(path)
+    return A.toarray() if fmt == "coordinate" else A

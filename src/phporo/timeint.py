@@ -8,23 +8,24 @@ systems it satisfies the discrete balance
 exactly up to roundoff, so every trajectory carries a dissipated/supplied
 ledger that can be audited after the fact.  Implicit Euler is provided as a
 baseline; it introduces artificial dissipation and keeps the same ledger
-convention without the exact identity.
+convention without the exact identity.  Both are the theta method
+(theta = 1/2 and theta = 1) of one stepping loop, which factors the step
+matrix once per distinct step size.
 
-Index-2 systems are integrated directly without index reduction; constraint
-drift is a reported diagnostic, not something the stepper hides.
+Index-2 systems are integrated directly without index reduction; the
+stepper neither corrects nor reports constraint drift, which callers can
+measure on the returned states.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from . import fem, phdae
 from .formulations import DiscreteOperators, build_full_first_order
-from .numkit import SingularMatrixError
+from .numkit import Factorization, SingularMatrixError
 from .phdae import InconsistentStateError, PhDae
 
 
@@ -65,37 +66,14 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Columns: time, H, dissipated_cum, supplied_cum, state entries."""
-        n = self.states.shape[1]
         header = ["time", "H", "dissipated_cum", "supplied_cum"]
-        header += [f"z{i}" for i in range(n)]
-        dcum = self.dissipated_cumulative()
-        scum = self.supplied_cumulative()
-        lines = [",".join(header)]
-        for k, t in enumerate(self.times):
-            row = [repr(float(t)), repr(float(self.hamiltonian[k])),
-                   repr(float(dcum[k])), repr(float(scum[k]))]
-            row += [repr(float(v)) for v in self.states[k]]
-            lines.append(",".join(row))
+        header += [f"z{i}" for i in range(self.states.shape[1])]
+        table = np.column_stack([self.times, self.hamiltonian, self.dissipated_cumulative(),
+                                 self.supplied_cumulative(), self.states])
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def _zero_input(m: int):
-    zero = np.zeros(m)
-    return lambda t: zero
-
-
-def _factor(A: np.ndarray):
-    with warnings.catch_warnings():
-        # singularity is detected and raised explicitly below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.size and float(np.min(pivots)) <= 1e-13 * max(1.0, float(np.max(pivots))):
-        raise SingularMatrixError(
-            f"step matrix numerically singular (smallest pivot {np.min(pivots):.3e})"
-        )
-    return lu, piv
+            fh.write(",".join(header) + "\n")
+            for row in table:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray,
@@ -120,86 +98,86 @@ def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray,
         )
 
 
-def _prepare(sys: PhDae, z0, input, t_grid, tol):
+def _snapped_steps(t: np.ndarray) -> np.ndarray:
+    """Step sizes of the grid, with sizes that agree to 1e-12 relative
+    replaced by the smallest of them, so that a uniform grid has exactly one
+    step size despite the rounding of its nodes."""
+    h = np.diff(t)
+    order = np.argsort(h, kind="stable")
+    sorted_h = h[order]
+    i = 0
+    while i < len(sorted_h):
+        j = int(np.searchsorted(sorted_h, sorted_h[i] * (1.0 + 1e-12), side="right"))
+        h[order[i:j]] = sorted_h[i]
+        i = j
+    return h
+
+
+def _theta_run(sys: PhDae, z0, input, t_grid, tol: float | None, theta: float,
+               frozen_R=None) -> Trajectory:
+    """Theta method for E z' = (J - R) z + G v with the midpoint ledger.
+
+    Each step solves (E - theta h K) z_new = (E + (1 - theta) h K) z + h G v
+    with K = J - R and v sampled at t_k + theta h.  The step matrices are
+    formed and factored once per distinct step size.  ``frozen_R(z)``, if
+    given, returns the dissipation matrix for the step that starts at z;
+    it is then used for that step's K and ledger, and the step matrices are
+    formed and factored on every step.
+    """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.state_dim,):
         raise ValueError(f"initial state must have length {sys.state_dim}")
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 1 or (len(t) > 1 and not np.all(np.diff(t) > 0)):
         raise ValueError("time grid must be 1-d and strictly increasing")
-    v = input if input is not None else _zero_input(sys.input_dim)
+    v = input if input is not None else (lambda t, zero=np.zeros(sys.input_dim): zero)
     _check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float), tol)
-    return z0, t, v
 
-
-def _ledger_step(sys_R, G, h, z_old, z_new, v_mid):
-    zm = 0.5 * (z_old + z_new)
-    diss = h * float(zm @ sys_R @ zm)
-    supp = h * float((G.T @ zm) @ v_mid)
-    return diss, supp
-
-
-def integrate_midpoint(sys: PhDae, z0, input=None, t_grid=None,
-                       tol: float | None = None) -> Trajectory:
-    """Implicit midpoint rule; factorizations are cached per step size."""
-    z0, t, v = _prepare(sys, z0, input, t_grid, tol)
-    K = sys.drift()
-    n_steps = len(t) - 1
+    steps = _snapped_steps(t)
     states = np.empty((len(t), sys.state_dim))
     states[0] = z0
     H = np.empty(len(t))
     H[0] = phdae.hamiltonian(sys, z0)
-    diss = np.empty(n_steps)
-    supp = np.empty(n_steps)
-    factors: dict[float, tuple] = {}
+    diss = np.empty(len(steps))
+    supp = np.empty(len(steps))
+    R, K = sys.R, sys.drift()
+    step_matrices: dict[float, tuple] = {}
     z = z0
-    for k in range(n_steps):
-        h = float(t[k + 1] - t[k])
-        if h not in factors:
+    for k, h in enumerate(steps.tolist()):
+        if frozen_R is not None:
+            R = frozen_R(z)
+            K = sys.J - R
+            step_matrices.clear()
+        if h not in step_matrices:
             try:
-                factors[h] = _factor(sys.E - 0.5 * h * K)
+                lu = Factorization(sys.E - theta * h * K, "step matrix")
             except SingularMatrixError as exc:
                 raise SingularMatrixError(f"step {k}: {exc}") from exc
+            step_matrices[h] = (lu, sys.E + (1.0 - theta) * h * K)
+        lu, explicit = step_matrices[h]
         v_mid = np.asarray(v(t[k] + 0.5 * h), dtype=float)
-        rhs = (sys.E + 0.5 * h * K) @ z + h * (sys.G @ v_mid)
-        z_new = lu_solve(factors[h], rhs, check_finite=False)
-        diss[k], supp[k] = _ledger_step(sys.R, sys.G, h, z, z_new, v_mid)
+        v_step = v_mid if theta == 0.5 else np.asarray(v(t[k] + theta * h), dtype=float)
+        z_new = lu.solve(explicit @ z + h * (sys.G @ v_step))
+        # midpoint-quadrature ledger for every theta
+        zm = 0.5 * (z + z_new)
+        diss[k] = h * float(zm @ R @ zm)
+        supp[k] = h * float((sys.G.T @ zm) @ v_mid)
         z = z_new
         states[k + 1] = z
         H[k + 1] = phdae.hamiltonian(sys, z)
     return Trajectory(t, states, H, diss, supp)
+
+
+def integrate_midpoint(sys: PhDae, z0, input=None, t_grid=None,
+                       tol: float | None = None) -> Trajectory:
+    """Implicit midpoint rule; one factorization per distinct step size."""
+    return _theta_run(sys, z0, input, t_grid, tol, 0.5)
 
 
 def integrate_euler(sys: PhDae, z0, input=None, t_grid=None,
                     tol: float | None = None) -> Trajectory:
     """Implicit Euler baseline; adds artificial dissipation on lossless systems."""
-    z0, t, v = _prepare(sys, z0, input, t_grid, tol)
-    K = sys.drift()
-    n_steps = len(t) - 1
-    states = np.empty((len(t), sys.state_dim))
-    states[0] = z0
-    H = np.empty(len(t))
-    H[0] = phdae.hamiltonian(sys, z0)
-    diss = np.empty(n_steps)
-    supp = np.empty(n_steps)
-    factors: dict[float, tuple] = {}
-    z = z0
-    for k in range(n_steps):
-        h = float(t[k + 1] - t[k])
-        if h not in factors:
-            try:
-                factors[h] = _factor(sys.E - h * K)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(f"step {k}: {exc}") from exc
-        v_end = np.asarray(v(t[k + 1]), dtype=float)
-        z_new = lu_solve(factors[h], sys.E @ z + h * (sys.G @ v_end), check_finite=False)
-        # same ledger convention as the midpoint rule (midpoint quadrature)
-        v_mid = np.asarray(v(t[k] + 0.5 * h), dtype=float)
-        diss[k], supp[k] = _ledger_step(sys.R, sys.G, h, z, z_new, v_mid)
-        z = z_new
-        states[k + 1] = z
-        H[k + 1] = phdae.hamiltonian(sys, z)
-    return Trajectory(t, states, H, diss, supp)
+    return _theta_run(sys, z0, input, t_grid, tol, 1.0)
 
 
 def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None,
@@ -218,32 +196,12 @@ def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None,
     nu = ops.materials[0].nu
     u_slice = base.state_slice("u")
     p_slice = base.state_slice("p")
-    z0, t, v = _prepare(base, z0, input, t_grid, tol)
-
-    n_steps = len(t) - 1
-    states = np.empty((len(t), base.state_dim))
-    states[0] = z0
-    H = np.empty(len(t))
-    H[0] = phdae.hamiltonian(base, z0)
-    diss = np.empty(n_steps)
-    supp = np.empty(n_steps)
-    z = z0
     R = base.R.copy()
-    for k in range(n_steps):
-        h = float(t[k + 1] - t[k])
+
+    def frozen_R(z):
         R[p_slice, p_slice] = fem.assemble_nonlinear_permeability(
             ops.qspace, ops.vspace, z[u_slice], kappa_fn, nu, bounds=bounds
         )
-        K = base.J - R
-        v_mid = np.asarray(v(t[k] + 0.5 * h), dtype=float)
-        rhs = (base.E + 0.5 * h * K) @ z + h * (base.G @ v_mid)
-        try:
-            factor = _factor(base.E - 0.5 * h * K)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"step {k}: {exc}") from exc
-        z_new = lu_solve(factor, rhs, check_finite=False)
-        diss[k], supp[k] = _ledger_step(R, base.G, h, z, z_new, v_mid)
-        z = z_new
-        states[k + 1] = z
-        H[k + 1] = phdae.hamiltonian(base, z)
-    return Trajectory(t, states, H, diss, supp)
+        return R
+
+    return _theta_run(base, z0, input, t_grid, tol, 0.5, frozen_R)

@@ -326,3 +326,64 @@ class TestMain:
         cfg = tmp_path / "pair.json"
         cfg.write_text(json.dumps({"first": scenario_doc()}))
         assert cli.main(["compare", "--config", str(cfg)]) == 2
+
+
+class TestSeparableSignals:
+    """Precomputed spatial vectors reproduce per-node term evaluation."""
+
+    TERMS_F = [
+        {"c": 0.4, "ax": 1, "ay": 0, "component": 0, "time": "sin", "omega": 2.0},
+        {"c": -0.7, "ax": 0, "ay": 2, "component": 1, "time": "cos", "omega": 3.0},
+        {"c": 0.3, "ax": 2, "ay": 1, "component": 0, "time": "const"},
+        {"c": 1.1, "ax": 0, "ay": 0, "component": 1, "time": "sin", "omega": 0.5},
+    ]
+    TERMS_G = [
+        [{"c": 0.2, "ax": 1, "ay": 0, "time": "const"},
+         {"c": 0.9, "ax": 1, "ay": 1, "time": "cos", "omega": 1.5}],
+        [{"c": -0.5, "ax": 0, "ay": 3, "time": "sin", "omega": 4.0}],
+    ]
+
+    @staticmethod
+    def reference(terms, space, t, component=None):
+        nodes = space.mesh.nodes[space.free_nodes]
+        return np.array([sum(term.value(x, y, t) for term in terms
+                             if component is None or term.component == component)
+                         for x, y in nodes])
+
+    def test_network_input_matches_per_node_values(self):
+        scn = parse_scenario(network_doc(m=2, mesh_n=3, source_f=self.TERMS_F,
+                                         source_g=self.TERMS_G,
+                                         initial_pressure=self.TERMS_G))
+        ops = cli.build_operators(scn)
+        system = cli.build_system(scn, ops)
+        v = cli.input_signal(scn, ops, system)
+        f, fdot, g = cli.load_signals(scn, ops)
+        rates = tuple(term.time_derivative() for term in scn.source_f)
+        mp = np.kron(np.eye(2), ops.mass_p)
+        for t in (0.0, 0.37, 1.9):
+            vu = np.concatenate([self.reference(scn.source_f, ops.vspace, t, c) for c in (0, 1)])
+            vu_dot = np.concatenate([self.reference(rates, ops.vspace, t, c) for c in (0, 1)])
+            vp = np.concatenate([self.reference(terms, ops.qspace, t) for terms in scn.source_g])
+            np.testing.assert_allclose(v(t), np.concatenate([vu, vp]), rtol=1e-14, atol=0.0)
+            for got, want in ((f(t), ops.mass_u @ vu), (fdot(t), ops.mass_u @ vu_dot),
+                              (g(t), mp @ vp)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        p0 = np.concatenate([self.reference(terms, ops.qspace, 0.0)
+                             for terms in scn.initial_pressure])
+        np.testing.assert_allclose(cli.initial_pressure_vector(scn, ops), p0,
+                                   rtol=1e-14, atol=0.0)
+
+
+class TestStiffStorage:
+    def test_large_biot_modulus_initializes_and_balances(self, tmp_path, capsys):
+        # K_A + D^T M^-1 D has entries ~1e6 here; an absolute residual test
+        # rejected its accurate solve
+        doc = scenario_doc(mesh_n=4, formulation="quasi_static",
+                           materials=[dict(material_doc(rho=0.0), biot_M=1e6)])
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        H = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        assert report["max_power_balance_residual"] <= 1e-10 * max(1.0, np.max(np.abs(H)))

@@ -182,3 +182,13 @@ class TestOutputFeedbackRegularization:
             F11 = -(W.T @ W + 0.1 * np.eye(du))
             closed = dae_analysis.regularize_output_feedback(sys, F11)
             assert phdae.validate_structure(closed).verdict
+
+
+class TestInitializationResidualCheck:
+    def test_corrupted_solve_still_raises(self, ops3_qs, monkeypatch):
+        v, f, fdot, g = linear_data(ops3_qs, seed=2)
+        p0 = np.linspace(-1.0, 1.0, ops3_qs.dim_p)
+        real = numkit.solve
+        monkeypatch.setattr(numkit, "solve", lambda M, b: real(M, b) * (1.0 + 1e-6))
+        with pytest.raises(numkit.SingularMatrixError, match="did not converge"):
+            dae_analysis.consistent_initialization(ops3_qs, p0, f(0.0), fdot(0.0), g(0.0))

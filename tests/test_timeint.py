@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phporo import formulations, timeint
+from phporo import numkit
 from phporo.numkit import SingularMatrixError
 from phporo.phdae import InconsistentStateError, PhDae
 from phporo.timeint import Trajectory, integrate_euler, integrate_midpoint
@@ -225,3 +226,59 @@ class TestTrajectory:
         self.make_trajectory().to_csv(a)
         self.make_trajectory().to_csv(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestFactorizationCount:
+    """Step matrices are factored once per distinct step size."""
+
+    @pytest.fixture()
+    def lu_calls(self, monkeypatch):
+        calls = []
+        real = numkit.lu_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(numkit, "lu_factor", counting)
+        return calls
+
+    def test_uniform_grid_needs_one_factorization(self, lu_calls):
+        sys = damped_system(seed=2)
+        v = lambda t: np.array([np.sin(t), 1.0])
+        grid = np.linspace(0.0, 2.0, 1001)
+        # the rounded grid nodes give several slightly different step sizes
+        assert len(set(np.diff(grid).tolist())) > 1
+        for integrate in (integrate_midpoint, integrate_euler):
+            lu_calls.clear()
+            traj = integrate(sys, np.ones(4), v, grid)
+            assert len(lu_calls) == 1
+            assert len(traj.times) == 1001
+
+    def test_nonuniform_grid_needs_one_factorization_per_step_size(self, lu_calls):
+        sys = damped_system(seed=3)
+        grid = np.concatenate([np.linspace(0.0, 0.5, 26), np.linspace(0.55, 1.0, 10)])
+        integrate_midpoint(sys, np.ones(4), None, grid)
+        assert len(lu_calls) == 2
+
+    def test_parabolic_input_needs_no_factorization(self, lu_calls):
+        ops = make_ops(3, rho=0.0)
+        v, f, fdot, g = linear_data(ops, seed=11)
+        reduced = formulations.schur_reduce_parabolic(ops, f, fdot, g)
+        assert len(lu_calls) == 1  # K_A, shared by every later solve
+        lu_calls.clear()
+        for t in np.linspace(0.0, 1.0, 7):
+            reduced.g_tilde(t)
+            reduced.recover_displacement(np.ones(ops.dim_p), t)
+        assert lu_calls == []
+        integrate_midpoint(reduced.as_phdae(), np.ones(ops.dim_p), reduced.g_tilde,
+                           np.linspace(0.0, 1.0, 51))
+        assert len(lu_calls) == 1
+
+    def test_nonlinear_run_factors_once_per_step(self, ops2, lu_calls):
+        v, f, fdot, g = linear_data(ops2, seed=5)
+        z0 = consistent_state(ops2, np.array([0.5]), f, fdot, g)
+        lu_calls.clear()
+        timeint.integrate_nonlinear_kappa(ops2, lambda xi: 1.0 + 0.1 * xi * xi, z0, v,
+                                          np.linspace(0.0, 1.0, 21))
+        assert len(lu_calls) == 20
