@@ -390,9 +390,7 @@ def cmd_check(scn: Scenario) -> tuple[dict, int]:
 
 
 def cmd_simulate(scn: Scenario, out_path: str) -> tuple[dict, int]:
-    integrate = (timeint.integrate_midpoint if scn.integrator == "midpoint"
-                 else timeint.integrate_euler)
-    _, traj = _run(scn, build_operators(scn), integrate)
+    _, traj = _run(scn, build_operators(scn))
     traj.to_csv(out_path)
     residual = float(np.max(traj.balance_residuals())) if scn.steps else 0.0
     summary = {
@@ -414,8 +412,10 @@ _TRAJECTORY_PAIRS = {
 }
 
 
-def _run(scn: Scenario, ops: DiscreteOperators, integrate):
+def _run(scn: Scenario, ops: DiscreteOperators):
     """Build the scenario's system and integrate it from its consistent start."""
+    integrate = (timeint.integrate_midpoint if scn.integrator == "midpoint"
+                 else timeint.integrate_euler)
     system = build_system(scn, ops)
     if isinstance(system, formulations.ParabolicReduction):
         signal = system.g_tilde
@@ -451,16 +451,17 @@ def cmd_compare(first: Scenario, second: Scenario) -> tuple[dict, int]:
         raise ScenarioError(
             f"formulations {first.formulation!r} and {second.formulation!r} are not comparable"
         )
-    if (first.steps, first.t_end) != (second.steps, second.t_end):
-        raise ScenarioError("compared scenarios must share the time grid")
+    if (first.steps, first.t_end, first.integrator) != (second.steps, second.t_end,
+                                                        second.integrator):
+        raise ScenarioError("compared scenarios must share the time grid and the integrator")
 
     by_tag = {first.formulation: first, second.formulation: second}
     if pair == frozenset(("full", "sqrt")):
         if by_tag["full"].materials != by_tag["sqrt"].materials:
             raise ScenarioError("the full/sqrt comparison needs identical materials")
         ops = build_operators(by_tag["full"])
-        sys_full, traj_full = _run(by_tag["full"], ops, timeint.integrate_midpoint)
-        sys_sqrt, traj_sqrt = _run(by_tag["sqrt"], ops, timeint.integrate_midpoint)
+        sys_full, traj_full = _run(by_tag["full"], ops)
+        sys_sqrt, traj_sqrt = _run(by_tag["sqrt"], ops)
         S = numkit.sqrtm_spd(ops.stiff_elast)
         mapped = traj_full.states.copy()
         u = sys_full.state_slice("u")
@@ -471,10 +472,7 @@ def cmd_compare(first: Scenario, second: Scenario) -> tuple[dict, int]:
         )))
         return report, 0
 
-    runs = {}
-    for tag, scn in by_tag.items():
-        ops = build_operators(scn)
-        runs[tag] = _run(scn, ops, timeint.integrate_midpoint)
+    runs = {tag: _run(scn, build_operators(scn)) for tag, scn in by_tag.items()}
     if pair == frozenset(("quasi_static", "alt_qs")):
         devs = []
         for label in ("u", "p"):

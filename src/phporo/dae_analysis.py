@@ -74,19 +74,13 @@ def classify_index(E, A, tol: float = 1e-10, seed: int = _PENCIL_SEED) -> IndexR
     if not regular:
         raise ValueError("matrix pencil appears singular at all sampled shifts")
 
-    U, sv, Vh = np.linalg.svd(E)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > tol * max(smax, 1.0)))
+    rank, V, W = numkit.balanced_kernels(E, tol)
     if rank == n:
         return IndexReport(0, rank, True, None)
 
-    V = Vh[rank:].T          # kernel of E
-    W = U[:, rank:]          # kernel of E^T
-    core = W.T @ A @ V
-    core_sv = np.linalg.svd(core, compute_uv=False)
-    ktv = float(core_sv[-1]) if core_sv.size else 0.0
-    a_scale = float(np.linalg.norm(A, 2)) if A.size else 1.0
-    index = 1 if ktv > tol * max(a_scale, 1.0) else INDEX_AT_LEAST_2
+    # V and W have n - rank > 0 columns, so the core is a nonempty square
+    ktv = float(np.linalg.svd(W.T @ A @ V, compute_uv=False)[-1])
+    index = 1 if ktv > tol * max(float(np.linalg.norm(A, 2)), 1.0) else INDEX_AT_LEAST_2
     return IndexReport(index, rank, True, ktv)
 
 

@@ -10,6 +10,11 @@ and dof n_free + k the y-component.
 Integrals use the 3-point edge-midpoint rule, which is exact for quadratic
 integrands; P1 stiffness integrands are elementwise constant, so stiffness
 and coupling matrices are exact.
+
+Assembly evaluates each element kernel once on the stack of all triangles
+and sums the local matrices into the global one with a single scatter that
+adds the contributions to every entry in element order, so assembled
+results are bit-reproducible from run to run.
 """
 
 from __future__ import annotations
@@ -47,22 +52,13 @@ def build_unit_square_mesh(n: int) -> Mesh2D:
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
     coords = np.linspace(0.0, 1.0, n + 1)
-    nodes = np.array([(x, y) for y in coords for x in coords])
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            ll = j * (n + 1) + i
-            lr = ll + 1
-            ul = ll + (n + 1)
-            ur = ul + 1
-            # split along the lower-left to upper-right diagonal
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    triangles = np.array(tris, dtype=int)
-    on_boundary = (
-        (nodes[:, 0] == 0.0) | (nodes[:, 0] == 1.0)
-        | (nodes[:, 1] == 0.0) | (nodes[:, 1] == 1.0)
-    )
+    x, y = np.meshgrid(coords, coords)
+    nodes = np.column_stack([x.ravel(), y.ravel()])
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()  # lower-left node, row by row
+    lr, ul = ll + 1, ll + n + 1
+    # split every cell along the lower-left to upper-right diagonal
+    triangles = np.column_stack([ll, lr, ul + 1, ll, ul + 1, ul]).reshape(-1, 3)
+    on_boundary = ((nodes == 0.0) | (nodes == 1.0)).any(axis=1)
     return Mesh2D(nodes, triangles, np.nonzero(on_boundary)[0], n)
 
 
@@ -132,23 +128,32 @@ class PoroMaterial:
 # ---------------------------------------------------------------------------
 # Local element matrices (P1, straight triangles)
 # ---------------------------------------------------------------------------
+# Each kernel takes one triangle (3, 2) or a stack of triangles (T, 3, 2) and
+# returns one local matrix or the stack of them; coefficients may be scalars
+# or one value per triangle.
 
-def triangle_area(coords) -> float:
+def _scaled(factor, local) -> np.ndarray:
+    """Multiply each local matrix of a stack by its own factor."""
+    return np.asarray(factor)[..., None, None] * local
+
+
+def triangle_area(coords):
     """Signed area; positive for counterclockwise vertex order."""
-    (x0, y0), (x1, y1), (x2, y2) = np.asarray(coords, dtype=float)
-    return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+    c = np.asarray(coords, dtype=float)
+    x, y = c[..., 0], c[..., 1]
+    return 0.5 * ((x[..., 1] - x[..., 0]) * (y[..., 2] - y[..., 0])
+                  - (x[..., 2] - x[..., 0]) * (y[..., 1] - y[..., 0]))
+
+
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 def p1_gradients(coords) -> np.ndarray:
-    """(3, 2) array of the constant gradients of the three hat functions."""
+    """(3, 2) array (per triangle) of the constant gradients of the three hat functions."""
     c = np.asarray(coords, dtype=float)
-    area2 = 2.0 * triangle_area(c)
-    g = np.empty((3, 2))
-    for a in range(3):
-        b, d = (a + 1) % 3, (a + 2) % 3
-        g[a, 0] = (c[b, 1] - c[d, 1]) / area2
-        g[a, 1] = (c[d, 0] - c[b, 0]) / area2
-    return g
+    g = np.stack([c[..., _NEXT, 1] - c[..., _PREV, 1],
+                  c[..., _PREV, 0] - c[..., _NEXT, 0]], axis=-1)
+    return g / np.asarray(2.0 * triangle_area(c))[..., None, None]
 
 
 _MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
@@ -156,89 +161,76 @@ _MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
 
 def element_mass(coords, coeff: float = 1.0) -> np.ndarray:
     """Local scalar mass matrix (coeff * area / 12) * [[2,1,1],[1,2,1],[1,1,2]]."""
-    return (coeff * triangle_area(coords) / 12.0) * _MASS_PATTERN
+    return _scaled(coeff * triangle_area(coords) / 12.0, _MASS_PATTERN)
 
 
-def element_stiffness(coords, coeff: float = 1.0) -> np.ndarray:
+def element_stiffness(coords, coeff=1.0) -> np.ndarray:
     """Local scalar stiffness matrix coeff * area * grad_i . grad_j."""
     g = p1_gradients(coords)
-    return (coeff * triangle_area(coords)) * (g @ g.T)
+    return _scaled(coeff * triangle_area(coords), g @ g.swapaxes(-1, -2))
 
 
 def element_elasticity(coords, mu: float, lam: float) -> np.ndarray:
     """Local 6x6 elastic stiffness in component-blocked order (x dofs, y dofs)."""
     g = p1_gradients(coords)
-    B = np.zeros((3, 6))  # rows: eps_xx, eps_yy, gamma_xy
-    B[0, 0:3] = g[:, 0]
-    B[1, 3:6] = g[:, 1]
-    B[2, 0:3] = g[:, 1]
-    B[2, 3:6] = g[:, 0]
+    B = np.zeros(g.shape[:-2] + (3, 6))  # rows: eps_xx, eps_yy, gamma_xy
+    B[..., 0, 0:3] = g[..., 0]
+    B[..., 1, 3:6] = g[..., 1]
+    B[..., 2, 0:3] = g[..., 1]
+    B[..., 2, 3:6] = g[..., 0]
     C = np.array([
         [2.0 * mu + lam, lam, 0.0],
         [lam, 2.0 * mu + lam, 0.0],
         [0.0, 0.0, mu],
     ])
-    K = triangle_area(coords) * (B.T @ C @ B)
-    return 0.5 * (K + K.T)
+    K = _scaled(triangle_area(coords), B.swapaxes(-1, -2) @ C @ B)
+    return 0.5 * (K + K.swapaxes(-1, -2))
 
 
 def element_divergence(coords, alpha: float = 1.0) -> np.ndarray:
     """Local 3x6 coupling alpha * int (div phi_j) psi_i; div is constant, int psi_i = area/3."""
     g = p1_gradients(coords)
-    area = triangle_area(coords)
-    div_row = np.concatenate([g[:, 0], g[:, 1]])  # divergence of each local vector dof
-    return (alpha * area / 3.0) * np.tile(div_row, (3, 1))
+    div_row = np.concatenate([g[..., 0], g[..., 1]], axis=-1)  # divergence of each local vector dof
+    return _scaled(alpha * triangle_area(coords) / 3.0,
+                   np.repeat(div_row[..., None, :], 3, axis=-2))
 
 
 # ---------------------------------------------------------------------------
 # Global assembly
 # ---------------------------------------------------------------------------
 
-def _scalar_dofs(space: FeSpace, tri) -> np.ndarray:
-    return space.node_to_free[tri]
-
-
-def _scatter_scalar(space: FeSpace, A: np.ndarray, tri, local: np.ndarray) -> None:
-    dofs = _scalar_dofs(space, tri)
-    for a in range(3):
-        if dofs[a] < 0:
-            continue
-        for b in range(3):
-            if dofs[b] >= 0:
-                A[dofs[a], dofs[b]] += local[a, b]
-
-
-def _scatter_vector(space: FeSpace, A: np.ndarray, tri, local: np.ndarray) -> None:
-    # local matrices are component-blocked, matching the global dof layout
+def _dofs(space: FeSpace) -> np.ndarray:
+    """(T, 3 * components) global dof of each local dof, component-blocked
+    like the local matrices; -1 where the dof is constrained."""
+    node = space.node_to_free[space.mesh.triangles]
     nfree = len(space.free_nodes)
-    dofs = _scalar_dofs(space, tri)
-    gdofs = [dofs[a] + comp * nfree if dofs[a] >= 0 else -1
-             for comp in range(2) for a in range(3)]
-    for ia in range(6):
-        if gdofs[ia] < 0:
-            continue
-        for ib in range(6):
-            if gdofs[ib] >= 0:
-                A[gdofs[ia], gdofs[ib]] += local[ia, ib]
+    return np.concatenate([np.where(node >= 0, node + comp * nfree, -1)
+                           for comp in range(space.components)], axis=1)
+
+
+def _scatter(local, rows, cols, shape) -> np.ndarray:
+    """Sum stacked local matrices (T, r, c) into a dense matrix of ``shape``.
+
+    ``rows`` (T, r) and ``cols`` (T, c) are dof tables; entries in a
+    constrained row or column are dropped.  ``np.bincount`` adds the
+    contributions to each global entry one at a time in element order.
+    """
+    keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+    index = rows[:, :, None] * shape[1] + cols[:, None, :]
+    sums = np.bincount(index[keep], weights=local[keep], minlength=shape[0] * shape[1])
+    # with nothing kept (no free dofs) bincount returns integers
+    return sums.astype(float, copy=False).reshape(shape)
 
 
 def assemble_mass(space: FeSpace, coeff: float) -> np.ndarray:
     """Mass matrix with constant coefficient; block-diagonal per component."""
     if coeff < 0:
         raise ValueError(f"mass coefficient must be >= 0, got {coeff}")
-    A = np.zeros((space.dim, space.dim))
-    if coeff == 0.0:
-        return A
-    for tri in space.mesh.triangles:
-        local = element_mass(space.mesh.nodes[tri], coeff)
-        if space.kind == SCALAR_P1:
-            _scatter_scalar(space, A, tri, local)
-        else:
-            block = np.zeros((6, 6))
-            block[0:3, 0:3] = local
-            block[3:6, 3:6] = local
-            _scatter_vector(space, A, tri, block)
-    return A
+    # one copy of the scalar local mass per component block
+    local = np.kron(np.eye(space.components),
+                    element_mass(space.mesh.nodes[space.mesh.triangles], coeff))
+    dofs = _dofs(space)
+    return _scatter(local, dofs, dofs, (space.dim, space.dim))
 
 
 def assemble_laplace(space: FeSpace, coeff: float) -> np.ndarray:
@@ -247,10 +239,9 @@ def assemble_laplace(space: FeSpace, coeff: float) -> np.ndarray:
         raise ValueError("assemble_laplace expects a scalar space")
     if coeff <= 0:
         raise ValueError(f"diffusion coefficient must be > 0, got {coeff}")
-    A = np.zeros((space.dim, space.dim))
-    for tri in space.mesh.triangles:
-        _scatter_scalar(space, A, tri, element_stiffness(space.mesh.nodes[tri], coeff))
-    return A
+    dofs = _dofs(space)
+    local = element_stiffness(space.mesh.nodes[space.mesh.triangles], coeff)
+    return _scatter(local, dofs, dofs, (space.dim, space.dim))
 
 
 def assemble_elasticity(space: FeSpace, mu: float, lam: float) -> np.ndarray:
@@ -259,10 +250,9 @@ def assemble_elasticity(space: FeSpace, mu: float, lam: float) -> np.ndarray:
         raise ValueError("assemble_elasticity expects a vector space")
     if mu <= 0 or lam < 0:
         raise ValueError("assemble_elasticity needs mu > 0 and lambda >= 0")
-    A = np.zeros((space.dim, space.dim))
-    for tri in space.mesh.triangles:
-        _scatter_vector(space, A, tri, element_elasticity(space.mesh.nodes[tri], mu, lam))
-    return A
+    dofs = _dofs(space)
+    local = element_elasticity(space.mesh.nodes[space.mesh.triangles], mu, lam)
+    return _scatter(local, dofs, dofs, (space.dim, space.dim))
 
 
 def assemble_divergence_coupling(vspace: FeSpace, qspace: FeSpace, alpha: float) -> np.ndarray:
@@ -271,64 +261,28 @@ def assemble_divergence_coupling(vspace: FeSpace, qspace: FeSpace, alpha: float)
         raise ValueError("divergence coupling needs a vector and a scalar space")
     if vspace.mesh is not qspace.mesh:
         raise ValueError("divergence coupling requires both spaces on the same mesh")
-    D = np.zeros((qspace.dim, vspace.dim))
-    nfree = len(vspace.free_nodes)
-    for tri in vspace.mesh.triangles:
-        local = element_divergence(vspace.mesh.nodes[tri], alpha)
-        pdofs = _scalar_dofs(qspace, tri)
-        udofs = _scalar_dofs(vspace, tri)
-        for i in range(3):
-            if pdofs[i] < 0:
-                continue
-            for comp in range(2):
-                for a in range(3):
-                    if udofs[a] >= 0:
-                        D[pdofs[i], udofs[a] + comp * nfree] += local[i, a + 3 * comp]
-    return D
+    local = element_divergence(vspace.mesh.nodes[vspace.mesh.triangles], alpha)
+    return _scatter(local, _dofs(qspace), _dofs(vspace), (qspace.dim, vspace.dim))
 
 
-def _quad_points(coords) -> tuple[np.ndarray, np.ndarray]:
-    """Edge midpoints and P1 values there (rows: points, cols: hat functions)."""
-    c = np.asarray(coords, dtype=float)
-    pts = np.array([
-        0.5 * (c[0] + c[1]),
-        0.5 * (c[1] + c[2]),
-        0.5 * (c[2] + c[0]),
-    ])
-    vals = np.array([
-        [0.5, 0.5, 0.0],
-        [0.0, 0.5, 0.5],
-        [0.5, 0.0, 0.5],
-    ])
-    return pts, vals
+# hat function values (cols) at the midpoint of edge (q, q + 1) (rows)
+_MIDPOINT_VALUES = 0.5 * (np.eye(3) + np.eye(3)[_NEXT])
 
 
 def assemble_load(space: FeSpace, density) -> np.ndarray:
     """Load vector int density * phi_i via the 3-point edge-midpoint rule.
 
     For scalar spaces ``density(x, y)`` returns a float; for vector spaces a
-    length-2 sequence.
+    length-2 sequence.  It is called once per quadrature point.
     """
-    out = np.zeros(space.dim)
-    nfree = len(space.free_nodes)
-    for tri in space.mesh.triangles:
-        coords = space.mesh.nodes[tri]
-        w = triangle_area(coords) / 3.0
-        pts, vals = _quad_points(coords)
-        dofs = _scalar_dofs(space, tri)
-        for q in range(3):
-            f = density(pts[q, 0], pts[q, 1])
-            if space.kind == SCALAR_P1:
-                for a in range(3):
-                    if dofs[a] >= 0:
-                        out[dofs[a]] += w * f * vals[q, a]
-            else:
-                fx, fy = f
-                for a in range(3):
-                    if dofs[a] >= 0:
-                        out[dofs[a]] += w * fx * vals[q, a]
-                        out[dofs[a] + nfree] += w * fy * vals[q, a]
-    return out
+    coords = space.mesh.nodes[space.mesh.triangles]
+    T = len(coords)
+    points = 0.5 * (coords + coords[:, _NEXT])  # midpoint of edge (a, a + 1)
+    f = np.array([density(x, y) for x, y in points.reshape(-1, 2)], dtype=float)
+    wf = (triangle_area(coords) / 3.0)[:, None, None] * f.reshape(T, 3, space.components)
+    # row q holds point q's contribution to every local dof (comp, a)
+    local = (wf[..., None] * _MIDPOINT_VALUES[:, None, :]).reshape(T, 3, -1)
+    return _scatter(local, np.zeros((T, 3), dtype=int), _dofs(space), (1, space.dim))[0]
 
 
 def elementwise_divergence(vspace: FeSpace, u_free: np.ndarray) -> np.ndarray:
@@ -338,17 +292,12 @@ def elementwise_divergence(vspace: FeSpace, u_free: np.ndarray) -> np.ndarray:
     u = np.asarray(u_free, dtype=float)
     if u.shape != (vspace.dim,):
         raise ValueError(f"displacement vector must have length {vspace.dim}")
-    nfree = len(vspace.free_nodes)
-    out = np.zeros(len(vspace.mesh.triangles))
-    for t, tri in enumerate(vspace.mesh.triangles):
-        g = p1_gradients(vspace.mesh.nodes[tri])
-        dofs = _scalar_dofs(vspace, tri)
-        div = 0.0
-        for a in range(3):
-            if dofs[a] >= 0:
-                div += u[dofs[a]] * g[a, 0] + u[dofs[a] + nfree] * g[a, 1]
-        out[t] = div
-    return out
+    g = p1_gradients(vspace.mesh.nodes[vspace.mesh.triangles])
+    u = np.append(u, 0.0)[_dofs(vspace)]  # constrained dofs (-1) read the appended zero
+    div = np.zeros(len(g))
+    for a in range(3):  # summing in local-node order keeps the rounding fixed
+        div += u[:, a] * g[:, a, 0] + u[:, 3 + a] * g[:, a, 1]
+    return div
 
 
 def assemble_nonlinear_permeability(qspace: FeSpace, vspace: FeSpace, u_free,
@@ -356,37 +305,38 @@ def assemble_nonlinear_permeability(qspace: FeSpace, vspace: FeSpace, u_free,
                                     bounds: tuple[float, float] | None = None) -> np.ndarray:
     """Pressure stiffness with coefficient kappa(div u_h)/nu evaluated per element.
 
-    The dilatation-dependent coefficient is sampled on every element; a value
-    outside (0, inf) or outside the caller-supplied bounds raises
-    ``BoundViolationError``.
+    ``kappa_fn`` is called once per element with that element's dilatation.
+    A value outside (0, inf) or outside the caller-supplied bounds raises
+    ``BoundViolationError`` naming the first such element.
     """
     if qspace.mesh is not vspace.mesh:
         raise ValueError("spaces must share a mesh")
     if nu <= 0:
         raise ValueError("viscosity nu must be positive")
     dil = elementwise_divergence(vspace, u_free)
-    A = np.zeros((qspace.dim, qspace.dim))
-    for t, tri in enumerate(qspace.mesh.triangles):
-        kappa = float(kappa_fn(dil[t]))
-        if not np.isfinite(kappa) or kappa <= 0.0:
+    kappa = np.array([float(kappa_fn(d)) for d in dil])
+    positive = np.isfinite(kappa) & (kappa > 0.0)
+    admissible = positive if bounds is None else (
+        positive & (bounds[0] <= kappa) & (kappa <= bounds[1]))
+    if not admissible.all():
+        t = int(np.argmin(admissible))
+        if not positive[t]:
             raise BoundViolationError(
-                f"permeability {kappa!r} at dilatation {dil[t]:.3e} is not positive"
+                f"permeability {float(kappa[t])!r} at dilatation {dil[t]:.3e} is not positive"
             )
-        if bounds is not None and not (bounds[0] <= kappa <= bounds[1]):
-            raise BoundViolationError(
-                f"permeability {kappa:.3e} leaves the declared bounds {bounds}"
-            )
-        _scatter_scalar(qspace, A, tri, element_stiffness(qspace.mesh.nodes[tri], kappa / nu))
-    return A
+        raise BoundViolationError(
+            f"permeability {kappa[t]:.3e} leaves the declared bounds {bounds}"
+        )
+    dofs = _dofs(qspace)
+    local = element_stiffness(qspace.mesh.nodes[qspace.mesh.triangles], kappa / nu)
+    return _scatter(local, dofs, dofs, (qspace.dim, qspace.dim))
 
 
 def write_mesh_text(mesh: Mesh2D, path) -> None:
     """Plain-text export: node coordinates, then element node triples."""
-    lines = [f"nodes {len(mesh.nodes)}"]
-    for x, y in mesh.nodes:
-        lines.append(f"{x!r} {y!r}")
-    lines.append(f"triangles {len(mesh.triangles)}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"nodes {len(mesh.nodes)}\n")
+        # Python floats: their repr is the shortest string that reads back exactly
+        fh.writelines(f"{x!r} {y!r}\n" for x, y in mesh.nodes.tolist())
+        fh.write(f"triangles {len(mesh.triangles)}\n")
+        np.savetxt(fh, mesh.triangles, fmt="%d")

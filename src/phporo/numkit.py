@@ -95,6 +95,14 @@ class SpectralReport:
     max_asymmetry: float
     verdict: str
 
+    @classmethod
+    def from_extremes(cls, lo: float, hi: float, asymmetry: float,
+                      tol: float) -> "SpectralReport":
+        """Report for a symmetrized spectrum in [lo, hi], judged at tol."""
+        verdict = (POSITIVE_DEFINITE if lo > tol
+                   else POSITIVE_SEMIDEFINITE if lo >= -tol else INDEFINITE)
+        return cls(lo, hi, asymmetry, verdict)
+
     @property
     def is_semidefinite(self) -> bool:
         return self.verdict in (POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE)
@@ -128,14 +136,7 @@ def psd_check(M, tol: float | None = None, require_symmetric: bool = True) -> Sp
     if A.size == 0:
         return SpectralReport(np.inf, -np.inf, 0.0, POSITIVE_DEFINITE)
     eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo > tol:
-        verdict = POSITIVE_DEFINITE
-    elif lo >= -tol:
-        verdict = POSITIVE_SEMIDEFINITE
-    else:
-        verdict = INDEFINITE
-    return SpectralReport(lo, hi, defect, verdict)
+    return SpectralReport.from_extremes(float(eigs[0]), float(eigs[-1]), defect, tol)
 
 
 def sqrtm_spd(M, tol: float | None = None) -> np.ndarray:
@@ -159,6 +160,28 @@ def sqrtm_spd(M, tol: float | None = None) -> np.ndarray:
     w, V = np.linalg.eigh(0.5 * (A + A.T))
     S = (V * np.sqrt(w)) @ V.T
     return 0.5 * (S + S.T)
+
+
+def balanced_kernels(M, tol: float = 1e-10) -> tuple[int, np.ndarray, np.ndarray]:
+    """Rank of M with orthonormal bases V of ker M and W of ker M^T.
+
+    The rank is decided on D_r M D_c, where D_r and D_c hold the inverse
+    square roots of the row and column max-norms of M (1 for a zero row or
+    column), so that a block tiny against the rest of M, such as the storage
+    mass of a stiff medium, is not cut as rank deficiency: singular values up
+    to ``tol * max(1, largest)`` count as zero.  The kernels found there are
+    mapped back through D_c and D_r and re-orthonormalized.
+    """
+    A = as_matrix(M)
+    _require_square(A, "balanced_kernels")
+    mag = np.abs(A)
+    d_row, d_col = (1.0 / np.sqrt(np.where(norms > 0.0, norms, 1.0))
+                    for norms in (mag.max(axis=1, initial=0.0), mag.max(axis=0, initial=0.0)))
+    U, sv, Vh = np.linalg.svd(d_row[:, None] * A * d_col)
+    rank = int(np.sum(sv > tol * max(sv[0] if sv.size else 0.0, 1.0)))
+    V = np.linalg.qr(d_col[:, None] * Vh[rank:].T)[0]
+    W = np.linalg.qr(d_row[:, None] * U[:, rank:])[0]
+    return rank, V, W
 
 
 class Factorization:

@@ -44,7 +44,8 @@ class PhDae:
     """Immutable quadruple (E, J, R, G) with optional state/input block labels.
 
     Structure is validated eagerly; ``validate=False`` exists only so that
-    deliberately broken systems can be built for negative checks.
+    deliberately broken systems can be built for negative checks.  The
+    report is kept, so validating again at the same tolerance is free.
     """
 
     def __init__(self, E, J, R, G, state_blocks=None, input_blocks=None,
@@ -65,6 +66,7 @@ class PhDae:
         self.state_blocks = _named_blocks(state_blocks, n, "z")
         self.input_blocks = _named_blocks(input_blocks, G.shape[1], "v")
         self.tol = tol
+        self._structure = None  # (tol, StructureReport) of the last validation
         if validate:
             report = validate_structure(self, tol=tol)
             if not report.verdict:
@@ -135,8 +137,11 @@ def validate_structure(sys: PhDae, tol: float | None = None) -> StructureReport:
 
     PSD checks run at ``tol`` (default 1e-10 scale-relative per matrix); the
     skew check runs at 1e-12 scale-relative.  The dissipation matrix
-    diag(R, 0) is reported alongside.
+    diag(R, 0) is reported alongside.  The report is kept on the system and
+    returned again when the tolerance matches.
     """
+    if sys._structure is not None and sys._structure[0] == tol:
+        return sys._structure[1]
     psd_tol_e = tol if tol is not None else numkit.default_tol(sys.E)
     psd_tol_r = tol if tol is not None else numkit.default_tol(sys.R)
     skew_tol = tol if tol is not None else 1e-12 * (
@@ -145,15 +150,20 @@ def validate_structure(sys: PhDae, tol: float | None = None) -> StructureReport:
     e_rep = numkit.psd_check(sys.E, psd_tol_e, require_symmetric=False)
     r_rep = numkit.psd_check(sys.R, psd_tol_r, require_symmetric=False)
     j_def = numkit.skew_defect(sys.J)
-    w_rep = numkit.psd_check(dissipation_matrix(sys), psd_tol_r, require_symmetric=False)
+    # diag(R, 0_m) has the spectrum of R and m zeros
+    w_rep = r_rep if not sys.input_dim else SpectralReport.from_extremes(
+        min(r_rep.min_eigenvalue, 0.0), max(r_rep.max_eigenvalue, 0.0),
+        r_rep.max_asymmetry, psd_tol_r)
     verdict = (
         e_rep.is_semidefinite and e_rep.max_asymmetry <= psd_tol_e
         and r_rep.is_semidefinite and r_rep.max_asymmetry <= psd_tol_r
         and j_def <= skew_tol
         and w_rep.is_semidefinite
     )
-    return StructureReport(e_rep, r_rep, j_def, w_rep,
-                           max(psd_tol_e, psd_tol_r), skew_tol, verdict)
+    report = StructureReport(e_rep, r_rep, j_def, w_rep,
+                             max(psd_tol_e, psd_tol_r), skew_tol, verdict)
+    sys._structure = (tol, report)
+    return report
 
 
 def hamiltonian(sys: PhDae, z) -> float:

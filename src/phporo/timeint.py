@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fem, phdae
 from .formulations import DiscreteOperators, build_full_first_order
-from .numkit import Factorization, SingularMatrixError
+from .numkit import Factorization, SingularMatrixError, balanced_kernels
 from .phdae import InconsistentStateError, PhDae
 
 
@@ -79,14 +79,9 @@ class Trajectory:
 def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray,
                             tol: float | None) -> None:
     """Algebraic rows (left kernel of E) must annihilate the drift at t = 0."""
-    if sys.state_dim == 0:
-        return
-    U, sv, _ = np.linalg.svd(sys.E)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > 1e-10 * max(smax, 1.0)))
+    rank, _, W = balanced_kernels(sys.E)
     if rank == sys.state_dim:
         return
-    W = U[:, rank:]
     rhs = sys.drift() @ z0 + sys.G @ v0
     resid = float(np.linalg.norm(W.T @ rhs))
     scale = 1.0 + float(np.max(np.abs(rhs))) if rhs.size else 1.0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phporo import cli, numkit, phdae
+from phporo import cli, numkit, phdae, timeint
 from phporo.cli import Scenario, ScenarioError, SourceTerm, parse_scenario
 
 
@@ -387,3 +387,65 @@ class TestStiffStorage:
         report = json.loads(capsys.readouterr().out)
         H = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
         assert report["max_power_balance_residual"] <= 1e-10 * max(1.0, np.max(np.abs(H)))
+
+    @pytest.mark.parametrize("formulation, rho, biot_M, index, e_rank", [
+        ("full", 1.0, 1e8, "0", 45),
+        ("quasi_static", 0.0, 1e8, "at_least_2", 27),
+        ("quasi_static", 0.0, 1e10, "at_least_2", 27),
+        ("schur_parabolic", 0.0, 1e10, "0", 9),
+    ])
+    def test_stiff_storage_keeps_the_rank_of_E(self, tmp_path, capsys, formulation,
+                                                rho, biot_M, index, e_rank):
+        # the storage mass is ~1e-12 against K_A here; a plain relative
+        # singular-value cut counted it as rank deficiency
+        doc = scenario_doc(mesh_n=4, formulation=formulation,
+                           materials=[dict(material_doc(rho=rho), biot_M=biot_M)])
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["check", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["index"]["index"] == index
+        assert report["index"]["e_rank"] == e_rank
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        H = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        assert report["max_power_balance_residual"] <= 1e-10 * max(1.0, np.max(np.abs(H)))
+
+
+class TestCompareIntegrator:
+    def test_euler_pair_is_integrated_with_euler(self):
+        first = parse_scenario(scenario_doc(mesh_n=3, integrator="euler",
+                                            materials=[material_doc(rho=1e-2)]))
+        second = parse_scenario(scenario_doc(mesh_n=3, formulation="quasi_static",
+                                             integrator="euler",
+                                             materials=[material_doc(rho=0.0)]))
+        report, code = cli.cmd_compare(first, second)
+        assert code == 0
+        pressures = []
+        for scn in (first, second):
+            ops = cli.build_operators(scn)
+            system = cli.build_system(scn, ops)
+            traj = timeint.integrate_euler(system, cli.initial_state(scn, ops, system),
+                                           cli.input_signal(scn, ops, system),
+                                           cli.time_grid(scn))
+            pressures.append(traj.states[:, system.state_slice("p")])
+        assert report["max_pressure_deviation"] == float(np.max(np.abs(
+            pressures[0] - pressures[1])))
+
+    def test_mismatched_integrators_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({"first": scenario_doc(integrator="euler"),
+                                   "second": scenario_doc(formulation="sqrt")}))
+        assert cli.main(["compare", "--config", str(cfg)]) == 2
+        assert "integrator" in capsys.readouterr().err
+
+
+def test_check_validates_structure_once(monkeypatch):
+    calls = []
+    psd_check = numkit.psd_check
+    monkeypatch.setattr(numkit, "psd_check",
+                        lambda *args, **kwargs: calls.append(1) or psd_check(*args, **kwargs))
+    report, code = cli.cmd_check(parse_scenario(scenario_doc()))
+    assert code == 0 and report["structure"]["verdict"]
+    assert len(calls) == 2  # E and R, when the system is built

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ class TestMesh:
         assert lines[0] == "nodes 9"
         assert lines[10] == "triangles 8"
         assert len(lines) == 1 + 9 + 1 + 8
+
+    def test_text_export_reads_back_exactly(self, tmp_path):
+        mesh = fem.build_unit_square_mesh(3)
+        path = tmp_path / "mesh.txt"
+        fem.write_mesh_text(mesh, path)
+        lines = path.read_text().splitlines()
+        nodes = np.array([[float(v) for v in line.split()] for line in lines[1:17]])
+        triangles = np.array([[int(v) for v in line.split()] for line in lines[18:]])
+        assert np.array_equal(nodes, mesh.nodes)
+        assert np.array_equal(triangles, mesh.triangles)
 
 
 class TestSpaces:
@@ -335,3 +347,110 @@ class TestNonlinearPermeability:
                     grad = oracle.hat_gradient(coeffs, a)
                     expected += u[dof] * grad[0] + u[dof + nfree] * grad[1]
             assert div[t] == pytest.approx(expected, abs=1e-13)
+
+
+def _loop_assemble(rspace, cspace, local):
+    """Reference scatter: one triangle at a time, entries in local order."""
+    def dofs(space, tri):
+        nfree = len(space.free_nodes)
+        node = space.node_to_free[tri]
+        return [d + comp * nfree if d >= 0 else -1
+                for comp in range(space.components) for d in node]
+
+    A = np.zeros((rspace.dim, cspace.dim))
+    for tri, block in zip(rspace.mesh.triangles, local):
+        for i, r in enumerate(dofs(rspace, tri)):
+            for j, c in enumerate(dofs(cspace, tri)):
+                if r >= 0 and c >= 0:
+                    A[r, c] += block[i, j]
+    return A
+
+
+class TestBatchedKernels:
+    def test_stack_matches_per_triangle_calls(self, mesh3):
+        coords = mesh3.nodes[mesh3.triangles]
+        coeffs = np.linspace(0.5, 2.0, len(coords))
+        cases = [
+            (fem.triangle_area, ()), (fem.p1_gradients, ()),
+            (fem.element_mass, (1.7,)), (fem.element_stiffness, (0.9,)),
+            (fem.element_elasticity, (1.2, 0.8)), (fem.element_divergence, (1.4,)),
+        ]
+        for kernel, args in cases:
+            single = np.array([kernel(c, *args) for c in coords])
+            assert np.array_equal(kernel(coords, *args), single), kernel.__name__
+        # per-triangle coefficients, as the nonlinear permeability uses them
+        single = np.array([fem.element_stiffness(c, k) for c, k in zip(coords, coeffs)])
+        assert np.array_equal(fem.element_stiffness(coords, coeffs), single)
+
+    def test_scatter_sums_in_element_order(self):
+        # interior nodes are jittered so that entries are sums of inexact
+        # terms, whose rounding depends on the summation order
+        rng = np.random.default_rng(13)
+        grid = fem.build_unit_square_mesh(4)
+        jitter = rng.uniform(-0.05, 0.05, grid.nodes.shape)
+        jitter[grid.boundary_nodes] = 0.0
+        mesh = fem.Mesh2D(grid.nodes + jitter, grid.triangles, grid.boundary_nodes, 4)
+        coords = mesh.nodes[mesh.triangles]
+        qsp, vsp = fem.scalar_space(mesh), fem.vector_space(mesh)
+        assert np.array_equal(fem.assemble_mass(vsp, 0.3), _loop_assemble(
+            vsp, vsp, np.kron(np.eye(2), fem.element_mass(coords, 0.3))))
+        assert np.array_equal(fem.assemble_laplace(qsp, 0.9),
+                              _loop_assemble(qsp, qsp, fem.element_stiffness(coords, 0.9)))
+        assert np.array_equal(fem.assemble_elasticity(vsp, 1.2, 0.8),
+                              _loop_assemble(vsp, vsp, fem.element_elasticity(coords, 1.2, 0.8)))
+        assert np.array_equal(fem.assemble_divergence_coupling(vsp, qsp, 1.4),
+                              _loop_assemble(qsp, vsp, fem.element_divergence(coords, 1.4)))
+        # the dilatation sums over the local nodes in order, skipping constrained ones
+        u = rng.standard_normal(vsp.dim)
+        nfree = len(vsp.free_nodes)
+        expected = np.zeros(len(coords))
+        for t, tri in enumerate(mesh.triangles):
+            g = fem.p1_gradients(coords[t])
+            for a, dof in enumerate(vsp.node_to_free[tri]):
+                if dof >= 0:
+                    expected[t] += u[dof] * g[a, 0] + u[dof + nfree] * g[a, 1]
+        assert np.array_equal(fem.elementwise_divergence(vsp, u), expected)
+
+    def test_assembly_is_bit_reproducible(self):
+        rng = np.random.default_rng(11)
+        mesh = fem.build_unit_square_mesh(4)
+        qsp, vsp = fem.scalar_space(mesh), fem.vector_space(mesh)
+        u = rng.standard_normal(vsp.dim)
+
+        def assemble():
+            return [
+                fem.assemble_mass(qsp, 1.7), fem.assemble_mass(vsp, 0.3),
+                fem.assemble_laplace(qsp, 0.9), fem.assemble_elasticity(vsp, 1.2, 0.8),
+                fem.assemble_divergence_coupling(vsp, qsp, 1.4),
+                fem.assemble_nonlinear_permeability(qsp, vsp, u, lambda xi: 1.0 + xi * xi, 1.3),
+                fem.elementwise_divergence(vsp, u),
+                fem.assemble_load(vsp, lambda x, y: (np.sin(3 * x), x - y)),
+            ]
+
+        for first, second in zip(assemble(), assemble()):
+            assert np.array_equal(first, second)
+
+
+class TestFirstViolatingElement:
+    def _setup(self, mesh3):
+        rng = np.random.default_rng(12)
+        vsp, qsp = fem.vector_space(mesh3), fem.scalar_space(mesh3)
+        u = rng.standard_normal(vsp.dim)
+        dil = fem.elementwise_divergence(vsp, u)
+        # two elements whose dilatation no other element shares
+        unique = [t for t in range(len(dil)) if np.sum(dil == dil[t]) == 1]
+        return vsp, qsp, u, dil, unique[2], unique[5]
+
+    def test_nonpositive_values_name_the_first_element(self, mesh3):
+        vsp, qsp, u, dil, first, second = self._setup(mesh3)
+        kappa = lambda xi: -1.0 if xi in (dil[first], dil[second]) else 1.0
+        with pytest.raises(BoundViolationError, match=re.escape(f"dilatation {dil[first]:.3e} ")):
+            fem.assemble_nonlinear_permeability(qsp, vsp, u, kappa, nu=1.0)
+
+    def test_bound_violation_before_nonpositive_value(self, mesh3):
+        vsp, qsp, u, dil, first, second = self._setup(mesh3)
+        kappa = lambda xi: {dil[first]: 5.0, dil[second]: 0.0}.get(xi, 1.0)
+        with pytest.raises(BoundViolationError,
+                           match=r"permeability 5\.000e\+00 leaves the declared bounds"):
+            fem.assemble_nonlinear_permeability(qsp, vsp, u, kappa, nu=1.0,
+                                                bounds=(0.5, 1.5))

@@ -234,3 +234,34 @@ class TestMatrixMarket:
 def test_block_diag_with_empty_blocks():
     out = numkit.block_diag(np.zeros((0, 0)), np.eye(2), np.zeros((0, 0)))
     assert np.array_equal(out, np.eye(2))
+
+
+class TestBalancedKernels:
+    def test_tiny_block_keeps_its_rank(self):
+        # a plain singular-value cut at 1e-10 relative would drop the small block
+        rank, V, W = numkit.balanced_kernels(np.diag([1.0, 1e-14, 3e-13]))
+        assert rank == 3
+        assert V.shape == (3, 0) and W.shape == (3, 0)
+
+    def test_zero_rows_and_columns_stay_in_the_kernels(self):
+        E = np.zeros((3, 3))
+        E[0, 0], E[2, 2] = 2.0, 1e-12
+        rank, V, W = numkit.balanced_kernels(E)
+        assert rank == 2
+        assert np.allclose(np.abs(V[:, 0]), [0.0, 1.0, 0.0])
+        assert np.allclose(np.abs(W[:, 0]), [0.0, 1.0, 0.0])
+
+    def test_kernels_are_orthonormal_and_annihilate(self):
+        rng = np.random.default_rng(4)
+        B = rng.standard_normal((5, 3))
+        E = np.diag([1.0, 1.0, 1.0, 1e-9, 1e-9]) @ B @ B.T @ np.diag([1.0, 1e-8, 1.0, 1.0, 1.0])
+        rank, V, W = numkit.balanced_kernels(E)
+        assert rank == 3
+        assert np.allclose(V.T @ V, np.eye(2), atol=1e-12)
+        assert np.allclose(W.T @ W, np.eye(2), atol=1e-12)
+        assert np.linalg.norm(E @ V) <= 1e-12 * np.linalg.norm(E)
+        assert np.linalg.norm(E.T @ W) <= 1e-12 * np.linalg.norm(E)
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError):
+            numkit.balanced_kernels(np.ones((2, 3)))

@@ -193,3 +193,39 @@ class TestSerialization:
         assert loaded.input_blocks == sys.input_blocks
         assert phdae.validate_structure(loaded).verdict
         assert numkit.is_skew(loaded.J, 1e-12 * (1 + np.max(np.abs(loaded.J))))
+
+
+class TestStructureReportReuse:
+    @pytest.mark.parametrize("make", [
+        lambda ops: formulations.build_full_first_order(ops),
+        lambda ops: formulations.build_quasi_static(ops),
+        lambda ops: oscillator(),
+        lambda ops: PhDae(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)),
+                          np.zeros((0, 2))),
+        lambda ops: PhDae(np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1.0]),
+                          np.ones((2, 1)), validate=False),
+    ])
+    def test_dissipation_report_matches_its_matrix(self, ops2, make):
+        sys = make(ops2)
+        report = phdae.validate_structure(sys)
+        direct = numkit.psd_check(phdae.dissipation_matrix(sys), numkit.default_tol(sys.R),
+                                  require_symmetric=False)
+        got = report.w_report
+        assert got.verdict == direct.verdict
+        assert got.max_asymmetry == direct.max_asymmetry
+        scale = 1e-12 * (1.0 + np.max(np.abs(sys.R), initial=0.0))
+        for a, b in ((got.min_eigenvalue, direct.min_eigenvalue),
+                     (got.max_eigenvalue, direct.max_eigenvalue)):
+            assert a == b or abs(a - b) <= scale
+
+    def test_report_is_reused_at_the_same_tolerance(self, ops2, monkeypatch):
+        sys = formulations.build_full_first_order(ops2)
+        monkeypatch.setattr(numkit, "psd_check",
+                            lambda *args, **kwargs: pytest.fail("structure checked again"))
+        assert phdae.validate_structure(sys) is phdae.validate_structure(sys, tol=None)
+
+    def test_other_tolerance_is_checked_afresh(self, ops2):
+        sys = formulations.build_full_first_order(ops2)
+        loose = phdae.validate_structure(sys, tol=1e-3)
+        assert loose.psd_tol == 1e-3
+        assert phdae.validate_structure(sys).psd_tol != 1e-3
