@@ -1,18 +1,19 @@
-"""Dense linear algebra utilities with explicit structural checks.
+"""Linear algebra utilities with explicit structural checks.
 
-All matrices are plain 2-d numpy arrays of float64.  Every routine is a pure
-function; nothing here mutates its arguments.  Tolerances default to the
-scale-aware value ``1e-10 * (1 + max|entry|)`` and can be overridden
-everywhere.
+Matrices are plain 2-d numpy arrays of float64, except that ``Factorization``
+also takes ``scipy.sparse`` matrices and always factors through the sparse LU
+of ``lu_factor``.  Every routine is a pure function; nothing here mutates its
+arguments.  Tolerances default to the scale-aware value
+``1e-10 * (1 + max|entry|)`` and can be overridden everywhere.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.sparse import csc_array, issparse
+from scipy.sparse.linalg import splu
 
 POSITIVE_DEFINITE = "positive_definite"
 POSITIVE_SEMIDEFINITE = "positive_semidefinite"
@@ -184,31 +185,44 @@ def balanced_kernels(M, tol: float = 1e-10) -> tuple[int, np.ndarray, np.ndarray
     return rank, V, W
 
 
-class Factorization:
-    """LU factorization of a square matrix with explicit singularity detection.
+def lu_factor(A):
+    """Sparse LU (SuperLU, COLAMD ordering, partial pivoting) of a CSC matrix."""
+    return splu(A)
 
-    A pivot below ``1e-13 * max(1, max pivot)`` raises ``SingularMatrixError``
-    whose message starts with ``what``.  The factor is kept, so every later
-    ``solve`` costs two triangular solves.
+
+class Factorization:
+    """Sparse LU factorization of a square dense or sparse matrix.
+
+    The matrix is factored as CSC by ``lu_factor``.  ``SingularMatrixError``,
+    whose message starts with ``what``, is raised when SuperLU finds an exact
+    zero pivot or when ``min |u_ii| <= 1e-13 * max |u_ii|`` on the diagonal of
+    U; the relative rule keeps a well-conditioned matrix whose entries are all
+    tiny.  The factor is kept, so every later ``solve`` costs two triangular
+    solves.
     """
 
     def __init__(self, M, what: str = "matrix"):
-        A = as_matrix(M)
+        if issparse(M):
+            A = csc_array(M, dtype=float)
+            if not np.all(np.isfinite(A.data)):
+                raise ValueError("matrix contains non-finite entries")
+        else:
+            A = csc_array(as_matrix(M))
         _require_square(A, "factorization")
         self.size = A.shape[0]
         self._lu = None
-        if A.size == 0:
+        if self.size == 0:
             return
-        with warnings.catch_warnings():
-            # singularity is detected and raised explicitly below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(A, check_finite=False)
-        pivots = np.abs(np.diag(lu))
-        if float(np.min(pivots)) <= 1e-13 * max(1.0, float(np.max(pivots))):
+        try:
+            lu = lu_factor(A)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SingularMatrixError(f"{what} numerically singular ({exc})") from exc
+        pivots = np.abs(lu.U.diagonal())
+        if float(np.min(pivots)) <= 1e-13 * float(np.max(pivots)):
             raise SingularMatrixError(
                 f"{what} numerically singular (smallest pivot {np.min(pivots):.3e})"
             )
-        self._lu = (lu, piv)
+        self._lu = lu
 
     def solve(self, b) -> np.ndarray:
         """Solve for a vector or a matrix right-hand side."""
@@ -217,7 +231,7 @@ class Factorization:
             raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {self.size}")
         if self._lu is None:
             return np.zeros_like(rhs)
-        return lu_solve(self._lu, rhs, check_finite=False)
+        return self._lu.solve(rhs)
 
 
 def solve(M, b) -> np.ndarray:

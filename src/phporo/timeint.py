@@ -9,8 +9,12 @@ exactly up to roundoff, so every trajectory carries a dissipated/supplied
 ledger that can be audited after the fact.  Implicit Euler is provided as a
 baseline; it introduces artificial dissipation and keeps the same ledger
 convention without the exact identity.  Both are the theta method
-(theta = 1/2 and theta = 1) of one stepping loop, which factors the step
-matrix once per distinct step size.
+(theta = 1/2 and theta = 1) of one stepping loop.  The loop works on CSR
+copies of E, J, R and G taken once per run: step matrices are sparse sums,
+factored once per distinct step size by ``numkit``'s sparse LU, and every
+product in a step is a sparse matrix-vector product.  The nonlinear
+permeability run supplies a new R on every step; the R-free parts
+E - theta h J and E + (1 - theta) h J are still formed once per step size.
 
 Index-2 systems are integrated directly without index reduction; the
 stepper neither corrects nor reports constraint drift, which callers can
@@ -22,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array
 
-from . import fem, phdae
+from . import fem
 from .formulations import DiscreteOperators, build_full_first_order
 from .numkit import Factorization, SingularMatrixError, balanced_kernels
 from .phdae import InconsistentStateError, PhDae
@@ -112,12 +117,13 @@ def _theta_run(sys: PhDae, z0, input, t_grid, tol: float | None, theta: float,
                frozen_R=None) -> Trajectory:
     """Theta method for E z' = (J - R) z + G v with the midpoint ledger.
 
-    Each step solves (E - theta h K) z_new = (E + (1 - theta) h K) z + h G v
-    with K = J - R and v sampled at t_k + theta h.  The step matrices are
-    formed and factored once per distinct step size.  ``frozen_R(z)``, if
-    given, returns the dissipation matrix for the step that starts at z;
-    it is then used for that step's K and ledger, and the step matrices are
-    formed and factored on every step.
+    Each step solves (E - theta h J + theta h R) z_new =
+    (E + (1 - theta) h J - (1 - theta) h R) z + h G v with v sampled at
+    t_k + theta h.  E, J, R and G are taken as CSR once; the step matrices
+    are formed and factored once per distinct step size.  ``frozen_R(z)``,
+    if given, returns the CSR dissipation matrix for the step that starts at
+    z; it is then used for that step's matrices and ledger, which are formed
+    and factored on every step from R-free parts kept per step size.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.state_dim,):
@@ -128,38 +134,41 @@ def _theta_run(sys: PhDae, z0, input, t_grid, tol: float | None, theta: float,
     v = input if input is not None else (lambda t, zero=np.zeros(sys.input_dim): zero)
     _check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float), tol)
 
+    E, J, R, G = (csr_array(M) for M in (sys.E, sys.J, sys.R, sys.G))
     steps = _snapped_steps(t)
     states = np.empty((len(t), sys.state_dim))
     states[0] = z0
     H = np.empty(len(t))
-    H[0] = phdae.hamiltonian(sys, z0)
+    H[0] = 0.5 * float(z0 @ (E @ z0))
     diss = np.empty(len(steps))
     supp = np.empty(len(steps))
-    R, K = sys.R, sys.drift()
-    step_matrices: dict[float, tuple] = {}
+    r_free: dict[float, tuple] = {}         # h -> (E - theta h J, E + (1 - theta) h J)
+    step_matrices: dict[float, tuple] = {}  # h -> (factored step matrix, explicit matrix)
     z = z0
     for k, h in enumerate(steps.tolist()):
         if frozen_R is not None:
             R = frozen_R(z)
-            K = sys.J - R
             step_matrices.clear()
         if h not in step_matrices:
+            if h not in r_free:
+                r_free[h] = (E - (theta * h) * J, E + ((1.0 - theta) * h) * J)
+            implicit, explicit = r_free[h]
             try:
-                lu = Factorization(sys.E - theta * h * K, "step matrix")
+                lu = Factorization(implicit + (theta * h) * R, "step matrix")
             except SingularMatrixError as exc:
                 raise SingularMatrixError(f"step {k}: {exc}") from exc
-            step_matrices[h] = (lu, sys.E + (1.0 - theta) * h * K)
+            step_matrices[h] = (lu, explicit - ((1.0 - theta) * h) * R)
         lu, explicit = step_matrices[h]
-        v_mid = np.asarray(v(t[k] + 0.5 * h), dtype=float)
-        v_step = v_mid if theta == 0.5 else np.asarray(v(t[k] + theta * h), dtype=float)
-        z_new = lu.solve(explicit @ z + h * (sys.G @ v_step))
+        Gv = G @ np.asarray(v(t[k] + 0.5 * h), dtype=float)
+        Gv_step = Gv if theta == 0.5 else G @ np.asarray(v(t[k] + theta * h), dtype=float)
+        z_new = lu.solve(explicit @ z + h * Gv_step)
         # midpoint-quadrature ledger for every theta
         zm = 0.5 * (z + z_new)
-        diss[k] = h * float(zm @ R @ zm)
-        supp[k] = h * float((sys.G.T @ zm) @ v_mid)
+        diss[k] = h * float(zm @ (R @ zm))
+        supp[k] = h * float(zm @ Gv)
         z = z_new
         states[k + 1] = z
-        H[k + 1] = phdae.hamiltonian(sys, z)
+        H[k + 1] = 0.5 * float(z @ (E @ z))
     return Trajectory(t, states, H, diss, supp)
 
 
@@ -191,12 +200,15 @@ def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None,
     nu = ops.materials[0].nu
     u_slice = base.state_slice("u")
     p_slice = base.state_slice("p")
-    R = base.R.copy()
+    rest = base.R.copy()
+    rest[p_slice, p_slice] = 0.0
+    rest = csr_array(rest)
 
     def frozen_R(z):
-        R[p_slice, p_slice] = fem.assemble_nonlinear_permeability(
+        block = coo_array(fem.assemble_nonlinear_permeability(
             ops.qspace, ops.vspace, z[u_slice], kappa_fn, nu, bounds=bounds
-        )
-        return R
+        ))
+        rows, cols = block.row + p_slice.start, block.col + p_slice.start
+        return rest + csr_array((block.data, (rows, cols)), shape=rest.shape)
 
     return _theta_run(base, z0, input, t_grid, tol, 0.5, frozen_R)

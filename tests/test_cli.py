@@ -449,3 +449,19 @@ def test_check_validates_structure_once(monkeypatch):
     report, code = cli.cmd_check(parse_scenario(scenario_doc()))
     assert code == 0 and report["structure"]["verdict"]
     assert len(calls) == 2  # E and R, when the system is built
+
+
+@pytest.mark.parametrize("formulation, rho", [("full", 1.0), ("quasi_static", 0.0)])
+@pytest.mark.parametrize("biot_M", [1e12, 1e14])
+def test_tiny_storage_mass_is_not_singular(tmp_path, capsys, formulation, rho, biot_M):
+    # every pivot of M-bar is ~1e-14 here; only a relative pivot rule lets
+    # this well-conditioned matrix through
+    doc = scenario_doc(mesh_n=4, formulation=formulation,
+                       materials=[dict(material_doc(rho=rho), biot_M=biot_M)])
+    cfg = tmp_path / "scn.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    H = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+    assert report["max_power_balance_residual"] <= 1e-10 * max(1.0, np.max(np.abs(H)))

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse import csc_array, csr_array
 
 from phporo import fem, numkit
 from phporo.numkit import (
@@ -265,3 +269,47 @@ class TestBalancedKernels:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             numkit.balanced_kernels(np.ones((2, 3)))
+
+
+class TestFactorization:
+    def system(self):
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((6, 6)) * (rng.uniform(size=(6, 6)) < 0.4) + 4.0 * np.eye(6)
+        return M, rng.standard_normal(6), rng.standard_normal((6, 3))
+
+    def test_dense_csr_and_csc_inputs_solve_identically(self):
+        M, b, B = self.system()
+        dense = numkit.Factorization(M)
+        for sparse in (csr_array(M), csc_array(M)):
+            lu = numkit.Factorization(sparse)
+            assert np.array_equal(lu.solve(b), dense.solve(b))
+            assert np.array_equal(lu.solve(B), dense.solve(B))
+        assert np.linalg.norm(M @ dense.solve(B) - B) <= 1e-13 * np.linalg.norm(B)
+
+    def test_non_finite_sparse_data_rejected(self):
+        M = csr_array(np.eye(3))
+        M.data[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            numkit.Factorization(M)
+
+    def test_tiny_well_conditioned_matrix_solves(self):
+        # the pivot rule is relative: a uniformly tiny matrix is not singular
+        b = np.array([1e-20, -2e-20, 3e-20])
+        assert np.allclose(numkit.solve(1e-20 * np.eye(3), b), [1.0, -2.0, 3.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("M", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3)),
+                                   np.diag([1.0, 1e-14])])
+    def test_singular_matrices_raise(self, M):
+        with pytest.raises(SingularMatrixError, match="^step matrix numerically singular"):
+            numkit.Factorization(M, "step matrix")
+
+    def test_src_has_one_sparse_lu_call(self):
+        # every factorization goes through numkit.lu_factor
+        found = []
+        for path in sorted(Path(numkit.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            found += [path.name] * text.count("splu(")
+            found += [f"{path.name}:{fn.name}" for fn in ast.walk(ast.parse(text))
+                      if isinstance(fn, ast.FunctionDef)
+                      and "splu(" in ast.get_source_segment(text, fn)]
+        assert found == ["numkit.py", "numkit.py:lu_factor"]
