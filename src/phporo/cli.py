@@ -100,8 +100,8 @@ def _parse_terms(raw, where: str) -> tuple[SourceTerm, ...]:
                 omega=float(entry.get("omega", 1.0)),
                 component=int(entry.get("component", 0)),
             ))
-        except (TypeError, AttributeError) as exc:
-            raise ScenarioError(f"malformed source term in {where}: {entry!r}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ScenarioError(f"malformed source term in {where}: {entry!r} ({exc})") from exc
     return tuple(terms)
 
 
@@ -118,7 +118,6 @@ class Scenario:
     t_end: float
     steps: int
     integrator: str
-    seed: int
     source_f: tuple            # displacement source terms (component-tagged)
     source_g: tuple            # per-network tuples of pressure source terms
     initial_pressure: tuple    # per-network tuples of spatial terms
@@ -134,8 +133,18 @@ class Scenario:
 
 
 def parse_scenario(doc: dict) -> Scenario:
+    """Validate a scenario document; any malformed value is a ``ScenarioError``."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
+    try:
+        return _parse_document(doc)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, AttributeError, LookupError) as exc:
+        raise ScenarioError(f"malformed scenario: {exc}") from exc
+
+
+def _parse_document(doc: dict) -> Scenario:
     try:
         mesh_n = int(doc["mesh_n"])
         formulation = str(doc["formulation"])
@@ -146,20 +155,14 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(f"unknown formulation {formulation!r}, want one of {FORMULATION_TAGS}")
     if mesh_n < 1:
         raise ScenarioError("mesh_n must be >= 1")
-    try:
-        materials = tuple(PoroMaterial(**{k: float(v) for k, v in m.items()}) for m in raw_mats)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid material: {exc}") from exc
+    materials = tuple(PoroMaterial(**{k: float(v) for k, v in m.items()}) for m in raw_mats)
     if not materials:
         raise ScenarioError("at least one material is required")
 
     m = len(materials)
     exchange = None
     if doc.get("exchange_matrix") is not None:
-        try:
-            exchange = NetworkCoupling(np.asarray(doc["exchange_matrix"], dtype=float))
-        except ValueError as exc:
-            raise ScenarioError(f"invalid exchange matrix: {exc}") from exc
+        exchange = NetworkCoupling(np.asarray(doc["exchange_matrix"], dtype=float))
         if exchange.size != m:
             raise ScenarioError("exchange matrix dimension must match the material count")
 
@@ -217,7 +220,6 @@ def parse_scenario(doc: dict) -> Scenario:
         t_end=t_end,
         steps=steps,
         integrator=integrator,
-        seed=int(doc.get("seed", 0)),
         source_f=_parse_terms(doc.get("source_f"), "source_f"),
         source_g=source_g,
         initial_pressure=initial_pressure,
@@ -365,7 +367,7 @@ def _checked_system(scn: Scenario, ops: DiscreteOperators):
     if isinstance(system, formulations.ParabolicReduction):
         system = system.as_phdae()
     return (system, phdae.validate_structure(system, tol=scn.tol),
-            dae_analysis.classify_phdae_index(system, seed=scn.seed))
+            dae_analysis.classify_phdae_index(system))
 
 
 def cmd_check(scn: Scenario) -> tuple[dict, int]:
@@ -536,12 +538,11 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_overrides(doc: dict, args) -> dict:
-    doc = dict(doc)
-    if args.tol is not None:
-        doc["tol"] = args.tol
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    return doc
+    """doc with the command-line overrides; anything but an object is left
+    for ``parse_scenario`` to reject."""
+    if args.tol is None or not isinstance(doc, dict):
+        return doc
+    return dict(doc, tol=args.tol)
 
 
 def main(argv=None) -> int:
@@ -553,7 +554,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the scenario JSON file")
     parser.add_argument("--out", default=None, help="output CSV path or export directory")
     parser.add_argument("--tol", type=float, default=None, help="override the structural tolerance")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     args = parser.parse_args(argv)
 
     try:

@@ -20,10 +20,11 @@ from .formulations import (
     kbar_matrix,
     stacked_coupling,
 )
+from .interconnect import FeedbackLaw, close_loop
 from .phdae import PhDae
 
 INDEX_AT_LEAST_2 = 2
-_PENCIL_SEED = 0x5EED
+_REGULARITY_SHIFT = 2.0  # any lambda > 0 decides regularity of a pH pencil
 _INDEX_LABELS = {0: "0", 1: "1", INDEX_AT_LEAST_2: "at_least_2"}
 
 
@@ -49,12 +50,16 @@ class IndexReport:
         }
 
 
-def classify_index(E, A, tol: float = 1e-10, seed: int = _PENCIL_SEED) -> IndexReport:
+def classify_index(E, A, tol: float = 1e-10) -> IndexReport:
     """Classify the differentiation index of E z' = A z + k.
 
-    Pencil regularity is probed by the smallest singular value of
-    lambda E - A at three random lambda values (probabilistic, recorded in
-    the report); a pencil singular at all samples is rejected.
+    Regularity is decided by one SVD of lambda E - A at a fixed lambda > 0;
+    a singular pencil raises ``ValueError``.  For pH pencils A = J - R this
+    is exact: Re x^H (lambda E - J + R) x = 0 forces E x = R x = 0 (both
+    PSD), hence J x = 0, so a pencil singular at one lambda > 0 has a common
+    kernel of E, J and R and is singular everywhere (Mehl, Mehrmann and
+    Wojtylak, SIMAX 2018).  A general pencil with an eigenvalue at that
+    lambda is reported as singular.
     """
     E = numkit.as_matrix(E)
     A = numkit.as_matrix(A)
@@ -64,15 +69,9 @@ def classify_index(E, A, tol: float = 1e-10, seed: int = _PENCIL_SEED) -> IndexR
     if n == 0:
         return IndexReport(0, 0, True, None)
 
-    rng = np.random.default_rng(seed)
-    regular = False
-    for lam in rng.uniform(0.5, 2.0, size=3):
-        sv = np.linalg.svd(lam * E - A, compute_uv=False)
-        if sv[-1] > tol * max(sv[0], 1.0):
-            regular = True
-            break
-    if not regular:
-        raise ValueError("matrix pencil appears singular at all sampled shifts")
+    sv = np.linalg.svd(_REGULARITY_SHIFT * E - A, compute_uv=False)
+    if sv[-1] <= tol * max(sv[0], 1.0):
+        raise ValueError(f"matrix pencil is singular at lambda = {_REGULARITY_SHIFT}")
 
     rank, V, W = numkit.balanced_kernels(E, tol)
     if rank == n:
@@ -84,10 +83,9 @@ def classify_index(E, A, tol: float = 1e-10, seed: int = _PENCIL_SEED) -> IndexR
     return IndexReport(index, rank, True, ktv)
 
 
-def classify_phdae_index(sys: PhDae, tol: float = 1e-10,
-                         seed: int = _PENCIL_SEED) -> IndexReport:
+def classify_phdae_index(sys: PhDae, tol: float = 1e-10) -> IndexReport:
     """Classify a descriptor system through its drift pair (E, J - R)."""
-    return classify_index(sys.E, sys.drift(), tol=tol, seed=seed)
+    return classify_index(sys.E, sys.drift(), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +184,18 @@ def nonaugmented_quasi_static_pencil(ops: DiscreteOperators,
 def regularize_output_feedback(sys: PhDae, F11) -> PhDae:
     """Close the loop v_f = F11 y_f + residual on the velocity port.
 
-    Adds M_u^T F11 M_u into the (w, w) drift position: the skew part goes to
-    J, the symmetric part (sign-flipped) to R.  The result has index 1 for
+    F11 is embedded at the f port of an otherwise zero gain, so the closed
+    loop adds M_u F11 M_u into the (w, w) drift position: the skew part goes
+    to J, the symmetric part (sign-flipped) to R.  The result has index 1 for
     nonsingular F11 and keeps the dissipative structure exactly when the
     symmetric part of F11 is negative semidefinite; the returned system is
     built unvalidated so both properties can be checked explicitly.
     """
     F11 = numkit.as_matrix(F11)
-    w_rows = sys.state_slice("w")
     f_cols = sys.input_slice("f")
-    mu = sys.G[w_rows, f_cols]
-    if F11.shape != (mu.shape[1], mu.shape[1]):
-        raise ValueError(
-            f"feedback gain must be {mu.shape[1]}x{mu.shape[1]}, got {F11.shape}"
-        )
-    delta = mu.T @ F11 @ mu
-    sym, skew = numkit.sym_skew_split(delta)
-    J = sys.J.copy()
-    R = sys.R.copy()
-    J[w_rows, w_rows] += skew
-    R[w_rows, w_rows] -= sym
-    return PhDae(sys.E, J, R, sys.G, state_blocks=sys.state_blocks,
-                 input_blocks=sys.input_blocks, tol=sys.tol, validate=False)
+    size = f_cols.stop - f_cols.start
+    if F11.shape != (size, size):
+        raise ValueError(f"feedback gain must be {size}x{size}, got {F11.shape}")
+    F = np.zeros((sys.input_dim, sys.input_dim))
+    F[f_cols, f_cols] = F11
+    return close_loop(sys, FeedbackLaw(F))

@@ -104,38 +104,10 @@ class DiscreteOperators:
         return self.qspace.dim
 
 
-def assemble_two_field(mesh: Mesh2D, mat: PoroMaterial) -> DiscreteOperators:
-    """Assemble the single-network operator bundle on a shared mesh."""
-    vsp = fem.vector_space(mesh)
-    qsp = fem.scalar_space(mesh)
-    return DiscreteOperators(
-        mass_rho=fem.assemble_mass(vsp, mat.rho),
-        stiff_elast=fem.assemble_elasticity(vsp, mat.mu, mat.lam),
-        mass_storage=fem.assemble_mass(qsp, 1.0 / mat.biot_M),
-        stiff_flow=(fem.assemble_laplace(qsp, mat.kappa / mat.nu),),
-        div_coupling=(fem.assemble_divergence_coupling(vsp, qsp, mat.alpha),),
-        mass_p=fem.assemble_mass(qsp, 1.0),
-        mass_u=fem.assemble_mass(vsp, 1.0),
-        networks=1,
-        vspace=vsp,
-        qspace=qsp,
-        materials=(mat,),
-    )
-
-
-def assemble_network(mesh: Mesh2D, mats, coupling: NetworkCoupling) -> DiscreteOperators:
-    """Assemble m >= 2 pressure networks sharing rho, mu, lambda and biot_M."""
-    mats = tuple(mats)
-    if len(mats) < 2:
-        raise ValueError("network assembly needs at least two networks")
-    if coupling.size != len(mats):
-        raise ValueError(
-            f"coupling dimension {coupling.size} does not match {len(mats)} networks"
-        )
+def _assemble(mesh: Mesh2D, mats: tuple) -> DiscreteOperators:
+    """Operator bundle of one pressure network per material; the solid
+    coefficients (rho, mu, lambda, biot_M) are read from the first."""
     head = mats[0]
-    for mat in mats[1:]:
-        if (mat.rho, mat.mu, mat.lam, mat.biot_M) != (head.rho, head.mu, head.lam, head.biot_M):
-            raise ValueError("networks must share rho, mu, lambda and biot_M")
     vsp = fem.vector_space(mesh)
     qsp = fem.scalar_space(mesh)
     return DiscreteOperators(
@@ -151,6 +123,27 @@ def assemble_network(mesh: Mesh2D, mats, coupling: NetworkCoupling) -> DiscreteO
         qspace=qsp,
         materials=mats,
     )
+
+
+def assemble_two_field(mesh: Mesh2D, mat: PoroMaterial) -> DiscreteOperators:
+    """Assemble the single-network operator bundle on a shared mesh."""
+    return _assemble(mesh, (mat,))
+
+
+def assemble_network(mesh: Mesh2D, mats, coupling: NetworkCoupling) -> DiscreteOperators:
+    """Assemble m >= 2 pressure networks sharing rho, mu, lambda and biot_M."""
+    mats = tuple(mats)
+    if len(mats) < 2:
+        raise ValueError("network assembly needs at least two networks")
+    if coupling.size != len(mats):
+        raise ValueError(
+            f"coupling dimension {coupling.size} does not match {len(mats)} networks"
+        )
+    head = mats[0]
+    for mat in mats[1:]:
+        if (mat.rho, mat.mu, mat.lam, mat.biot_M) != (head.rho, head.mu, head.lam, head.biot_M):
+            raise ValueError("networks must share rho, mu, lambda and biot_M")
+    return _assemble(mesh, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +184,18 @@ def _input_matrix(ops: DiscreteOperators) -> np.ndarray:
 
 
 def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None,
-                        mass_rho: np.ndarray, tol: float | None = None) -> PhDae:
+                        mass_rho: np.ndarray, e_uu: np.ndarray, c_uu: np.ndarray,
+                        tol: float | None = None) -> PhDae:
+    """State (w, u, p) with E = diag(mass_rho, e_uu, M-bar); c_uu couples w and u in J."""
     du, dp, m = ops.dim_u, ops.dim_p, ops.networks
     mdp = m * dp
     kbar = kbar_matrix(ops, coupling)
     ksym, kskew = numkit.sym_skew_split(kbar)
     dbar = stacked_coupling(ops)
-    E = numkit.block_diag(mass_rho, ops.stiff_elast, blocked_storage_mass(ops))
+    E = numkit.block_diag(mass_rho, e_uu, blocked_storage_mass(ops))
     J = np.zeros((2 * du + mdp, 2 * du + mdp))
-    J[:du, du : 2 * du] = -ops.stiff_elast
-    J[du : 2 * du, :du] = ops.stiff_elast
+    J[:du, du : 2 * du] = -c_uu
+    J[du : 2 * du, :du] = c_uu
     J[:du, 2 * du :] = dbar.T
     J[2 * du :, :du] = -dbar
     J[2 * du :, 2 * du :] = -kskew
@@ -221,7 +216,7 @@ def build_full_first_order(ops: DiscreteOperators, tol: float | None = None) -> 
     """First-order system with state (w, u, p); E = diag(mass_rho, K_A, M)."""
     if ops.networks != 1:
         raise ValueError("the two-field builder needs a single network; see build_network_ph")
-    return _first_order_system(ops, None, ops.mass_rho, tol)
+    return _first_order_system(ops, None, ops.mass_rho, ops.stiff_elast, ops.stiff_elast, tol)
 
 
 def build_quasi_static(ops: DiscreteOperators, coupling: NetworkCoupling | None = None,
@@ -229,7 +224,8 @@ def build_quasi_static(ops: DiscreteOperators, coupling: NetworkCoupling | None 
     """First-order layout with the velocity mass forced to zero (singular E)."""
     if coupling is not None:
         _require_elliptic(ops, coupling)
-    return _first_order_system(ops, coupling, np.zeros_like(ops.mass_rho), tol)
+    return _first_order_system(ops, coupling, np.zeros_like(ops.mass_rho),
+                               ops.stiff_elast, ops.stiff_elast, tol)
 
 
 def build_sqrt_formulation(ops: DiscreteOperators, tol: float | None = None) -> PhDae:
@@ -240,22 +236,8 @@ def build_sqrt_formulation(ops: DiscreteOperators, tol: float | None = None) -> 
     """
     if ops.networks != 1:
         raise ValueError("the square-root builder needs a single network")
-    du, dp = ops.dim_u, ops.dim_p
     S = numkit.sqrtm_spd(ops.stiff_elast)
-    D = ops.div_coupling[0]
-    E = numkit.block_diag(ops.mass_rho, np.eye(du), ops.mass_storage)
-    J = np.zeros((2 * du + dp, 2 * du + dp))
-    J[:du, du : 2 * du] = -S
-    J[du : 2 * du, :du] = S
-    J[:du, 2 * du :] = D.T
-    J[2 * du :, :du] = -D
-    R = numkit.block_diag(np.zeros((2 * du, 2 * du)), ops.stiff_flow[0])
-    return PhDae(
-        E, J, R, _input_matrix(ops),
-        state_blocks=(("w", du), ("u", du), ("p", dp)),
-        input_blocks=(("f", du), ("g", dp)),
-        tol=tol,
-    )
+    return _first_order_system(ops, None, ops.mass_rho, np.eye(ops.dim_u), S, tol)
 
 
 def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | None = None,
@@ -439,4 +421,4 @@ def build_network_ph(ops: DiscreteOperators, coupling: NetworkCoupling,
     the symmetric part in R.  Rejects couplings whose symmetric part is
     indefinite."""
     _require_elliptic(ops, coupling)
-    return _first_order_system(ops, coupling, ops.mass_rho, tol)
+    return _first_order_system(ops, coupling, ops.mass_rho, ops.stiff_elast, ops.stiff_elast, tol)

@@ -26,7 +26,7 @@ from .formulations import (
     stacked_coupling,
 )
 from .numkit import StructureError
-from .phdae import PhDae
+from .phdae import PhDae, validate_structure
 
 RESIDUAL_PORT = "vp"  # pressure port consumed by the coupling, never driven
 
@@ -53,35 +53,39 @@ class FeedbackLaw:
         return self.F.shape[0]
 
 
-def aggregate(sys1: PhDae, sys2: PhDae) -> PhDae:
+def aggregate(*systems: PhDae) -> PhDae:
     """Uncoupled juxtaposition: block-diagonal matrices, additive energy."""
     return PhDae(
-        numkit.block_diag(sys1.E, sys2.E),
-        numkit.block_diag(sys1.J, sys2.J),
-        numkit.block_diag(sys1.R, sys2.R),
-        numkit.block_diag(sys1.G, sys2.G),
-        state_blocks=sys1.state_blocks + sys2.state_blocks,
-        input_blocks=sys1.input_blocks + sys2.input_blocks,
-        tol=sys1.tol if sys1.tol is not None else sys2.tol,
+        *(numkit.block_diag(*(getattr(s, name) for s in systems)) for name in "EJRG"),
+        state_blocks=sum((s.state_blocks for s in systems), ()),
+        input_blocks=sum((s.input_blocks for s in systems), ()),
+        tol=next((s.tol for s in systems if s.tol is not None), None),
     )
 
 
-def feedback(sys: PhDae, law: FeedbackLaw) -> PhDae:
-    """Close v = F y + v_res; raises ``StructureError`` if dissipativity is lost."""
+def close_loop(sys: PhDae, law: FeedbackLaw) -> PhDae:
+    """The unvalidated closed loop (J + G F_skew G^T, R - G F_sym G^T)."""
     if law.size != sys.input_dim:
         raise ValueError(
             f"feedback gain size {law.size} does not match input dimension {sys.input_dim}"
         )
-    J = sys.J + sys.G @ law.skew @ sys.G.T
-    R = sys.R - sys.G @ law.sym @ sys.G.T
-    report = numkit.psd_check(R, require_symmetric=False)
-    if not report.is_semidefinite:
+    return PhDae(sys.E, sys.J + sys.G @ law.skew @ sys.G.T, sys.R - sys.G @ law.sym @ sys.G.T,
+                 sys.G, state_blocks=sys.state_blocks, input_blocks=sys.input_blocks,
+                 tol=sys.tol, validate=False)
+
+
+def feedback(sys: PhDae, law: FeedbackLaw) -> PhDae:
+    """Close v = F y + v_res; raises ``StructureError`` if dissipativity is lost."""
+    closed = close_loop(sys, law)
+    report = validate_structure(closed, tol=sys.tol)
+    if not report.r_report.is_semidefinite:
         raise StructureError(
             f"feedback destroys the dissipative structure: R - G F_sym G^T has "
-            f"min eigenvalue {report.min_eigenvalue:.3e}"
+            f"min eigenvalue {report.r_report.min_eigenvalue:.3e}"
         )
-    return PhDae(sys.E, J, R, sys.G, state_blocks=sys.state_blocks,
-                 input_blocks=sys.input_blocks, tol=sys.tol)
+    if not report.verdict:
+        raise StructureError("structure validation failed: " + "; ".join(report.failures()))
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +140,17 @@ def _flux_potential_subsystem(ops: DiscreteOperators) -> PhDae:
                  input_blocks=((RESIDUAL_PORT, dp), ("g", dp)))
 
 
-def _mass_weighted_coupling(ops: DiscreteOperators) -> np.ndarray:
-    """Discrete gain M_u^-1 D^T M_p^-1 representing the divergence coupling."""
+def _divergence_gain(ops: DiscreteOperators, size: int) -> np.ndarray:
+    """size x size gain whose skew block couples the f port with the m pressure
+    ports after it through M_u^-1 D^T M_p^-1, the mass-weighted divergence."""
     dbar = stacked_coupling(ops)
-    if dbar.size == 0:
-        return np.zeros((ops.dim_u, dbar.shape[0]))
-    y = numkit.solve(blocked_unit_mass(ops), dbar)
-    return numkit.solve(ops.mass_u, y.T)
+    du, mdp = ops.dim_u, dbar.shape[0]
+    F = np.zeros((size, size))
+    if dbar.size:
+        f_up = numkit.solve(ops.mass_u, numkit.solve(blocked_unit_mass(ops), dbar).T)
+        F[:du, du : du + mdp] = f_up
+        F[du : du + mdp, :du] = -f_up.T
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +162,7 @@ def couple_two_field(ops: DiscreteOperators) -> PhDae:
     first-order builder entrywise."""
     if ops.networks != 1:
         raise ValueError("two-field coupling needs a single network")
-    agg = aggregate(_hyperbolic_subsystem(ops), _parabolic_subsystem(ops, 0))
-    f12 = _mass_weighted_coupling(ops)
-    du, dp = ops.dim_u, ops.dim_p
-    F = np.zeros((du + dp, du + dp))
-    F[:du, du:] = f12
-    F[du:, :du] = -f12.T
-    return feedback(agg, FeedbackLaw(F))
+    return couple_network(ops, NetworkCoupling(np.zeros((1, 1))))
 
 
 def couple_alt_qs(ops: DiscreteOperators) -> PhDae:
@@ -171,12 +173,7 @@ def couple_alt_qs(ops: DiscreteOperators) -> PhDae:
     if numkit.symmetry_defect(ops.stiff_flow[0]) > numkit.default_tol(ops.stiff_flow[0]):
         raise StructureError("the auxiliary-variable coupling needs a symmetric flow operator")
     agg = aggregate(_elliptic_subsystem(ops), _flux_potential_subsystem(ops))
-    f12 = _mass_weighted_coupling(ops)
-    du, dp = ops.dim_u, ops.dim_p
-    F = np.zeros((du + 2 * dp, du + 2 * dp))
-    F[:du, du : du + dp] = f12
-    F[du : du + dp, :du] = -f12.T
-    return feedback(agg, FeedbackLaw(F))
+    return feedback(agg, FeedbackLaw(_divergence_gain(ops, agg.input_dim)))
 
 
 def couple_network(ops: DiscreteOperators, coupling: NetworkCoupling) -> PhDae:
@@ -190,16 +187,11 @@ def couple_network(ops: DiscreteOperators, coupling: NetworkCoupling) -> PhDae:
     """
     if coupling.size != ops.networks:
         raise ValueError("coupling dimension does not match the operator bundle")
-    sys = _hyperbolic_subsystem(ops)
-    for i in range(ops.networks):
-        sys = aggregate(sys, _parabolic_subsystem(ops, i))
-    f_up = _mass_weighted_coupling(ops)
-    du, dp, m = ops.dim_u, ops.dim_p, ops.networks
-    mdp = m * dp
+    sys = aggregate(_hyperbolic_subsystem(ops),
+                    *(_parabolic_subsystem(ops, i) for i in range(ops.networks)))
+    du, dp = ops.dim_u, ops.dim_p
     mp_inv = numkit.solve(ops.mass_p, np.eye(dp)) if dp else np.zeros((0, 0))
-    F = np.zeros((du + mdp, du + mdp))
-    F[:du, du:] = f_up
-    F[du:, :du] = -f_up.T
+    F = _divergence_gain(ops, sys.input_dim)
     F[du:, du:] = -np.kron(coupling.exchange, mp_inv)
     return feedback(sys, FeedbackLaw(F))
 

@@ -1,11 +1,11 @@
-"""The benchmark's correctness gates on the stepping workloads, at tiny size.
+"""The benchmark's correctness gates on every workload, at tiny size.
 
 The benchmark (``bench/``) runs outside the test suite; this test imports
 its scenario generator and worker unchanged and runs one round of the
-``march`` and ``nonlinear`` workloads at the smallest size, so a stepping
-change that breaks one of the invariants the benchmark gates on (power
-balance, monotone energy, formulation agreement, expected failures) fails
-here too.
+``analyze``, ``march`` and ``nonlinear`` workloads at the smallest size, so
+a change that breaks one of the invariants the benchmark gates on (index
+labels, power balance, monotone energy, formulation and coupled-route
+agreement, export round trip, expected failures) fails here too.
 """
 
 import sys
@@ -21,7 +21,7 @@ import scenarios  # noqa: E402
 import worker  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["march", "nonlinear"])
+@pytest.mark.parametrize("workload", ["analyze", "march", "nonlinear"])
 def test_tiny_workload_passes_every_gate(tmp_path, workload):
     scenarios.generate(workload, 11, tmp_path, tiny=True)
     start = perf_counter()

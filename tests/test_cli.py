@@ -327,6 +327,28 @@ class TestMain:
         cfg.write_text(json.dumps({"first": scenario_doc()}))
         assert cli.main(["compare", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command, doc", [
+        ("check", scenario_doc(mesh_n="abc")),
+        ("check", scenario_doc(steps="many")),
+        ("check", scenario_doc(source_f=[{"c": "x"}])),
+        ("check", [scenario_doc()]),
+        ("check", scenario_doc(materials=[1])),
+        ("compare", {"first": 3, "second": scenario_doc()}),
+    ], ids=["mesh_n", "steps", "source_term", "list_document", "material", "compare_first"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(scenario_doc(seed=0)))
+        assert cli.main(["check", "--config", str(cfg)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--config", str(cfg), "--seed", "3"])
+        assert exc.value.code == 2
+
 
 class TestSeparableSignals:
     """Precomputed spatial vectors reproduce per-node term evaluation."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phporo import dae_analysis, formulations, numkit, phdae, timeint
+from phporo import dae_analysis, formulations, interconnect, numkit, phdae, timeint
 from phporo.dae_analysis import classify_index, classify_phdae_index
 
 from conftest import consistent_state, linear_data, make_network_ops, make_ops
@@ -25,6 +25,14 @@ class TestClassifyIndex:
         # E = 0 and singular A make det(lambda E - A) identically zero
         with pytest.raises(ValueError):
             classify_index(np.zeros((2, 2)), np.diag([1.0, 0.0]))
+
+    def test_ph_pencil_with_common_kernel_rejected(self):
+        # an appended state that E, J and R all annihilate makes the pencil
+        # singular for every lambda
+        full = formulations.build_full_first_order(make_ops(2))
+        idle = phdae.PhDae(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="singular"):
+            classify_phdae_index(interconnect.aggregate(full, idle))
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):

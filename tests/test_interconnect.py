@@ -55,6 +55,17 @@ class TestAggregate:
         b = formulations.build_sqrt_formulation(ops2)
         assert phdae.validate_structure(interconnect.aggregate(a, b)).verdict
 
+    def test_many_systems_equal_nested_pairs(self, ops2):
+        a = formulations.build_full_first_order(ops2)
+        b = formulations.build_quasi_static(ops2)
+        c = formulations.build_alternative_qs(ops2)
+        flat = interconnect.aggregate(a, b, c)
+        nested = interconnect.aggregate(interconnect.aggregate(a, b), c)
+        for name in ("E", "J", "R", "G"):
+            assert np.array_equal(getattr(flat, name), getattr(nested, name))
+        assert flat.state_blocks == nested.state_blocks
+        assert flat.input_blocks == nested.input_blocks
+
 
 class TestFeedback:
     def make_plant(self):
@@ -178,3 +189,21 @@ class TestCoupleNetwork:
         Bbig = random_coupling(rng, 2, scale=1e6, symmetric=True)
         with pytest.raises(StructureError):
             interconnect.couple_network(ops, Bbig)
+
+
+@pytest.mark.parametrize("route, expected", [("network", 12), ("two_field", 8)])
+def test_each_coupled_system_is_validated_once(monkeypatch, route, expected):
+    # E and R are eigen-checked once for each subsystem, once for their one
+    # aggregate and once for the closed loop
+    if route == "network":
+        ops, B = make_network_ops(4, m=3, symmetric=False, seed=5)
+        couple = lambda: interconnect.couple_network(ops, B)
+    else:
+        ops = make_ops(4)
+        couple = lambda: interconnect.couple_two_field(ops)
+    calls = []
+    psd_check = numkit.psd_check
+    monkeypatch.setattr(numkit, "psd_check",
+                        lambda *args, **kwargs: calls.append(1) or psd_check(*args, **kwargs))
+    couple()
+    assert len(calls) == expected
