@@ -3,7 +3,8 @@
 For a regular constant-coefficient pair (E, A) the index is 0 when E is
 invertible, 1 when W^T A V is invertible for kernel bases V of E and W of
 E^T, and at least 2 otherwise.  Detection of anything beyond "at least 2"
-is deliberately out of scope.
+is deliberately out of scope; for a regular pH pencil, whose index is at
+most 2 (Mehl, Mehrmann and Wojtylak, SIMAX 2018), it means exactly 2.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .formulations import (
     stacked_coupling,
 )
 from .interconnect import FeedbackLaw, close_loop
-from .phdae import PhDae
+from .numkit import SingularMatrixError
+from .phdae import PhDae, certificate
 
 INDEX_AT_LEAST_2 = 2
 _REGULARITY_SHIFT = 2.0  # any lambda > 0 decides regularity of a pH pencil
@@ -34,8 +36,7 @@ class IndexReport:
 
     index: int
     e_rank: int
-    pencil_regular: bool
-    kernel_test_value: float | None
+    kernel_test_value: float | None  # None unless the dense kernel test ran
 
     @property
     def label(self) -> str:
@@ -45,7 +46,6 @@ class IndexReport:
         return {
             "index": self.label,
             "e_rank": self.e_rank,
-            "pencil_regular": self.pencil_regular,
             "kernel_test_value": self.kernel_test_value,
         }
 
@@ -53,21 +53,68 @@ class IndexReport:
 def classify_index(E, A, tol: float = 1e-10) -> IndexReport:
     """Classify the differentiation index of E z' = A z + k.
 
+    When ``numkit.psd_certificate`` certifies E, with zero rows Z, the
+    pencil is regular when lambda E - A at a fixed lambda > 0 passes
+    ``numkit.Factorization``, E has rank n - |Z| with kernel basis e_Z, and
+    the index is 0 for empty Z, else 1 when A[Z, Z] passes
+    ``Factorization`` and at least 2 when it does not.  Otherwise, or when
+    that first factorization fails, ``classify_index_dense`` decides.
+    """
+    E, A = _pencil(E, A)
+    return _classify(E, A, numkit.psd_certificate(E), tol)
+
+
+def classify_phdae_index(sys: PhDae, tol: float = 1e-10) -> IndexReport:
+    """Classify a descriptor system through its drift pair (E, J - R),
+    reusing the system's certificate of E."""
+    return _classify(sys.E, sys.drift(), certificate(sys, "E"), tol)
+
+
+def _pencil(E, A) -> tuple[np.ndarray, np.ndarray]:
+    E = numkit.as_matrix(E)
+    A = numkit.as_matrix(A)
+    if E.shape != A.shape or E.shape[0] != E.shape[1]:
+        raise ValueError(f"E and A must be square of equal size, got {E.shape} and {A.shape}")
+    return E, A
+
+
+def _classify(E: np.ndarray, A: np.ndarray, zero_rows: np.ndarray | None,
+              tol: float) -> IndexReport:
+    if zero_rows is None:
+        return classify_index_dense(E, A, tol)
+    try:
+        numkit.Factorization(_REGULARITY_SHIFT * E - A)
+    except SingularMatrixError:
+        # the dense test decides, and raises if the pencil is singular
+        return classify_index_dense(E, A, tol)
+    rank = E.shape[0] - zero_rows.size
+    if not zero_rows.size:
+        return IndexReport(0, rank, None)
+    try:
+        numkit.Factorization(A[np.ix_(zero_rows, zero_rows)])
+    except SingularMatrixError:
+        return IndexReport(INDEX_AT_LEAST_2, rank, None)
+    return IndexReport(1, rank, None)
+
+
+def classify_index_dense(E, A, tol: float = 1e-10) -> IndexReport:
+    """Dense index classification, for an uncertified E and as test oracle.
+
     Regularity is decided by one SVD of lambda E - A at a fixed lambda > 0;
     a singular pencil raises ``ValueError``.  For pH pencils A = J - R this
     is exact: Re x^H (lambda E - J + R) x = 0 forces E x = R x = 0 (both
     PSD), hence J x = 0, so a pencil singular at one lambda > 0 has a common
     kernel of E, J and R and is singular everywhere (Mehl, Mehrmann and
     Wojtylak, SIMAX 2018).  A general pencil with an eigenvalue at that
-    lambda is reported as singular.
+    lambda is reported as singular.  The rank of E and its kernels come
+    from ``numkit.balanced_kernels``; the index is 1 when the smallest
+    singular value of W^T A V, the kernel test value, exceeds
+    ``tol * max(1, ||A||_2)``.
     """
-    E = numkit.as_matrix(E)
-    A = numkit.as_matrix(A)
-    if E.shape != A.shape or E.shape[0] != E.shape[1]:
-        raise ValueError(f"E and A must be square of equal size, got {E.shape} and {A.shape}")
+    E, A = _pencil(E, A)
     n = E.shape[0]
     if n == 0:
-        return IndexReport(0, 0, True, None)
+        return IndexReport(0, 0, None)
 
     sv = np.linalg.svd(_REGULARITY_SHIFT * E - A, compute_uv=False)
     if sv[-1] <= tol * max(sv[0], 1.0):
@@ -75,17 +122,12 @@ def classify_index(E, A, tol: float = 1e-10) -> IndexReport:
 
     rank, V, W = numkit.balanced_kernels(E, tol)
     if rank == n:
-        return IndexReport(0, rank, True, None)
+        return IndexReport(0, rank, None)
 
     # V and W have n - rank > 0 columns, so the core is a nonempty square
     ktv = float(np.linalg.svd(W.T @ A @ V, compute_uv=False)[-1])
     index = 1 if ktv > tol * max(float(np.linalg.norm(A, 2)), 1.0) else INDEX_AT_LEAST_2
-    return IndexReport(index, rank, True, ktv)
-
-
-def classify_phdae_index(sys: PhDae, tol: float = 1e-10) -> IndexReport:
-    """Classify a descriptor system through its drift pair (E, J - R)."""
-    return classify_index(sys.E, sys.drift(), tol=tol)
+    return IndexReport(index, rank, ktv)
 
 
 # ---------------------------------------------------------------------------

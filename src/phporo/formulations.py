@@ -260,7 +260,7 @@ def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | Non
             f"(asymmetry {defect:.3e}); nonsymmetric exchange rates are not supported"
         )
     kbar = 0.5 * (kbar + kbar.T)
-    if numkit.psd_check(kbar).verdict != POSITIVE_DEFINITE:
+    if numkit.certified_report(kbar, numkit.psd_certificate(kbar)).verdict != POSITIVE_DEFINITE:
         raise StructureError("the flow operator must be positive definite")
     du, mdp = ops.dim_u, ops.networks * ops.dim_p
     dbar = stacked_coupling(ops)
@@ -407,7 +407,7 @@ def check_network_ellipticity(ops: DiscreteOperators,
 
 def _require_elliptic(ops: DiscreteOperators, coupling: NetworkCoupling) -> None:
     kbar = kbar_matrix(ops, coupling)
-    report = numkit.psd_check(kbar, require_symmetric=False)
+    report = numkit.certified_report(kbar, numkit.psd_certificate(kbar))
     if not report.is_semidefinite:
         raise StructureError(
             f"symmetric part of the coupled flow operator is indefinite "

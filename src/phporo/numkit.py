@@ -1,10 +1,13 @@
 """Linear algebra utilities with explicit structural checks.
 
 Matrices are plain 2-d numpy arrays of float64, except that ``Factorization``
-also takes ``scipy.sparse`` matrices and always factors through the sparse LU
-of ``lu_factor``.  Every routine is a pure function; nothing here mutates its
-arguments.  Tolerances default to the scale-aware value
-``1e-10 * (1 + max|entry|)`` and can be overridden everywhere.
+also takes ``scipy.sparse`` matrices; it and ``psd_certificate`` factor
+through the sparse LU of ``lu_factor``.  Every routine is a pure function;
+nothing here mutates its arguments.  Tolerances default to the scale-aware
+value ``1e-10 * (1 + max|entry|)`` and can be overridden everywhere.
+
+Definiteness is decided by ``psd_certificate`` (one sparse LDL^T) where it
+certifies, and by the dense spectrum of ``psd_check`` everywhere else.
 """
 
 from __future__ import annotations
@@ -89,10 +92,15 @@ def sym_skew_split(M) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigenvalue-based definiteness report for a (nearly) symmetric matrix."""
+    """Definiteness report for a (nearly) symmetric matrix.
 
-    min_eigenvalue: float
-    max_eigenvalue: float
+    The eigenvalue fields are None when ``psd_certificate`` decided the
+    verdict, which then reads positive definite for a matrix without zero
+    rows and positive semidefinite otherwise.
+    """
+
+    min_eigenvalue: float | None
+    max_eigenvalue: float | None
     max_asymmetry: float
     verdict: str
 
@@ -140,6 +148,52 @@ def psd_check(M, tol: float | None = None, require_symmetric: bool = True) -> Sp
     return SpectralReport.from_extremes(float(eigs[0]), float(eigs[-1]), defect, tol)
 
 
+def psd_certificate(M) -> np.ndarray | None:
+    """Zero rows Z of M when M is certified positive semidefinite, else None.
+
+    Certified: the exactly zero rows Z of M are zero columns too, and the
+    symmetric part of the block on the other rows, scaled to unit diagonal,
+    has an LDL^T (``lu_factor`` with ``symmetric``) whose pivots all exceed
+    ``k * eps * max pivot`` for a block of size k, so that block is
+    positive definite up to backward error.  The unit vectors e_Z then span
+    the kernels of M and M^T.  None means "not certified" (indefinite,
+    singular on the block, or too ill-conditioned): ask ``psd_check``.
+    """
+    A = as_matrix(M)
+    _require_square(A, "psd_certificate")
+    nonzero = A != 0.0
+    rows = nonzero.any(axis=1)
+    if np.any(nonzero.any(axis=0) & ~rows):
+        return None
+    keep = np.flatnonzero(rows)
+    if keep.size:
+        B = A[np.ix_(keep, keep)]
+        diag = B.diagonal()
+        if not np.all(diag > 0.0):
+            return None
+        scale = 1.0 / np.sqrt(diag)
+        H = (0.5 * scale[:, None]) * (B + B.T) * scale
+        try:
+            lu = lu_factor(csc_array(H), symmetric=True)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            return None
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return None  # an off-diagonal pivot: no LDL^T of the block
+        pivots = lu.U.diagonal()
+        if not np.min(pivots) > keep.size * np.finfo(float).eps * np.max(pivots):
+            return None
+    return np.flatnonzero(~rows)
+
+
+def certified_report(M, zero_rows: np.ndarray | None, tol: float | None = None) -> SpectralReport:
+    """Report of M given ``zero_rows = psd_certificate(M)``: without
+    eigenvalues if certified, else ``psd_check(M, tol, require_symmetric=False)``."""
+    if zero_rows is None:
+        return psd_check(M, tol, require_symmetric=False)
+    verdict = POSITIVE_SEMIDEFINITE if zero_rows.size else POSITIVE_DEFINITE
+    return SpectralReport(None, None, symmetry_defect(M), verdict)
+
+
 def sqrtm_spd(M, tol: float | None = None) -> np.ndarray:
     """Symmetric positive definite square root via spectral decomposition.
 
@@ -185,9 +239,14 @@ def balanced_kernels(M, tol: float = 1e-10) -> tuple[int, np.ndarray, np.ndarray
     return rank, V, W
 
 
-def lu_factor(A):
-    """Sparse LU (SuperLU, COLAMD ordering, partial pivoting) of a CSC matrix."""
-    return splu(A)
+def lu_factor(A, symmetric: bool = False):
+    """Sparse LU (SuperLU) of a CSC matrix: COLAMD ordering and partial
+    pivoting, or with ``symmetric`` a minimum-degree ordering of A + A^T and
+    diagonal pivots, which for symmetric A with ``perm_r == perm_c`` is an
+    LDL^T factorization (U = D L^T)."""
+    pivoting = (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}) if symmetric else {})
+    return splu(A, **pivoting)
 
 
 class Factorization:

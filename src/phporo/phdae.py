@@ -45,7 +45,8 @@ class PhDae:
 
     Structure is validated eagerly; ``validate=False`` exists only so that
     deliberately broken systems can be built for negative checks.  The
-    report is kept, so validating again at the same tolerance is free.
+    report is kept, so validating again at the same tolerance is free; so
+    are the certificates of E and R (see ``certificate``).
     """
 
     def __init__(self, E, J, R, G, state_blocks=None, input_blocks=None,
@@ -67,6 +68,7 @@ class PhDae:
         self.input_blocks = _named_blocks(input_blocks, G.shape[1], "v")
         self.tol = tol
         self._structure = None  # (tol, StructureReport) of the last validation
+        self._certificates: dict = {}  # "E"/"R" -> numkit.psd_certificate of it
         if validate:
             report = validate_structure(self, tol=tol)
             if not report.verdict:
@@ -110,10 +112,12 @@ class StructureReport:
 
     def failures(self) -> list[str]:
         out = []
-        if not self.e_report.is_semidefinite or self.e_report.max_asymmetry > self.psd_tol:
-            out.append(f"E {self.e_report.verdict} (min eig {self.e_report.min_eigenvalue:.3e})")
-        if not self.r_report.is_semidefinite or self.r_report.max_asymmetry > self.psd_tol:
-            out.append(f"R {self.r_report.verdict} (min eig {self.r_report.min_eigenvalue:.3e})")
+        for name, rep in (("E", self.e_report), ("R", self.r_report)):
+            if not rep.is_semidefinite or rep.max_asymmetry > self.psd_tol:
+                # a certified report fails only on its asymmetry
+                detail = (f"asymmetry {rep.max_asymmetry:.3e}" if rep.min_eigenvalue is None
+                          else f"min eig {rep.min_eigenvalue:.3e}")
+                out.append(f"{name} {rep.verdict} ({detail})")
         if self.j_skew_defect > self.skew_tol:
             out.append(f"J skew defect {self.j_skew_defect:.3e}")
         if not self.w_report.is_semidefinite:
@@ -132,13 +136,23 @@ class StructureReport:
         }
 
 
+def certificate(sys: PhDae, name: str) -> np.ndarray | None:
+    """``numkit.psd_certificate`` of ``sys.E`` or ``sys.R``, computed once
+    per system; the zero rows of a certified E are the algebraic rows."""
+    if name not in sys._certificates:
+        sys._certificates[name] = numkit.psd_certificate(getattr(sys, name))
+    return sys._certificates[name]
+
+
 def validate_structure(sys: PhDae, tol: float | None = None) -> StructureReport:
     """Check E, R symmetric PSD and J skew; never raises on a bad system.
 
-    PSD checks run at ``tol`` (default 1e-10 scale-relative per matrix); the
-    skew check runs at 1e-12 scale-relative.  The dissipation matrix
-    diag(R, 0) is reported alongside.  The report is kept on the system and
-    returned again when the tolerance matches.
+    E and R are PSD by their ``certificate`` (reported without eigenvalues)
+    or else by their spectra at ``tol`` (default 1e-10 scale-relative per
+    matrix), which also bounds their asymmetry.  The skew check runs at
+    1e-12 scale-relative.  The dissipation matrix diag(R, 0) is reported
+    alongside.  The report is kept on the system and returned again when the
+    tolerance matches.
     """
     if sys._structure is not None and sys._structure[0] == tol:
         return sys._structure[1]
@@ -147,13 +161,18 @@ def validate_structure(sys: PhDae, tol: float | None = None) -> StructureReport:
     skew_tol = tol if tol is not None else 1e-12 * (
         1.0 + (float(np.max(np.abs(sys.J))) if sys.J.size else 0.0)
     )
-    e_rep = numkit.psd_check(sys.E, psd_tol_e, require_symmetric=False)
-    r_rep = numkit.psd_check(sys.R, psd_tol_r, require_symmetric=False)
+    e_rep = numkit.certified_report(sys.E, certificate(sys, "E"), psd_tol_e)
+    r_rep = numkit.certified_report(sys.R, certificate(sys, "R"), psd_tol_r)
     j_def = numkit.skew_defect(sys.J)
     # diag(R, 0_m) has the spectrum of R and m zeros
-    w_rep = r_rep if not sys.input_dim else SpectralReport.from_extremes(
-        min(r_rep.min_eigenvalue, 0.0), max(r_rep.max_eigenvalue, 0.0),
-        r_rep.max_asymmetry, psd_tol_r)
+    if not sys.input_dim:
+        w_rep = r_rep
+    elif r_rep.min_eigenvalue is None:
+        w_rep = SpectralReport(None, None, r_rep.max_asymmetry, numkit.POSITIVE_SEMIDEFINITE)
+    else:
+        w_rep = SpectralReport.from_extremes(
+            min(r_rep.min_eigenvalue, 0.0), max(r_rep.max_eigenvalue, 0.0),
+            r_rep.max_asymmetry, psd_tol_r)
     verdict = (
         e_rep.is_semidefinite and e_rep.max_asymmetry <= psd_tol_e
         and r_rep.is_semidefinite and r_rep.max_asymmetry <= psd_tol_r

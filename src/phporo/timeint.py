@@ -31,7 +31,7 @@ from scipy.sparse import coo_array, csr_array
 from . import fem
 from .formulations import DiscreteOperators, build_full_first_order
 from .numkit import Factorization, SingularMatrixError, balanced_kernels
-from .phdae import InconsistentStateError, PhDae
+from .phdae import InconsistentStateError, PhDae, certificate
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,17 @@ class Trajectory:
 
 def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray,
                             tol: float | None) -> None:
-    """Algebraic rows (left kernel of E) must annihilate the drift at t = 0."""
-    rank, _, W = balanced_kernels(sys.E)
-    if rank == sys.state_dim:
-        return
+    """Algebraic rows (left kernel of E) must annihilate the drift at t = 0.
+
+    A certified E names those rows (its zero rows); otherwise the left
+    kernel comes from ``balanced_kernels``.
+    """
+    zero_rows = certificate(sys, "E")
+    if zero_rows is not None and not zero_rows.size:
+        return  # E is nonsingular
     rhs = sys.drift() @ z0 + sys.G @ v0
-    resid = float(np.linalg.norm(W.T @ rhs))
+    algebraic = rhs[zero_rows] if zero_rows is not None else balanced_kernels(sys.E)[2].T @ rhs
+    resid = float(np.linalg.norm(algebraic))
     scale = 1.0 + float(np.max(np.abs(rhs))) if rhs.size else 1.0
     limit = tol if tol is not None else 1e-8 * scale
     if resid > limit:

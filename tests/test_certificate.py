@@ -1,0 +1,197 @@
+"""The sparse definiteness certificate against the dense spectrum it replaces.
+
+``numkit.psd_certificate`` decides structure, rank and index wherever it
+certifies a matrix; the dense eigenvalue and SVD code stays as the path for
+everything else and as the oracle here.  Every system is checked twice: as
+built, and with the certificate forced to answer "not certified", which
+runs the dense code from start to end.
+"""
+
+import numpy as np
+import pytest
+
+from phporo import dae_analysis, fem, formulations, interconnect, numkit, phdae, timeint
+from phporo.interconnect import FeedbackLaw
+from phporo.numkit import StructureError
+from phporo.phdae import InconsistentStateError, PhDae
+
+from conftest import make_network_ops, make_ops, random_coupling
+
+
+def built_systems(n):
+    """Every formulation and every coupled route at mesh size n."""
+    ops, qs = make_ops(n), make_ops(n, rho=0.0)
+    nops, B = make_network_ops(n, m=2, symmetric=False, seed=3)
+    zero_u = lambda t: np.zeros(qs.dim_u)
+    reduction = formulations.schur_reduce_parabolic(qs, zero_u, zero_u,
+                                                    lambda t: np.zeros(qs.dim_p))
+    return {
+        "full": formulations.build_full_first_order(ops),
+        "sqrt": formulations.build_sqrt_formulation(ops),
+        "quasi_static": formulations.build_quasi_static(qs),
+        "alt_qs": formulations.build_alternative_qs(qs),
+        "network": formulations.build_network_ph(nops, B),
+        "schur_parabolic": reduction.as_phdae(),
+        "full_coupled": interconnect.couple_two_field(ops),
+        "alt_qs_coupled": interconnect.couple_alt_qs(qs),
+        "network_coupled": interconnect.couple_network(nops, B),
+    }
+
+
+def fresh(sys, validate=False, **replaced):
+    """A copy of sys that keeps no certificate or report, with some matrices replaced."""
+    mats = [replaced.get(name, getattr(sys, name)) for name in "EJRG"]
+    return PhDae(*mats, state_blocks=sys.state_blocks, input_blocks=sys.input_blocks,
+                 validate=validate)
+
+
+def outcomes(sys):
+    """Structure, index and start-consistency verdicts of one system."""
+    report = phdae.validate_structure(sys)
+    index = dae_analysis.classify_phdae_index(sys)
+    starts = []
+    for z0 in (np.zeros(sys.state_dim), np.random.default_rng(0).standard_normal(sys.state_dim)):
+        try:
+            timeint._check_consistent_start(sys, z0, np.zeros(sys.input_dim), None)
+            starts.append("consistent")
+        except InconsistentStateError as exc:
+            starts.append(str(exc))  # the residual, to four digits
+    return (report.verdict, report.e_report.verdict, report.r_report.verdict,
+            report.w_report.verdict, report.j_skew_defect, index.label, index.e_rank,
+            tuple(starts))
+
+
+def dense_outcomes(sys, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(numkit, "psd_certificate", lambda M: None)
+        return outcomes(fresh(sys))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_certificate_agrees_with_the_dense_verdict(n, monkeypatch):
+    for name, sys in built_systems(n).items():
+        copy = fresh(sys)
+        got = outcomes(copy)
+        assert phdae.certificate(copy, "E") is not None, name
+        assert phdae.certificate(copy, "R") is not None, name
+        assert got == dense_outcomes(sys, monkeypatch), name
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_zero_rows_span_the_dense_kernels(n):
+    for name, sys in built_systems(n).items():
+        zero_rows = phdae.certificate(sys, "E")
+        rank, V, W = numkit.balanced_kernels(sys.E)
+        assert rank == sys.state_dim - zero_rows.size, name
+        unit = np.eye(sys.state_dim)[:, zero_rows]
+        for basis in (V, W):
+            # the same subspace: projecting e_Z onto the dense basis keeps it
+            assert np.allclose(basis @ (basis.T @ unit), unit, atol=1e-12), name
+
+
+class TestNegativeCases:
+    def test_oversized_exchange_rates(self, monkeypatch):
+        ops, B = make_network_ops(3, m=2)
+        sys = formulations.build_network_ph(ops, B)
+        big = formulations.kbar_matrix(ops, random_coupling(np.random.default_rng(0), 2,
+                                                             scale=1e6))
+        R = sys.R.copy()
+        R[2 * ops.dim_u :, 2 * ops.dim_u :] = 0.5 * (big + big.T)
+        broken = fresh(sys, R=R)
+        assert phdae.certificate(broken, "R") is None
+        got = outcomes(broken)
+        assert got == dense_outcomes(broken, monkeypatch)
+        assert got[0] is False and got[2] == "indefinite"
+        with pytest.raises(StructureError, match="min eigenvalue"):
+            formulations.build_network_ph(ops, random_coupling(np.random.default_rng(0), 2,
+                                                               scale=1e6))
+
+    def test_j_with_a_symmetric_defect(self, monkeypatch):
+        sys = built_systems(2)["full"]
+        broken = fresh(sys, J=sys.J + 1e-6 * np.eye(sys.state_dim))
+        got = outcomes(broken)
+        assert got == dense_outcomes(broken, monkeypatch)
+        assert got[0] is False
+        assert "J skew defect" in "".join(phdae.validate_structure(broken).failures())
+
+    def test_feedback_that_loses_dissipativity(self, monkeypatch):
+        sys = built_systems(2)["quasi_static"]
+        closed = interconnect.close_loop(sys, FeedbackLaw(np.eye(sys.input_dim)))
+        assert phdae.certificate(closed, "R") is None
+        got = outcomes(closed)
+        assert got == dense_outcomes(closed, monkeypatch)
+        assert got[0] is False and got[2] == "indefinite"
+        with pytest.raises(StructureError, match="min eigenvalue"):
+            interconnect.feedback(sys, FeedbackLaw(np.eye(sys.input_dim)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_exactly_singular_block_is_not_certified(self, n):
+        # the Laplacian without Dirichlet elimination: PSD, constants in its
+        # kernel, and no zero row
+        mesh = fem.build_unit_square_mesh(n)
+        every = np.arange(len(mesh.nodes))
+        laplace = fem.assemble_laplace(fem.FeSpace(fem.SCALAR_P1, mesh, every, every), 1.0)
+        assert numkit.psd_certificate(laplace) is None
+        assert numkit.psd_check(laplace).verdict == numkit.POSITIVE_SEMIDEFINITE
+
+    def test_zero_rows_that_are_not_zero_columns_take_the_dense_path(self):
+        E, A = dae_analysis.nonaugmented_quasi_static_pencil(make_ops(3, rho=0.0))
+        assert not E[: make_ops(3).dim_u].any()
+        assert numkit.psd_certificate(E) is None
+        got = dae_analysis.classify_index(E, A)
+        assert got == dae_analysis.classify_index_dense(E, A)
+        assert got.label == "1" and got.kernel_test_value is not None
+
+
+class TestPsdCertificate:
+    def test_zero_rows_and_definite_rest(self):
+        assert numkit.psd_certificate(np.diag([2.0, 0.0, 1e-20])).tolist() == [1]
+        assert numkit.psd_certificate(np.zeros((3, 3))).tolist() == [0, 1, 2]
+        assert numkit.psd_certificate(np.zeros((0, 0))).tolist() == []
+
+    @pytest.mark.parametrize("M", [
+        [[1.0, 2.0], [2.0, 1.0]],              # indefinite
+        [[0.0, 1.0], [1.0, 0.0]],              # zero diagonal
+        [[1.0, 1.0], [1.0, 1.0]],              # singular
+        [[1.0, 0.0], [1.0, 0.0]],              # zero row with a nonzero column
+        [[1.0, 0.0, 0.0], [0.0, -1e-30, 0.0], [0.0, 0.0, 1.0]],
+        # indefinite, yet every pivot of U is positive: one is off the diagonal
+        [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0],
+         [0.0, 0.0, 1.0, 1.0]],
+    ])
+    def test_not_certified(self, M):
+        assert numkit.psd_certificate(np.array(M)) is None
+
+    def test_symmetric_part_is_certified(self):
+        # a skew part changes neither the definiteness nor the zero rows
+        M = np.array([[2.0, 1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        assert numkit.psd_certificate(M).tolist() == [2]
+        report = numkit.certified_report(M, numkit.psd_certificate(M))
+        assert report.verdict == numkit.POSITIVE_SEMIDEFINITE
+        assert report.min_eigenvalue is None and report.max_asymmetry == 2.0
+
+    def test_non_finite_and_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            numkit.psd_certificate(np.array([[np.nan]]))
+        with pytest.raises(ValueError):
+            numkit.psd_certificate(np.ones((2, 3)))
+
+    def test_uncertified_report_is_the_dense_one(self):
+        M = np.diag([1.0, -1.0])
+        assert numkit.certified_report(M, None) == numkit.psd_check(M)
+
+
+def test_certified_systems_need_no_dense_spectrum(monkeypatch):
+    systems = built_systems(4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense SVD or eigendecomposition")
+
+    for name in ("svd", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for sys in systems.values():
+        copy = fresh(sys, validate=True)
+        assert phdae.validate_structure(copy).verdict
+        dae_analysis.classify_phdae_index(copy)
+        timeint._check_consistent_start(copy, np.zeros(copy.state_dim),
+                                        np.zeros(copy.input_dim), None)

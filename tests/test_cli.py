@@ -415,6 +415,8 @@ class TestStiffStorage:
         ("quasi_static", 0.0, 1e8, "at_least_2", 27),
         ("quasi_static", 0.0, 1e10, "at_least_2", 27),
         ("schur_parabolic", 0.0, 1e10, "0", 9),
+        ("schur_parabolic", 0.0, 1e12, "0", 9),
+        ("schur_parabolic", 0.0, 1e14, "0", 9),
     ])
     def test_stiff_storage_keeps_the_rank_of_E(self, tmp_path, capsys, formulation,
                                                 rho, biot_M, index, e_rank):
@@ -465,9 +467,10 @@ class TestCompareIntegrator:
 
 def test_check_validates_structure_once(monkeypatch):
     calls = []
-    psd_check = numkit.psd_check
-    monkeypatch.setattr(numkit, "psd_check",
-                        lambda *args, **kwargs: calls.append(1) or psd_check(*args, **kwargs))
+    certify = numkit.psd_certificate
+    monkeypatch.setattr(numkit, "psd_certificate",
+                        lambda *args, **kwargs: calls.append(1) or certify(*args, **kwargs))
+    monkeypatch.setattr(numkit, "psd_check", lambda *args, **kwargs: pytest.fail("dense check"))
     report, code = cli.cmd_check(parse_scenario(scenario_doc()))
     assert code == 0 and report["structure"]["verdict"]
     assert len(calls) == 2  # E and R, when the system is built

@@ -19,7 +19,10 @@ class TestClassifyIndex:
         report = classify_index(np.diag([1.0, 0.0]), np.eye(2))
         assert report.label == "1"
         assert report.e_rank == 1
-        assert report.kernel_test_value == pytest.approx(1.0)
+        assert report.kernel_test_value is None  # decided by E's certificate
+        dense = dae_analysis.classify_index_dense(np.diag([1.0, 0.0]), np.eye(2))
+        assert (dense.label, dense.e_rank) == ("1", 1)
+        assert dense.kernel_test_value == pytest.approx(1.0)
 
     def test_singular_pencil_rejected(self):
         # E = 0 and singular A make det(lambda E - A) identically zero
@@ -77,7 +80,7 @@ class TestClassifyIndex:
     def test_report_serialization(self):
         report = classify_index(np.diag([1.0, 0.0]), np.eye(2))
         doc = report.to_dict()
-        assert doc["index"] == "1" and doc["pencil_regular"]
+        assert doc == {"index": "1", "e_rank": 1, "kernel_test_value": None}
 
 
 class TestConsistentInitialization:

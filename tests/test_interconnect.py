@@ -193,7 +193,7 @@ class TestCoupleNetwork:
 
 @pytest.mark.parametrize("route, expected", [("network", 12), ("two_field", 8)])
 def test_each_coupled_system_is_validated_once(monkeypatch, route, expected):
-    # E and R are eigen-checked once for each subsystem, once for their one
+    # E and R are certified once for each subsystem, once for their one
     # aggregate and once for the closed loop
     if route == "network":
         ops, B = make_network_ops(4, m=3, symmetric=False, seed=5)
@@ -202,8 +202,8 @@ def test_each_coupled_system_is_validated_once(monkeypatch, route, expected):
         ops = make_ops(4)
         couple = lambda: interconnect.couple_two_field(ops)
     calls = []
-    psd_check = numkit.psd_check
-    monkeypatch.setattr(numkit, "psd_check",
-                        lambda *args, **kwargs: calls.append(1) or psd_check(*args, **kwargs))
+    certify = numkit.psd_certificate
+    monkeypatch.setattr(numkit, "psd_certificate",
+                        lambda *args, **kwargs: calls.append(1) or certify(*args, **kwargs))
     couple()
     assert len(calls) == expected
