@@ -249,15 +249,15 @@ def build_system(scn: Scenario, ops: DiscreteOperators):
             return interconnect.couple_alt_qs(ops)
         return interconnect.couple_network(ops, scn.exchange)
     if scn.formulation == "full":
-        return formulations.build_full_first_order(ops, tol=scn.tol)
+        return formulations.build_full_first_order(ops)
     if scn.formulation == "sqrt":
-        return formulations.build_sqrt_formulation(ops, tol=scn.tol)
+        return formulations.build_sqrt_formulation(ops)
     if scn.formulation == "quasi_static":
-        return formulations.build_quasi_static(ops, coupling, tol=scn.tol)
+        return formulations.build_quasi_static(ops, coupling)
     if scn.formulation == "alt_qs":
-        return formulations.build_alternative_qs(ops, coupling, tol=scn.tol)
+        return formulations.build_alternative_qs(ops, coupling)
     if scn.formulation == "network":
-        return formulations.build_network_ph(ops, scn.exchange, tol=scn.tol)
+        return formulations.build_network_ph(ops, scn.exchange)
     f, fdot, g = load_signals(scn, ops)
     return formulations.schur_reduce_parabolic(ops, f, fdot, g, coupling)
 
@@ -553,7 +553,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=("check", "simulate", "compare", "export"))
     parser.add_argument("--config", required=True, help="path to the scenario JSON file")
     parser.add_argument("--out", default=None, help="output CSV path or export directory")
-    parser.add_argument("--tol", type=float, default=None, help="override the structural tolerance")
+    parser.add_argument("--tol", type=float, default=None, help="tolerance of the reported check")
     args = parser.parse_args(argv)
 
     try:

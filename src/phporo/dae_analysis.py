@@ -50,24 +50,26 @@ class IndexReport:
         }
 
 
-def classify_index(E, A, tol: float = 1e-10) -> IndexReport:
+def classify_index(E, A) -> IndexReport:
     """Classify the differentiation index of E z' = A z + k.
 
     When ``numkit.psd_certificate`` certifies E, with zero rows Z, the
     pencil is regular when lambda E - A at a fixed lambda > 0 passes
     ``numkit.Factorization``, E has rank n - |Z| with kernel basis e_Z, and
-    the index is 0 for empty Z, else 1 when A[Z, Z] passes
-    ``Factorization`` and at least 2 when it does not.  Otherwise, or when
-    that first factorization fails, ``classify_index_dense`` decides.
+    the index is 0 for empty Z, else 1 when A[Z, Z] is nonsingular (the
+    certificate proves the symmetric part of -A[Z, Z] positive definite,
+    whatever its scaling, or it passes ``Factorization``) and at least 2
+    otherwise.  Without a certificate of E, or when the first factorization
+    fails, ``classify_index_dense`` decides.
     """
     E, A = _pencil(E, A)
-    return _classify(E, A, numkit.psd_certificate(E), tol)
+    return _classify(E, A, numkit.psd_certificate(E))
 
 
-def classify_phdae_index(sys: PhDae, tol: float = 1e-10) -> IndexReport:
+def classify_phdae_index(sys: PhDae) -> IndexReport:
     """Classify a descriptor system through its drift pair (E, J - R),
     reusing the system's certificate of E."""
-    return _classify(sys.E, sys.drift(), certificate(sys, "E"), tol)
+    return _classify(sys.E, sys.drift(), certificate(sys, "E"))
 
 
 def _pencil(E, A) -> tuple[np.ndarray, np.ndarray]:
@@ -78,30 +80,34 @@ def _pencil(E, A) -> tuple[np.ndarray, np.ndarray]:
     return E, A
 
 
-def _classify(E: np.ndarray, A: np.ndarray, zero_rows: np.ndarray | None,
-              tol: float) -> IndexReport:
+def _classify(E: np.ndarray, A: np.ndarray, zero_rows: np.ndarray | None) -> IndexReport:
     if zero_rows is None:
-        return classify_index_dense(E, A, tol)
+        return classify_index_dense(E, A)
     try:
         numkit.Factorization(_REGULARITY_SHIFT * E - A)
     except SingularMatrixError:
         # the dense test decides, and raises if the pencil is singular
-        return classify_index_dense(E, A, tol)
+        return classify_index_dense(E, A)
     rank = E.shape[0] - zero_rows.size
     if not zero_rows.size:
         return IndexReport(0, rank, None)
+    block = A[np.ix_(zero_rows, zero_rows)]
+    kernel = numkit.psd_certificate(-block)
+    if kernel is not None and not kernel.size:
+        return IndexReport(1, rank, None)
     try:
-        numkit.Factorization(A[np.ix_(zero_rows, zero_rows)])
+        numkit.Factorization(block)
     except SingularMatrixError:
         return IndexReport(INDEX_AT_LEAST_2, rank, None)
     return IndexReport(1, rank, None)
 
 
-def classify_index_dense(E, A, tol: float = 1e-10) -> IndexReport:
+def classify_index_dense(E, A) -> IndexReport:
     """Dense index classification, for an uncertified E and as test oracle.
 
     Regularity is decided by one SVD of lambda E - A at a fixed lambda > 0;
-    a singular pencil raises ``ValueError``.  For pH pencils A = J - R this
+    a singular pencil (singular values down to 1e-10 times the largest, at
+    least 1) raises ``ValueError``.  For pH pencils A = J - R this
     is exact: Re x^H (lambda E - J + R) x = 0 forces E x = R x = 0 (both
     PSD), hence J x = 0, so a pencil singular at one lambda > 0 has a common
     kernel of E, J and R and is singular everywhere (Mehl, Mehrmann and
@@ -109,7 +115,7 @@ def classify_index_dense(E, A, tol: float = 1e-10) -> IndexReport:
     lambda is reported as singular.  The rank of E and its kernels come
     from ``numkit.balanced_kernels``; the index is 1 when the smallest
     singular value of W^T A V, the kernel test value, exceeds
-    ``tol * max(1, ||A||_2)``.
+    ``1e-10 * max(1, ||A||_2)``.
     """
     E, A = _pencil(E, A)
     n = E.shape[0]
@@ -117,16 +123,16 @@ def classify_index_dense(E, A, tol: float = 1e-10) -> IndexReport:
         return IndexReport(0, 0, None)
 
     sv = np.linalg.svd(_REGULARITY_SHIFT * E - A, compute_uv=False)
-    if sv[-1] <= tol * max(sv[0], 1.0):
+    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
         raise ValueError(f"matrix pencil is singular at lambda = {_REGULARITY_SHIFT}")
 
-    rank, V, W = numkit.balanced_kernels(E, tol)
+    rank, V, W = numkit.balanced_kernels(E)
     if rank == n:
         return IndexReport(0, rank, None)
 
     # V and W have n - rank > 0 columns, so the core is a nonempty square
     ktv = float(np.linalg.svd(W.T @ A @ V, compute_uv=False)[-1])
-    index = 1 if ktv > tol * max(float(np.linalg.norm(A, 2)), 1.0) else INDEX_AT_LEAST_2
+    index = 1 if ktv > 1e-10 * max(float(np.linalg.norm(A, 2)), 1.0) else INDEX_AT_LEAST_2
     return IndexReport(index, rank, ktv)
 
 
@@ -150,15 +156,13 @@ def _backward_error(A, x, b) -> float:
 
 
 def consistent_initialization(ops: DiscreteOperators, p0, f0, fdot0, g0,
-                              coupling: NetworkCoupling | None = None,
-                              tol: float | None = None):
+                              coupling: NetworkCoupling | None = None):
     """Initial (w0, u0) satisfying the constraint and its hidden companion.
 
     The loads f0, fdot0, g0 are assembled (dual) vectors at t = 0.  In the
     quasi-static case these relations are forced; for regular systems they
     simply provide an admissible start compatible with the rho -> 0 limit.
-    Both solves must reach a normwise backward error of at most ``tol``
-    (default 1e-10).
+    Both solves must reach a normwise backward error of at most 1e-10.
     """
     p0 = np.asarray(p0, dtype=float)
     f0 = np.asarray(f0, dtype=float)
@@ -176,7 +180,7 @@ def consistent_initialization(ops: DiscreteOperators, p0, f0, fdot0, g0,
 
     err_u = _backward_error(ka, u0, rhs_u)
     err_w = _backward_error(schur, w0, rhs_w)
-    if max(err_u, err_w) > (1e-10 if tol is None else tol):
+    if max(err_u, err_w) > 1e-10:
         raise numkit.SingularMatrixError(
             f"initialization solves did not converge "
             f"(backward errors {err_u:.3e}, {err_w:.3e})"

@@ -184,8 +184,7 @@ def _input_matrix(ops: DiscreteOperators) -> np.ndarray:
 
 
 def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None,
-                        mass_rho: np.ndarray, e_uu: np.ndarray, c_uu: np.ndarray,
-                        tol: float | None = None) -> PhDae:
+                        mass_rho: np.ndarray, e_uu: np.ndarray, c_uu: np.ndarray) -> PhDae:
     """State (w, u, p) with E = diag(mass_rho, e_uu, M-bar); c_uu couples w and u in J."""
     du, dp, m = ops.dim_u, ops.dim_p, ops.networks
     mdp = m * dp
@@ -204,7 +203,6 @@ def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None
         E, J, R, _input_matrix(ops),
         state_blocks=(("w", du), ("u", du), ("p", mdp)),
         input_blocks=(("f", du), ("g", mdp)),
-        tol=tol,
     )
 
 
@@ -212,23 +210,22 @@ def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None
 # Formulation builders
 # ---------------------------------------------------------------------------
 
-def build_full_first_order(ops: DiscreteOperators, tol: float | None = None) -> PhDae:
+def build_full_first_order(ops: DiscreteOperators) -> PhDae:
     """First-order system with state (w, u, p); E = diag(mass_rho, K_A, M)."""
     if ops.networks != 1:
         raise ValueError("the two-field builder needs a single network; see build_network_ph")
-    return _first_order_system(ops, None, ops.mass_rho, ops.stiff_elast, ops.stiff_elast, tol)
+    return _first_order_system(ops, None, ops.mass_rho, ops.stiff_elast, ops.stiff_elast)
 
 
-def build_quasi_static(ops: DiscreteOperators, coupling: NetworkCoupling | None = None,
-                       tol: float | None = None) -> PhDae:
+def build_quasi_static(ops: DiscreteOperators, coupling: NetworkCoupling | None = None) -> PhDae:
     """First-order layout with the velocity mass forced to zero (singular E)."""
     if coupling is not None:
         _require_elliptic(ops, coupling)
     return _first_order_system(ops, coupling, np.zeros_like(ops.mass_rho),
-                               ops.stiff_elast, ops.stiff_elast, tol)
+                               ops.stiff_elast, ops.stiff_elast)
 
 
-def build_sqrt_formulation(ops: DiscreteOperators, tol: float | None = None) -> PhDae:
+def build_sqrt_formulation(ops: DiscreteOperators) -> PhDae:
     """Variant with transformed displacement state S u, S the SPD root of K_A.
 
     The Hamiltonian and the output coincide with the first-order form under
@@ -237,11 +234,10 @@ def build_sqrt_formulation(ops: DiscreteOperators, tol: float | None = None) -> 
     if ops.networks != 1:
         raise ValueError("the square-root builder needs a single network")
     S = numkit.sqrtm_spd(ops.stiff_elast)
-    return _first_order_system(ops, None, ops.mass_rho, np.eye(ops.dim_u), S, tol)
+    return _first_order_system(ops, None, ops.mass_rho, np.eye(ops.dim_u), S)
 
 
-def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | None = None,
-                         tol: float | None = None) -> PhDae:
+def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | None = None) -> PhDae:
     """Quasi-static form with auxiliary state q solving K q = D u + M p.
 
     Valid only for a self-adjoint (symmetric) flow operator, which for
@@ -279,7 +275,6 @@ def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | Non
         E, J, R, G,
         state_blocks=(("u", du), ("p", mdp), ("q", mdp)),
         input_blocks=(("f", du), ("g", mdp)),
-        tol=tol,
     )
 
 
@@ -321,13 +316,13 @@ class ParabolicReduction:
         rhs = stacked_coupling(self.ops).T @ np.asarray(p, float) + np.asarray(self.f(t), float)
         return self.elastic.solve(rhs)
 
-    def as_phdae(self, tol: float | None = None) -> PhDae:
+    def as_phdae(self) -> PhDae:
         """Wrap as a descriptor system with direct load input (G = identity)."""
         sym, skew = numkit.sym_skew_split(self.stiff)
         mdp = self.mass.shape[0]
         return PhDae(
             self.mass, -skew, sym, np.eye(mdp),
-            state_blocks=(("p", mdp),), input_blocks=(("g", mdp),), tol=tol,
+            state_blocks=(("p", mdp),), input_blocks=(("g", mdp),),
         )
 
 
@@ -415,10 +410,9 @@ def _require_elliptic(ops: DiscreteOperators, coupling: NetworkCoupling) -> None
         )
 
 
-def build_network_ph(ops: DiscreteOperators, coupling: NetworkCoupling,
-                     tol: float | None = None) -> PhDae:
+def build_network_ph(ops: DiscreteOperators, coupling: NetworkCoupling) -> PhDae:
     """Multiple-network system; the skew part of the exchange block lands in J,
     the symmetric part in R.  Rejects couplings whose symmetric part is
     indefinite."""
     _require_elliptic(ops, coupling)
-    return _first_order_system(ops, coupling, ops.mass_rho, ops.stiff_elast, ops.stiff_elast, tol)
+    return _first_order_system(ops, coupling, ops.mass_rho, ops.stiff_elast, ops.stiff_elast)

@@ -59,7 +59,6 @@ def aggregate(*systems: PhDae) -> PhDae:
         *(numkit.block_diag(*(getattr(s, name) for s in systems)) for name in "EJRG"),
         state_blocks=sum((s.state_blocks for s in systems), ()),
         input_blocks=sum((s.input_blocks for s in systems), ()),
-        tol=next((s.tol for s in systems if s.tol is not None), None),
     )
 
 
@@ -71,20 +70,19 @@ def close_loop(sys: PhDae, law: FeedbackLaw) -> PhDae:
         )
     return PhDae(sys.E, sys.J + sys.G @ law.skew @ sys.G.T, sys.R - sys.G @ law.sym @ sys.G.T,
                  sys.G, state_blocks=sys.state_blocks, input_blocks=sys.input_blocks,
-                 tol=sys.tol, validate=False)
+                 validate=False)
 
 
 def feedback(sys: PhDae, law: FeedbackLaw) -> PhDae:
     """Close v = F y + v_res; raises ``StructureError`` if dissipativity is lost."""
     closed = close_loop(sys, law)
-    report = validate_structure(closed, tol=sys.tol)
+    report = validate_structure(closed)
     if not report.r_report.is_semidefinite:
         raise StructureError(
             f"feedback destroys the dissipative structure: R - G F_sym G^T has "
             f"min eigenvalue {report.r_report.min_eigenvalue:.3e}"
         )
-    if not report.verdict:
-        raise StructureError("structure validation failed: " + "; ".join(report.failures()))
+    report.require()
     return closed
 
 

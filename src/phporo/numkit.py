@@ -3,8 +3,9 @@
 Matrices are plain 2-d numpy arrays of float64, except that ``Factorization``
 also takes ``scipy.sparse`` matrices; it and ``psd_certificate`` factor
 through the sparse LU of ``lu_factor``.  Every routine is a pure function;
-nothing here mutates its arguments.  Tolerances default to the scale-aware
-value ``1e-10 * (1 + max|entry|)`` and can be overridden everywhere.
+nothing here mutates its arguments.  Structural tolerances default to the
+scale-aware value ``1e-10 * (1 + max|entry|)``; only the reporting checks
+take another one, and every other decision uses a fixed relative cut.
 
 Definiteness is decided by ``psd_certificate`` (one sparse LDL^T) where it
 certifies, and by the dense spectrum of ``psd_check`` everywhere else.
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag  # noqa: F401  (re-exported)
 from scipy.sparse import csc_array, issparse
 from scipy.sparse.linalg import splu
 
@@ -194,37 +196,38 @@ def certified_report(M, zero_rows: np.ndarray | None, tol: float | None = None) 
     return SpectralReport(None, None, symmetry_defect(M), verdict)
 
 
-def sqrtm_spd(M, tol: float | None = None) -> np.ndarray:
-    """Symmetric positive definite square root via spectral decomposition.
+def sqrtm_spd(M) -> np.ndarray:
+    """Symmetric positive definite square root via one spectral decomposition.
 
-    Requires M symmetric positive definite within tol; the result S is
-    symmetric with ||S @ S - M|| <= tol * ||M||.
+    Requires M symmetric positive definite within tol = ``default_tol(M)``,
+    judged on its eigenvalues; S is symmetric with ||S @ S - M|| <= tol ||M||.
     """
     A = as_matrix(M)
     _require_square(A, "sqrtm_spd")
-    if tol is None:
-        tol = default_tol(A)
-    report = psd_check(A, tol)
+    if A.size == 0:
+        return A.copy()
+    tol, defect = default_tol(A), symmetry_defect(A)
+    if defect > tol:
+        raise StructureError(f"matrix asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    report = SpectralReport.from_extremes(float(w[0]), float(w[-1]), defect, tol)
     if report.verdict != POSITIVE_DEFINITE:
         raise StructureError(
             f"sqrtm_spd needs a positive definite matrix, got {report.verdict} "
             f"(min eigenvalue {report.min_eigenvalue:.3e})"
         )
-    if A.size == 0:
-        return A.copy()
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
     S = (V * np.sqrt(w)) @ V.T
     return 0.5 * (S + S.T)
 
 
-def balanced_kernels(M, tol: float = 1e-10) -> tuple[int, np.ndarray, np.ndarray]:
+def balanced_kernels(M) -> tuple[int, np.ndarray, np.ndarray]:
     """Rank of M with orthonormal bases V of ker M and W of ker M^T.
 
     The rank is decided on D_r M D_c, where D_r and D_c hold the inverse
     square roots of the row and column max-norms of M (1 for a zero row or
     column), so that a block tiny against the rest of M, such as the storage
     mass of a stiff medium, is not cut as rank deficiency: singular values up
-    to ``tol * max(1, largest)`` count as zero.  The kernels found there are
+    to ``1e-10 * max(1, largest)`` count as zero.  The kernels found there are
     mapped back through D_c and D_r and re-orthonormalized.
     """
     A = as_matrix(M)
@@ -233,7 +236,7 @@ def balanced_kernels(M, tol: float = 1e-10) -> tuple[int, np.ndarray, np.ndarray
     d_row, d_col = (1.0 / np.sqrt(np.where(norms > 0.0, norms, 1.0))
                     for norms in (mag.max(axis=1, initial=0.0), mag.max(axis=0, initial=0.0)))
     U, sv, Vh = np.linalg.svd(d_row[:, None] * A * d_col)
-    rank = int(np.sum(sv > tol * max(sv[0] if sv.size else 0.0, 1.0)))
+    rank = int(np.sum(sv > 1e-10 * max(sv[0] if sv.size else 0.0, 1.0)))
     V = np.linalg.qr(d_col[:, None] * Vh[rank:].T)[0]
     W = np.linalg.qr(d_row[:, None] * U[:, rank:])[0]
     return rank, V, W
@@ -296,20 +299,6 @@ class Factorization:
 def solve(M, b) -> np.ndarray:
     """Solve M x = b once; see ``Factorization`` for the singularity rule."""
     return Factorization(M).solve(b)
-
-
-def block_diag(*blocks) -> np.ndarray:
-    """Dense block-diagonal concatenation; accepts empty blocks."""
-    mats = [as_matrix(B) for B in blocks]
-    rows = sum(B.shape[0] for B in mats)
-    cols = sum(B.shape[1] for B in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for B in mats:
-        out[r : r + B.shape[0], c : c + B.shape[1]] = B
-        r += B.shape[0]
-        c += B.shape[1]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,14 @@ def _block_slice(blocks, label: str) -> slice:
 class PhDae:
     """Immutable quadruple (E, J, R, G) with optional state/input block labels.
 
-    Structure is validated eagerly; ``validate=False`` exists only so that
-    deliberately broken systems can be built for negative checks.  The
-    report is kept, so validating again at the same tolerance is free; so
-    are the certificates of E and R (see ``certificate``).
+    Structure is validated eagerly at default tolerances; ``validate=False``
+    exists only so that deliberately broken systems can be built for negative
+    checks.  The report is kept, so validating again at the same tolerance is
+    free; so are the certificates of E and R (see ``certificate``).
     """
 
     def __init__(self, E, J, R, G, state_blocks=None, input_blocks=None,
-                 tol: float | None = None, validate: bool = True):
+                 validate: bool = True):
         E = numkit.as_matrix(E).copy()
         J = numkit.as_matrix(J).copy()
         R = numkit.as_matrix(R).copy()
@@ -66,15 +66,10 @@ class PhDae:
         self.E, self.J, self.R, self.G = E, J, R, G
         self.state_blocks = _named_blocks(state_blocks, n, "z")
         self.input_blocks = _named_blocks(input_blocks, G.shape[1], "v")
-        self.tol = tol
         self._structure = None  # (tol, StructureReport) of the last validation
         self._certificates: dict = {}  # "E"/"R" -> numkit.psd_certificate of it
         if validate:
-            report = validate_structure(self, tol=tol)
-            if not report.verdict:
-                raise StructureError(
-                    "structure validation failed: " + "; ".join(report.failures())
-                )
+            validate_structure(self).require()
 
     @property
     def state_dim(self) -> int:
@@ -123,6 +118,12 @@ class StructureReport:
         if not self.w_report.is_semidefinite:
             out.append(f"dissipation matrix {self.w_report.verdict}")
         return out
+
+    def require(self) -> "StructureReport":
+        """This report; ``StructureError`` naming the failures if it fails."""
+        if not self.verdict:
+            raise StructureError("structure validation failed: " + "; ".join(self.failures()))
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -246,6 +247,7 @@ _MATRIX_FILES = {"E": "E.mtx", "J": "J.mtx", "R": "R.mtx", "G": "G.mtx"}
 
 
 def save_phdae(sys: PhDae, directory, tol: float | None = None) -> None:
+    """Write E, J, R, G and a manifest recording ``tol`` for ``load_phdae``."""
     os.makedirs(directory, exist_ok=True)
     for name, fname in _MATRIX_FILES.items():
         numkit.write_matrix_market(os.path.join(directory, fname), getattr(sys, name))
@@ -254,7 +256,7 @@ def save_phdae(sys: PhDae, directory, tol: float | None = None) -> None:
         "input_dim": sys.input_dim,
         "state_blocks": [[n, s] for n, s in sys.state_blocks],
         "input_blocks": [[n, s] for n, s in sys.input_blocks],
-        "validation_tol": tol if tol is not None else sys.tol,
+        "validation_tol": tol,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -262,14 +264,17 @@ def save_phdae(sys: PhDae, directory, tol: float | None = None) -> None:
 
 
 def load_phdae(directory, validate: bool = True) -> PhDae:
+    """Read a ``save_phdae`` directory, validated at its recorded ``tol``."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     mats = {name: numkit.read_matrix_market(os.path.join(directory, fname))
             for name, fname in _MATRIX_FILES.items()}
-    return PhDae(
+    sys = PhDae(
         mats["E"], mats["J"], mats["R"], mats["G"],
         state_blocks=[tuple(b) for b in manifest["state_blocks"]],
         input_blocks=[tuple(b) for b in manifest["input_blocks"]],
-        tol=manifest.get("validation_tol"),
-        validate=validate,
+        validate=False,
     )
+    if validate:
+        validate_structure(sys, manifest.get("validation_tol")).require()
+    return sys

@@ -63,10 +63,10 @@ class Trajectory:
         """|H_{k+1} - H_k + dissipated_k - supplied_k| per step."""
         return np.abs(np.diff(self.hamiltonian) + self.dissipated - self.supplied)
 
-    def hamiltonian_nonincreasing(self, tol: float = 1e-12) -> bool:
-        """True if H never rises by more than tol * max(1, |H_k|) in a step."""
+    def hamiltonian_nonincreasing(self) -> bool:
+        """True if H never rises by more than 1e-12 * max(1, |H_k|) in a step."""
         h = self.hamiltonian
-        slack = tol * np.maximum(1.0, np.abs(h[:-1]))
+        slack = 1e-12 * np.maximum(1.0, np.abs(h[:-1]))
         return bool(np.all(h[1:] <= h[:-1] + slack))
 
     def to_csv(self, path) -> None:
@@ -81,9 +81,9 @@ class Trajectory:
                 fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray,
-                            tol: float | None) -> None:
-    """Algebraic rows (left kernel of E) must annihilate the drift at t = 0.
+def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray) -> None:
+    """Algebraic rows (left kernel of E) of r = (J - R) z0 + G v0 must
+    vanish, up to 1e-8 * (1 + max|r|).
 
     A certified E names those rows (its zero rows); otherwise the left
     kernel comes from ``balanced_kernels``.
@@ -95,7 +95,7 @@ def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray,
     algebraic = rhs[zero_rows] if zero_rows is not None else balanced_kernels(sys.E)[2].T @ rhs
     resid = float(np.linalg.norm(algebraic))
     scale = 1.0 + float(np.max(np.abs(rhs))) if rhs.size else 1.0
-    limit = tol if tol is not None else 1e-8 * scale
+    limit = 1e-8 * scale
     if resid > limit:
         raise InconsistentStateError(
             f"initial state violates the algebraic constraints "
@@ -118,8 +118,7 @@ def _snapped_steps(t: np.ndarray) -> np.ndarray:
     return h
 
 
-def _theta_run(sys: PhDae, z0, input, t_grid, tol: float | None, theta: float,
-               frozen_R=None) -> Trajectory:
+def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Trajectory:
     """Theta method for E z' = (J - R) z + G v with the midpoint ledger.
 
     Each step solves (E - theta h J + theta h R) z_new =
@@ -137,7 +136,7 @@ def _theta_run(sys: PhDae, z0, input, t_grid, tol: float | None, theta: float,
     if t.ndim != 1 or len(t) < 1 or (len(t) > 1 and not np.all(np.diff(t) > 0)):
         raise ValueError("time grid must be 1-d and strictly increasing")
     v = input if input is not None else (lambda t, zero=np.zeros(sys.input_dim): zero)
-    _check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float), tol)
+    _check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float))
 
     E, J, R, G = (csr_array(M) for M in (sys.E, sys.J, sys.R, sys.G))
     steps = _snapped_steps(t)
@@ -177,27 +176,24 @@ def _theta_run(sys: PhDae, z0, input, t_grid, tol: float | None, theta: float,
     return Trajectory(t, states, H, diss, supp)
 
 
-def integrate_midpoint(sys: PhDae, z0, input=None, t_grid=None,
-                       tol: float | None = None) -> Trajectory:
+def integrate_midpoint(sys: PhDae, z0, input=None, t_grid=None) -> Trajectory:
     """Implicit midpoint rule; one factorization per distinct step size."""
-    return _theta_run(sys, z0, input, t_grid, tol, 0.5)
+    return _theta_run(sys, z0, input, t_grid, 0.5)
 
 
-def integrate_euler(sys: PhDae, z0, input=None, t_grid=None,
-                    tol: float | None = None) -> Trajectory:
+def integrate_euler(sys: PhDae, z0, input=None, t_grid=None) -> Trajectory:
     """Implicit Euler baseline; adds artificial dissipation on lossless systems."""
-    return _theta_run(sys, z0, input, t_grid, tol, 1.0)
+    return _theta_run(sys, z0, input, t_grid, 1.0)
 
 
-def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None,
-                              t_grid=None, bounds: tuple[float, float] | None = None,
-                              tol: float | None = None) -> Trajectory:
+def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None, t_grid=None,
+                              bounds: tuple[float, float] | None = None) -> Trajectory:
     """Semi-implicit midpoint run with dilatation-dependent permeability.
 
     Only the first-order single-network formulation supports this: before
     each step the pressure dissipation block is reassembled from the current
     displacement and frozen for the step, so the per-step balance identity
-    still holds with the frozen block in the ledger.
+    still holds with the frozen block in the ledger; R is zero outside it.
     """
     if ops.networks != 1:
         raise ValueError("nonlinear permeability runs need a single network")
@@ -205,15 +201,12 @@ def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None,
     nu = ops.materials[0].nu
     u_slice = base.state_slice("u")
     p_slice = base.state_slice("p")
-    rest = base.R.copy()
-    rest[p_slice, p_slice] = 0.0
-    rest = csr_array(rest)
 
     def frozen_R(z):
         block = coo_array(fem.assemble_nonlinear_permeability(
             ops.qspace, ops.vspace, z[u_slice], kappa_fn, nu, bounds=bounds
         ))
         rows, cols = block.row + p_slice.start, block.col + p_slice.start
-        return rest + csr_array((block.data, (rows, cols)), shape=rest.shape)
+        return csr_array((block.data, (rows, cols)), shape=base.R.shape)
 
-    return _theta_run(base, z0, input, t_grid, tol, 0.5, frozen_R)
+    return _theta_run(base, z0, input, t_grid, 0.5, frozen_R)

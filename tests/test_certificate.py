@@ -52,7 +52,7 @@ def outcomes(sys):
     starts = []
     for z0 in (np.zeros(sys.state_dim), np.random.default_rng(0).standard_normal(sys.state_dim)):
         try:
-            timeint._check_consistent_start(sys, z0, np.zeros(sys.input_dim), None)
+            timeint._check_consistent_start(sys, z0, np.zeros(sys.input_dim))
             starts.append("consistent")
         except InconsistentStateError as exc:
             starts.append(str(exc))  # the residual, to four digits
@@ -194,4 +194,4 @@ def test_certified_systems_need_no_dense_spectrum(monkeypatch):
         assert phdae.validate_structure(copy).verdict
         dae_analysis.classify_phdae_index(copy)
         timeint._check_consistent_start(copy, np.zeros(copy.state_dim),
-                                        np.zeros(copy.input_dim), None)
+                                        np.zeros(copy.input_dim))

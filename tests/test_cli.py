@@ -1,8 +1,13 @@
+import importlib
+import inspect
 import json
+import pkgutil
+from types import FunctionType
 
 import numpy as np
 import pytest
 
+import phporo
 from phporo import cli, numkit, phdae, timeint
 from phporo.cli import Scenario, ScenarioError, SourceTerm, parse_scenario
 
@@ -293,6 +298,52 @@ class TestExport:
         assert (out / "stiff_flow_0.mtx").exists()
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("formulation, route", [
+        ("full", "direct"), ("full", "coupled"), ("schur_parabolic", "direct"),
+    ])
+    def test_tol_is_the_tolerance_of_the_check_and_the_export(self, tmp_path, capsys,
+                                                             formulation, route):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(scenario_doc(formulation=formulation, route=route)))
+        assert cli.main(["check", "--config", str(cfg), "--tol", "1e-6"]) == 0
+        structure = json.loads(capsys.readouterr().out)["structure"]
+        assert structure["psd_tol"] == structure["skew_tol"] == 1e-6
+        out = tmp_path / "export"
+        assert cli.main(["export", "--config", str(cfg), "--out", str(out), "--tol", "1e-6"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["validation_tol"] == 1e-6
+        loaded = phdae.load_phdae(out)
+        assert phdae.validate_structure(loaded, 1e-6).verdict
+
+    def test_only_checks_take_a_tolerance(self):
+        # a tolerance belongs to the check that reports it; every other
+        # decision uses a fixed cut
+        def takes_tol(fn):
+            try:
+                return "tol" in inspect.signature(fn).parameters
+            except ValueError:  # no signature, such as an exception class
+                return False
+
+        found = set()
+        for info in pkgutil.iter_modules(phporo.__path__):
+            module = importlib.import_module(f"phporo.{info.name}")
+            for name, obj in vars(module).items():
+                if getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
+                    continue
+                members = [(name, obj)]
+                if inspect.isclass(obj):
+                    members += [(f"{name}.{key}", getattr(obj, key))
+                                for key, value in vars(obj).items() if not key.startswith("__")
+                                and isinstance(value, (FunctionType, classmethod, staticmethod))]
+                found |= {f"{info.name}.{qual}" for qual, fn in members if takes_tol(fn)}
+        assert found == {
+            "cli.Scenario",
+            "numkit.SpectralReport.from_extremes", "numkit.certified_report",
+            "numkit.is_skew", "numkit.is_symmetric", "numkit.psd_check",
+            "phdae.power_balance_residual", "phdae.save_phdae", "phdae.validate_structure",
+        }
+
+
 class TestMain:
     def test_exit_code_zero_on_success(self, tmp_path, capsys):
         cfg = tmp_path / "scn.json"
@@ -417,6 +468,8 @@ class TestStiffStorage:
         ("schur_parabolic", 0.0, 1e10, "0", 9),
         ("schur_parabolic", 0.0, 1e12, "0", 9),
         ("schur_parabolic", 0.0, 1e14, "0", 9),
+        ("alt_qs", 0.0, 1e12, "1", 9),
+        ("alt_qs", 0.0, 1e14, "1", 9),
     ])
     def test_stiff_storage_keeps_the_rank_of_E(self, tmp_path, capsys, formulation,
                                                 rho, biot_M, index, e_rank):

@@ -124,6 +124,15 @@ class TestSqrtmSpd:
         with pytest.raises(StructureError):
             numkit.sqrtm_spd(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
+    def test_one_eigendecomposition(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *args, name=name, real=real, **kwargs:
+                                calls.append(name) or real(*args, **kwargs))
+        numkit.sqrtm_spd(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert calls == ["eigh"]
+
     def test_random_spd_square_roots(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
