@@ -553,16 +553,19 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=("check", "simulate", "compare", "export"))
     parser.add_argument("--config", required=True, help="path to the scenario JSON file")
     parser.add_argument("--out", default=None, help="output CSV path or export directory")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance of the reported check")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="tolerance of the reported check (check and export only)")
     args = parser.parse_args(argv)
 
     try:
+        if args.tol is not None and args.command not in ("check", "export"):
+            raise ScenarioError("--tol applies only to check and export")
         doc = _load_config(args.config)
         if args.command == "compare":
             if not isinstance(doc, dict) or "first" not in doc or "second" not in doc:
                 raise ScenarioError("compare configs need 'first' and 'second' scenarios")
-            first = parse_scenario(_apply_overrides(doc["first"], args))
-            second = parse_scenario(_apply_overrides(doc["second"], args))
+            first = parse_scenario(doc["first"])
+            second = parse_scenario(doc["second"])
             report, code = cmd_compare(first, second)
         else:
             scn = parse_scenario(_apply_overrides(doc, args))

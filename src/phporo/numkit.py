@@ -242,13 +242,15 @@ def balanced_kernels(M) -> tuple[int, np.ndarray, np.ndarray]:
     return rank, V, W
 
 
-def lu_factor(A, symmetric: bool = False):
+def lu_factor(A, symmetric: bool = False, natural: bool = False):
     """Sparse LU (SuperLU) of a CSC matrix: COLAMD ordering and partial
-    pivoting, or with ``symmetric`` a minimum-degree ordering of A + A^T and
+    pivoting, with ``natural`` no column ordering (the columns are eliminated
+    as given), or with ``symmetric`` a minimum-degree ordering of A + A^T and
     diagonal pivots, which for symmetric A with ``perm_r == perm_c`` is an
     LDL^T factorization (U = D L^T)."""
     pivoting = (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True}) if symmetric else {})
+                     options={"SymmetricMode": True}) if symmetric
+                else dict(permc_spec="NATURAL") if natural else {})
     return splu(A, **pivoting)
 
 
@@ -261,9 +263,15 @@ class Factorization:
     U; the relative rule keeps a well-conditioned matrix whose entries are all
     tiny.  The factor is kept, so every later ``solve`` costs two triangular
     solves.
+
+    ``order`` holds the columns of M in the order the factor eliminates them
+    (``np.argsort(perm_c)``).  Given the ``order`` of an earlier
+    factorization of a matrix with the same pattern, M[:, order] is factored
+    with natural ordering, which skips COLAMD; the row pivots are chosen
+    afresh, so a matrix equal to the earlier one gets the same factor.
     """
 
-    def __init__(self, M, what: str = "matrix"):
+    def __init__(self, M, what: str = "matrix", order: np.ndarray | None = None):
         if issparse(M):
             A = csc_array(M, dtype=float)
             if not np.all(np.isfinite(A.data)):
@@ -272,11 +280,12 @@ class Factorization:
             A = csc_array(as_matrix(M))
         _require_square(A, "factorization")
         self.size = A.shape[0]
+        self.order = order
         self._lu = None
         if self.size == 0:
             return
         try:
-            lu = lu_factor(A)
+            lu = lu_factor(A) if order is None else lu_factor(A[:, order], natural=True)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularMatrixError(f"{what} numerically singular ({exc})") from exc
         pivots = np.abs(lu.U.diagonal())
@@ -284,6 +293,9 @@ class Factorization:
             raise SingularMatrixError(
                 f"{what} numerically singular (smallest pivot {np.min(pivots):.3e})"
             )
+        self.order = np.argsort(lu.perm_c) if order is None else order[np.argsort(lu.perm_c)]
+        # x solves M[:, order] x = b, so entry i of x belongs to column order[i]
+        self._unpermute = None if order is None else np.argsort(order)
         self._lu = lu
 
     def solve(self, b) -> np.ndarray:
@@ -293,7 +305,8 @@ class Factorization:
             raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {self.size}")
         if self._lu is None:
             return np.zeros_like(rhs)
-        return self._lu.solve(rhs)
+        x = self._lu.solve(rhs)
+        return x if self._unpermute is None else x[self._unpermute]
 
 
 def solve(M, b) -> np.ndarray:

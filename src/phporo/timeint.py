@@ -13,8 +13,11 @@ convention without the exact identity.  Both are the theta method
 copies of E, J, R and G taken once per run: step matrices are sparse sums,
 factored once per distinct step size by ``numkit``'s sparse LU, and every
 product in a step is a sparse matrix-vector product.  The nonlinear
-permeability run supplies a new R on every step; the R-free parts
-E - theta h J and E + (1 - theta) h J are still formed once per step size.
+permeability run supplies a new R of one fixed pattern on every step: both
+step matrices then live on one CSR pattern, the union of those of
+E - theta h J, E + (1 - theta) h J and R, fixed at the first step, and each
+step writes their data arrays and factors with the column order of the
+first factorization, so it pays for one numeric LU but no ordering.
 
 Index-2 systems are integrated directly without index reduction; the
 stepper neither corrects nor reports constraint drift, which callers can
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import csr_array
 
 from . import fem
 from .formulations import DiscreteOperators, build_full_first_order
@@ -118,6 +121,50 @@ def _snapped_steps(t: np.ndarray) -> np.ndarray:
     return h
 
 
+def _entry_keys(M) -> np.ndarray:
+    """row * columns + column of every stored entry of the CSR matrix M."""
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) * M.shape[1] + M.indices
+
+
+class _FrozenRSteps:
+    """Both step matrices of the frozen-R path on one CSR pattern.
+
+    The pattern is the union of those of E - a J, E + b J and the first R
+    (a = theta h, b = (1 - theta) h).  ``step`` takes an R of that same
+    pattern, writes E - a J + a R and E + b J - b R as data arrays on it,
+    entry by entry as the sparse sums would, and factors the first with the
+    column order of the pattern's first factorization.
+    """
+
+    def __init__(self, implicit, explicit, R):
+        keys = np.unique(np.concatenate([_entry_keys(M) for M in (implicit, explicit, R)]))
+        n, m = R.shape
+        self._indptr = np.searchsorted(keys, np.arange(n + 1) * m)
+        self._indices = keys % m
+        slots = [np.searchsorted(keys, _entry_keys(M)) for M in (implicit, explicit, R)]
+        self._implicit = self._on_pattern(slots[0], implicit.data)
+        self._explicit = self._on_pattern(slots[1], explicit.data)
+        self._R_slots = slots[2]
+        self._R_pattern = (R.indptr, R.indices)
+        self._order = None
+
+    def _on_pattern(self, slots, values) -> np.ndarray:
+        """Data array with the values at their slots and zeros elsewhere."""
+        return np.bincount(slots, weights=values, minlength=self._indices.size)
+
+    def holds(self, R) -> bool:
+        """True if R has the pattern of the first R."""
+        return all(map(np.array_equal, self._R_pattern, (R.indptr, R.indices)))
+
+    def step(self, R, a: float, b: float) -> tuple[Factorization, csr_array]:
+        r = self._on_pattern(self._R_slots, R.data)
+        implicit, explicit = (csr_array((data, self._indices, self._indptr), shape=R.shape)
+                              for data in (self._implicit + a * r, self._explicit - b * r))
+        lu = Factorization(implicit, "step matrix", order=self._order)
+        self._order = lu.order
+        return lu, explicit
+
+
 def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Trajectory:
     """Theta method for E z' = (J - R) z + G v with the midpoint ledger.
 
@@ -126,8 +173,9 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     t_k + theta h.  E, J, R and G are taken as CSR once; the step matrices
     are formed and factored once per distinct step size.  ``frozen_R(z)``,
     if given, returns the CSR dissipation matrix for the step that starts at
-    z; it is then used for that step's matrices and ledger, which are formed
-    and factored on every step from R-free parts kept per step size.
+    z; it is then used for that step's matrices and ledger.  Those are
+    written on every step into a pattern kept per step size (``_FrozenRSteps``,
+    made anew when R's pattern changes) and factored without a new ordering.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.state_dim,):
@@ -146,23 +194,24 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     H[0] = 0.5 * float(z0 @ (E @ z0))
     diss = np.empty(len(steps))
     supp = np.empty(len(steps))
-    r_free: dict[float, tuple] = {}         # h -> (E - theta h J, E + (1 - theta) h J)
     step_matrices: dict[float, tuple] = {}  # h -> (factored step matrix, explicit matrix)
+    frozen_steps: dict[float, _FrozenRSteps] = {}
     z = z0
     for k, h in enumerate(steps.tolist()):
-        if frozen_R is not None:
-            R = frozen_R(z)
-            step_matrices.clear()
-        if h not in step_matrices:
-            if h not in r_free:
-                r_free[h] = (E - (theta * h) * J, E + ((1.0 - theta) * h) * J)
-            implicit, explicit = r_free[h]
-            try:
-                lu = Factorization(implicit + (theta * h) * R, "step matrix")
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(f"step {k}: {exc}") from exc
-            step_matrices[h] = (lu, explicit - ((1.0 - theta) * h) * R)
-        lu, explicit = step_matrices[h]
+        a, b = theta * h, (1.0 - theta) * h
+        try:
+            if frozen_R is None:
+                if h not in step_matrices:
+                    step_matrices[h] = (Factorization(E - a * J + a * R, "step matrix"),
+                                        E + b * J - b * R)
+                lu, explicit = step_matrices[h]
+            else:
+                R = frozen_R(z)
+                if h not in frozen_steps or not frozen_steps[h].holds(R):
+                    frozen_steps[h] = _FrozenRSteps(E - a * J, E + b * J, R)
+                lu, explicit = frozen_steps[h].step(R, a, b)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"step {k}: {exc}") from exc
         Gv = G @ np.asarray(v(t[k] + 0.5 * h), dtype=float)
         Gv_step = Gv if theta == 0.5 else G @ np.asarray(v(t[k] + theta * h), dtype=float)
         z_new = lu.solve(explicit @ z + h * Gv_step)
@@ -203,10 +252,11 @@ def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None, 
     p_slice = base.state_slice("p")
 
     def frozen_R(z):
-        block = coo_array(fem.assemble_nonlinear_permeability(
+        block = fem.assemble_nonlinear_permeability(
             ops.qspace, ops.vspace, z[u_slice], kappa_fn, nu, bounds=bounds
-        ))
-        rows, cols = block.row + p_slice.start, block.col + p_slice.start
-        return csr_array((block.data, (rows, cols)), shape=base.R.shape)
+        )
+        # the block's rows and columns are the p rows and columns of R
+        indptr = np.pad(block.indptr, (p_slice.start, base.state_dim - p_slice.stop), mode="edge")
+        return csr_array((block.data, block.indices + p_slice.start, indptr), shape=base.R.shape)
 
     return _theta_run(base, z0, input, t_grid, 0.5, frozen_R)

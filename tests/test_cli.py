@@ -315,6 +315,24 @@ class TestTolerance:
         loaded = phdae.load_phdae(out)
         assert phdae.validate_structure(loaded, 1e-6).verdict
 
+    def test_tol_option_is_refused_where_no_check_reads_it(self, tmp_path, capsys):
+        cfg, out = tmp_path / "scn.json", tmp_path / "traj.csv"
+        cfg.write_text(json.dumps(scenario_doc()))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--tol", "1e-6"]) == 2
+        assert not out.exists()
+        assert "--tol applies only to check and export" in capsys.readouterr().err
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"first": scenario_doc(), "second": scenario_doc(route="coupled")}))
+        assert cli.main(["compare", "--config", str(pair), "--tol", "1e-6"]) == 2
+
+    def test_scenario_tol_is_allowed_for_every_command(self, tmp_path):
+        # one scenario file serves check, simulate and export alike
+        cfg, out = tmp_path / "scn.json", tmp_path / "traj.csv"
+        cfg.write_text(json.dumps(scenario_doc(tol=1e-6)))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists()
+
     def test_only_checks_take_a_tolerance(self):
         # a tolerance belongs to the check that reports it; every other
         # decision uses a fixed cut

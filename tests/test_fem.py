@@ -302,13 +302,13 @@ class TestNonlinearPermeability:
     def test_constant_kappa_reduces_to_laplace(self, mesh3):
         vsp, qsp = fem.vector_space(mesh3), fem.scalar_space(mesh3)
         u = np.zeros(vsp.dim)
-        A = fem.assemble_nonlinear_permeability(qsp, vsp, u, lambda xi: 2.5, nu=2.0)
+        A = fem.assemble_nonlinear_permeability(qsp, vsp, u, lambda xi: 2.5, nu=2.0).toarray()
         assert np.array_equal(A, fem.assemble_laplace(qsp, 2.5 / 2.0))
 
     def test_zero_displacement_uses_kappa_at_zero(self, mesh3):
         vsp, qsp = fem.vector_space(mesh3), fem.scalar_space(mesh3)
         kappa = lambda xi: 1.0 + xi * xi
-        A = fem.assemble_nonlinear_permeability(qsp, vsp, np.zeros(vsp.dim), kappa, nu=1.0)
+        A = fem.assemble_nonlinear_permeability(qsp, vsp, np.zeros(vsp.dim), kappa, nu=1.0).toarray()
         assert np.array_equal(A, fem.assemble_laplace(qsp, 1.0))
 
     def test_definite_for_bounded_kappa(self, mesh3):
@@ -317,7 +317,7 @@ class TestNonlinearPermeability:
         u = rng.standard_normal(vsp.dim)
         kappa = lambda xi: 1.0 + 0.5 * np.sin(7.0 * xi)
         A = fem.assemble_nonlinear_permeability(qsp, vsp, u, kappa, nu=1.0,
-                                                bounds=(0.5, 1.5))
+                                                bounds=(0.5, 1.5)).toarray()
         assert numkit.psd_check(A).verdict == "positive_definite"
 
     def test_nonpositive_kappa_rejected(self, mesh3):
@@ -422,7 +422,7 @@ class TestBatchedKernels:
                 fem.assemble_mass(qsp, 1.7), fem.assemble_mass(vsp, 0.3),
                 fem.assemble_laplace(qsp, 0.9), fem.assemble_elasticity(vsp, 1.2, 0.8),
                 fem.assemble_divergence_coupling(vsp, qsp, 1.4),
-                fem.assemble_nonlinear_permeability(qsp, vsp, u, lambda xi: 1.0 + xi * xi, 1.3),
+                fem.assemble_nonlinear_permeability(qsp, vsp, u, lambda xi: 1.0 + xi * xi, 1.3).toarray(),
                 fem.elementwise_divergence(vsp, u),
                 fem.assemble_load(vsp, lambda x, y: (np.sin(3 * x), x - y)),
             ]
@@ -454,3 +454,51 @@ class TestFirstViolatingElement:
                            match=r"permeability 5\.000e\+00 leaves the declared bounds"):
             fem.assemble_nonlinear_permeability(qsp, vsp, u, kappa, nu=1.0,
                                                 bounds=(0.5, 1.5))
+
+
+class TestPermeabilityCsr:
+    """The nonlinear permeability block is CSR on the structural P1 stencil."""
+
+    @staticmethod
+    def jittered(n, rng):
+        # inexact entries, so that the sums' rounding depends on their order
+        grid = fem.build_unit_square_mesh(n)
+        jitter = rng.uniform(-0.05 / n, 0.05 / n, grid.nodes.shape)
+        jitter[grid.boundary_nodes] = 0.0
+        return fem.Mesh2D(grid.nodes + jitter, grid.triangles, grid.boundary_nodes, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_dense_element_order_sum(self, n):
+        rng = np.random.default_rng(30 + n)
+        mesh = self.jittered(n, rng)
+        qsp, vsp = fem.scalar_space(mesh), fem.vector_space(mesh)
+        u = rng.standard_normal(vsp.dim)
+        kappa = lambda xi: 1.0 + 0.3 * np.sin(5.0 * xi)
+        A = fem.assemble_nonlinear_permeability(qsp, vsp, u, kappa, nu=1.3)
+        coeff = np.array([kappa(d) for d in fem.elementwise_divergence(vsp, u)]) / 1.3
+        local = fem.element_stiffness(mesh.nodes[mesh.triangles], coeff)
+        assert A.format == "csr" and A.shape == (qsp.dim, qsp.dim)
+        assert np.array_equal(A.toarray(), _loop_assemble(qsp, qsp, local))
+
+    def test_pattern_does_not_depend_on_the_displacement(self, mesh3):
+        rng = np.random.default_rng(35)
+        vsp, qsp = fem.vector_space(mesh3), fem.scalar_space(mesh3)
+        kappa = lambda xi: 1.0 + xi * xi
+        first, second = (fem.assemble_nonlinear_permeability(qsp, vsp, u, kappa, nu=1.0)
+                         for u in (np.zeros(vsp.dim), rng.standard_normal(vsp.dim)))
+        assert not np.array_equal(first.data, second.data)
+        assert np.array_equal(first.indptr, second.indptr)
+        assert np.array_equal(first.indices, second.indices)
+        # the stencil keeps the entries whose element sums vanish
+        assert first.nnz > np.count_nonzero(first.toarray())
+
+    def test_bound_violation_messages(self, mesh3):
+        vsp, qsp = fem.vector_space(mesh3), fem.scalar_space(mesh3)
+        u = np.zeros(vsp.dim)
+        with pytest.raises(BoundViolationError) as info:
+            fem.assemble_nonlinear_permeability(qsp, vsp, u, lambda xi: -0.0, nu=1.0)
+        assert str(info.value) == "permeability -0.0 at dilatation 0.000e+00 is not positive"
+        with pytest.raises(BoundViolationError) as info:
+            fem.assemble_nonlinear_permeability(qsp, vsp, u, lambda xi: 2.0, nu=1.0,
+                                                bounds=(0.5, 1.5))
+        assert str(info.value) == "permeability 2.000e+00 leaves the declared bounds (0.5, 1.5)"

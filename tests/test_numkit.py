@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array, csr_array
 
-from phporo import fem, numkit
+from phporo import fem, formulations, numkit
 from phporo.numkit import (
     INDEFINITE,
     POSITIVE_DEFINITE,
@@ -322,3 +322,63 @@ class TestFactorization:
                       if isinstance(fn, ast.FunctionDef)
                       and "splu(" in ast.get_source_segment(text, fn)]
         assert found == ["numkit.py", "numkit.py:lu_factor"]
+
+
+class TestKeptOrder:
+    """``Factorization(A, order=...)`` with the order of an earlier
+    factorization of the same pattern: natural ordering, same factor."""
+
+    def nonlinear_step_matrices(self, ops, count=4, h=0.05):
+        # the semi-implicit kappa(div u) step matrices E - h/2 (J - R(u)) at n = 3
+        base = formulations.build_full_first_order(ops)
+        u, p = base.state_slice("u"), base.state_slice("p")
+        rng = np.random.default_rng(21)
+        matrices = []
+        for _ in range(count):
+            R = np.zeros_like(base.R)
+            R[p, p] = fem.assemble_nonlinear_permeability(
+                ops.qspace, ops.vspace, rng.standard_normal(ops.dim_u),
+                lambda xi: 1.0 + xi * xi, ops.materials[0].nu).toarray()
+            matrices.append(csr_array(base.E - 0.5 * h * (base.J - R)))
+        return matrices
+
+    def pivoting_matrices(self, n=40, count=4):
+        # nonsymmetric, one pattern, small diagonal: partial pivoting swaps rows
+        rng = np.random.default_rng(22)
+        mask = (rng.uniform(size=(n, n)) < 0.1) | np.eye(n, dtype=bool)
+        matrices = []
+        for _ in range(count):
+            M = np.where(mask, rng.standard_normal((n, n)), 0.0)
+            M[np.diag_indices(n)] *= 1e-3
+            matrices.append(csc_array(M))
+        return matrices
+
+    @pytest.mark.parametrize("family", ["nonlinear_step", "pivoting"])
+    def test_kept_order_solves_bit_for_bit(self, ops3, family):
+        matrices = (self.nonlinear_step_matrices(ops3) if family == "nonlinear_step"
+                    else self.pivoting_matrices())
+        if family == "pivoting":
+            assert all(not np.array_equal(lu.perm_r, lu.perm_c)
+                       for lu in map(numkit.lu_factor, matrices))
+        first = numkit.Factorization(matrices[0])
+        rng = np.random.default_rng(23)
+        b = rng.standard_normal(first.size)
+        B = rng.standard_normal((first.size, 3))
+        for A in matrices:
+            fresh = numkit.Factorization(A)
+            kept = numkit.Factorization(A, order=first.order)
+            assert np.array_equal(fresh.order, first.order)
+            assert np.array_equal(kept.order, first.order)
+            assert np.array_equal(kept.solve(b), fresh.solve(b))
+            assert np.array_equal(kept.solve(B), fresh.solve(B))
+        assert np.linalg.norm(A @ kept.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("M", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3)),
+                                   np.diag([1.0, 1e-14]), np.diag([1e-14, 1.0, 1.0])])
+    def test_kept_order_raises_the_same_singularity_error(self, M):
+        prefix = "^step matrix numerically singular"
+        with pytest.raises(SingularMatrixError, match=prefix):
+            numkit.Factorization(M, "step matrix")
+        for order in (np.arange(len(M)), np.arange(len(M))[::-1]):
+            with pytest.raises(SingularMatrixError, match=prefix):
+                numkit.Factorization(csr_array(M), "step matrix", order=order)
