@@ -17,7 +17,7 @@ densities and G v is the assembled load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import eigh
@@ -357,15 +357,7 @@ class EllipticityReport:
     bound_satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "min_sym_eigenvalue": self.min_sym_eigenvalue,
-            "elliptic": self.elliptic,
-            "ellipticity_constant": self.ellipticity_constant,
-            "embedding_constant_sq": self.embedding_constant_sq,
-            "max_offdiag_rate": self.max_offdiag_rate,
-            "sufficient_bound": self.sufficient_bound,
-            "bound_satisfied": self.bound_satisfied,
-        }
+        return asdict(self)
 
 
 def check_network_ellipticity(ops: DiscreteOperators,

@@ -6,10 +6,12 @@ The result stays dissipative iff R - G F_sym G^T remains positive
 semidefinite, which is checked eagerly.
 
 The couple_* constructors rebuild the poroelastic formulations out of their
-physical subsystems.  Because inputs follow the nodal-density convention
-(G carries mass matrices), the discrete feedback gains are the mass-weighted
-representations M^-1 (coupling block) M^-1 of the underlying operators; the
-closed-loop matrices then agree entrywise with the direct builders.
+physical subsystems.  Beside its driven nodal-density port (G carries a mass
+matrix), every subsystem has a coupling port whose G is the identity on the
+rows it couples, so the coupling acts on assembled loads.  These ports are
+closed with the coupling operators themselves, [[0, D^T], [-D, -B kron M_p]],
+and the closed-loop E, J and R equal the direct builders exactly, with their
+sparsity.
 """
 
 from __future__ import annotations
@@ -17,18 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import numkit
-from .formulations import (
-    DiscreteOperators,
-    NetworkCoupling,
-    blocked_unit_mass,
-    stacked_coupling,
-)
+from .formulations import DiscreteOperators, NetworkCoupling, stacked_coupling
 from .numkit import StructureError
 from .phdae import PhDae, validate_structure
 
-RESIDUAL_PORT = "vp"  # pressure port consumed by the coupling, never driven
+COUPLING_PORT = "coupling"  # load-space port closed by the coupling, never driven
 
 
 @dataclass(frozen=True)
@@ -54,11 +52,14 @@ class FeedbackLaw:
 
 
 def aggregate(*systems: PhDae) -> PhDae:
-    """Uncoupled juxtaposition: block-diagonal matrices, additive energy."""
+    """Uncoupled juxtaposition: block-diagonal matrices, additive energy.
+
+    Built unvalidated: the parts were validated when they were built."""
     return PhDae(
         *(numkit.block_diag(*(getattr(s, name) for s in systems)) for name in "EJRG"),
         state_blocks=sum((s.state_blocks for s in systems), ()),
         input_blocks=sum((s.input_blocks for s in systems), ()),
+        validate=False,
     )
 
 
@@ -68,8 +69,9 @@ def close_loop(sys: PhDae, law: FeedbackLaw) -> PhDae:
         raise ValueError(
             f"feedback gain size {law.size} does not match input dimension {sys.input_dim}"
         )
-    return PhDae(sys.E, sys.J + sys.G @ law.skew @ sys.G.T, sys.R - sys.G @ law.sym @ sys.G.T,
-                 sys.G, state_blocks=sys.state_blocks, input_blocks=sys.input_blocks,
+    G = csr_array(sys.G)
+    return PhDae(sys.E, sys.J + G @ law.skew @ G.T, sys.R - G @ law.sym @ G.T, sys.G,
+                 state_blocks=sys.state_blocks, input_blocks=sys.input_blocks,
                  validate=False)
 
 
@@ -87,7 +89,7 @@ def feedback(sys: PhDae, law: FeedbackLaw) -> PhDae:
 
 
 # ---------------------------------------------------------------------------
-# Physical subsystems
+# Physical subsystems: a driven nodal-density port and a coupling port each
 # ---------------------------------------------------------------------------
 
 def _hyperbolic_subsystem(ops: DiscreteOperators) -> PhDae:
@@ -97,11 +99,12 @@ def _hyperbolic_subsystem(ops: DiscreteOperators) -> PhDae:
     J = np.zeros((2 * du, 2 * du))
     J[:du, du:] = -ka
     J[du:, :du] = ka
-    G = np.zeros((2 * du, du))
-    G[:du, :] = ops.mass_u
+    G = np.zeros((2 * du, 2 * du))
+    G[:du, :du] = ops.mass_u
+    G[:du, du:] = np.eye(du)
     return PhDae(
         numkit.block_diag(ops.mass_rho, ka), J, np.zeros((2 * du, 2 * du)), G,
-        state_blocks=(("w", du), ("u", du)), input_blocks=(("f", du),),
+        state_blocks=(("w", du), ("u", du)), input_blocks=(("f", du), (COUPLING_PORT, du)),
     )
 
 
@@ -110,8 +113,9 @@ def _parabolic_subsystem(ops: DiscreteOperators, network: int) -> PhDae:
     dp = ops.dim_p
     label = "p" if ops.networks == 1 else f"p{network + 1}"
     return PhDae(
-        ops.mass_storage, np.zeros((dp, dp)), ops.stiff_flow[network], ops.mass_p,
-        state_blocks=((label, dp),), input_blocks=(("g", dp),),
+        ops.mass_storage, np.zeros((dp, dp)), ops.stiff_flow[network],
+        np.hstack([ops.mass_p, np.eye(dp)]),
+        state_blocks=((label, dp),), input_blocks=(("g", dp), (COUPLING_PORT, dp)),
     )
 
 
@@ -119,13 +123,15 @@ def _elliptic_subsystem(ops: DiscreteOperators) -> PhDae:
     """Static elastic body: purely resistive, zero stored energy."""
     du = ops.dim_u
     return PhDae(
-        np.zeros((du, du)), np.zeros((du, du)), ops.stiff_elast, ops.mass_u,
-        state_blocks=(("u", du),), input_blocks=(("f", du),),
+        np.zeros((du, du)), np.zeros((du, du)), ops.stiff_elast,
+        np.hstack([ops.mass_u, np.eye(du)]),
+        state_blocks=(("u", du),), input_blocks=(("f", du), (COUPLING_PORT, du)),
     )
 
 
 def _flux_potential_subsystem(ops: DiscreteOperators) -> PhDae:
-    """Pressure/auxiliary pair (p, q) with energy carried by the flow operator."""
+    """Pressure/auxiliary pair (p, q) with energy carried by the flow operator;
+    the coupling port acts on the p rows, the driven port on the q rows."""
     dp = ops.dim_p
     kk = ops.stiff_flow[0]
     E = numkit.block_diag(np.zeros((dp, dp)), kk)
@@ -133,22 +139,29 @@ def _flux_potential_subsystem(ops: DiscreteOperators) -> PhDae:
     J[:dp, dp:] = kk
     J[dp:, :dp] = -kk
     R = numkit.block_diag(ops.mass_storage, np.zeros((dp, dp)))
-    G = numkit.block_diag(ops.mass_p, ops.mass_p)
+    G = numkit.block_diag(np.eye(dp), ops.mass_p)
     return PhDae(E, J, R, G, state_blocks=(("p", dp), ("q", dp)),
-                 input_blocks=((RESIDUAL_PORT, dp), ("g", dp)))
+                 input_blocks=((COUPLING_PORT, dp), ("g", dp)))
 
 
-def _divergence_gain(ops: DiscreteOperators, size: int) -> np.ndarray:
-    """size x size gain whose skew block couples the f port with the m pressure
-    ports after it through M_u^-1 D^T M_p^-1, the mass-weighted divergence."""
+def _coupling_mask(sys: PhDae) -> np.ndarray:
+    """True on the input columns of the coupling ports."""
+    return np.array([name == COUPLING_PORT for name, size in sys.input_blocks
+                     for _ in range(size)], dtype=bool)
+
+
+def _close_coupling_ports(ops: DiscreteOperators, exchange: np.ndarray, sys: PhDae) -> PhDae:
+    """Close the coupling ports of an aggregate of subsystems, the elastic
+    one first, with [[0, D^T], [-D, -B kron M_p]].  It takes the aggregate,
+    not its parts, so that the parts are freed before the loop is closed."""
+    ports = np.flatnonzero(_coupling_mask(sys))
+    u, p = ports[: ops.dim_u], ports[ops.dim_u :]
     dbar = stacked_coupling(ops)
-    du, mdp = ops.dim_u, dbar.shape[0]
-    F = np.zeros((size, size))
-    if dbar.size:
-        f_up = numkit.solve(ops.mass_u, numkit.solve(blocked_unit_mass(ops), dbar).T)
-        F[:du, du : du + mdp] = f_up
-        F[du : du + mdp, :du] = -f_up.T
-    return F
+    F = np.zeros((sys.input_dim, sys.input_dim))
+    F[np.ix_(u, p)] = dbar.T
+    F[np.ix_(p, u)] = -dbar
+    F[np.ix_(p, p)] = np.kron(-exchange, ops.mass_p)
+    return feedback(sys, FeedbackLaw(F))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,7 @@ def _divergence_gain(ops: DiscreteOperators, size: int) -> np.ndarray:
 
 def couple_two_field(ops: DiscreteOperators) -> PhDae:
     """Skew coupling of the elastic and pressure subsystems; equals the
-    first-order builder entrywise."""
+    first-order builder exactly."""
     if ops.networks != 1:
         raise ValueError("two-field coupling needs a single network")
     return couple_network(ops, NetworkCoupling(np.zeros((1, 1))))
@@ -165,18 +178,18 @@ def couple_two_field(ops: DiscreteOperators) -> PhDae:
 
 def couple_alt_qs(ops: DiscreteOperators) -> PhDae:
     """Skew coupling of the static body with the (p, q) pair; equals the
-    auxiliary-variable builder entrywise (its pressure port stays residual)."""
+    auxiliary-variable builder exactly."""
     if ops.networks != 1:
         raise ValueError("the auxiliary-variable coupling needs a single network")
     if numkit.symmetry_defect(ops.stiff_flow[0]) > numkit.default_tol(ops.stiff_flow[0]):
         raise StructureError("the auxiliary-variable coupling needs a symmetric flow operator")
-    agg = aggregate(_elliptic_subsystem(ops), _flux_potential_subsystem(ops))
-    return feedback(agg, FeedbackLaw(_divergence_gain(ops, agg.input_dim)))
+    return _close_coupling_ports(
+        ops, np.zeros((1, 1)), aggregate(_elliptic_subsystem(ops), _flux_potential_subsystem(ops)))
 
 
 def couple_network(ops: DiscreteOperators, coupling: NetworkCoupling) -> PhDae:
     """Couple the elastic body with m pressure networks through the divergence
-    gains and the exchange-rate block; equals the network builder entrywise.
+    and the exchange-rate block; equals the network builder exactly.
 
     The exchange block enters the feedback with a negative sign so that the
     closed loop reproduces the coupled flow operator; its symmetric part then
@@ -185,35 +198,19 @@ def couple_network(ops: DiscreteOperators, coupling: NetworkCoupling) -> PhDae:
     """
     if coupling.size != ops.networks:
         raise ValueError("coupling dimension does not match the operator bundle")
-    sys = aggregate(_hyperbolic_subsystem(ops),
-                    *(_parabolic_subsystem(ops, i) for i in range(ops.networks)))
-    du, dp = ops.dim_u, ops.dim_p
-    mp_inv = numkit.solve(ops.mass_p, np.eye(dp)) if dp else np.zeros((0, 0))
-    F = _divergence_gain(ops, sys.input_dim)
-    F[du:, du:] = -np.kron(coupling.exchange, mp_inv)
-    return feedback(sys, FeedbackLaw(F))
+    return _close_coupling_ports(ops, coupling.exchange, aggregate(
+        _hyperbolic_subsystem(ops), *(_parabolic_subsystem(ops, i) for i in range(ops.networks))))
 
 
 # ---------------------------------------------------------------------------
 # Deviation report between a coupled system and its direct counterpart
 # ---------------------------------------------------------------------------
 
-def _external_input_columns(sys: PhDae) -> np.ndarray:
-    cols = []
-    start = 0
-    for name, size in sys.input_blocks:
-        if name != RESIDUAL_PORT:
-            cols.extend(range(start, start + size))
-        start += size
-    return np.array(cols, dtype=int)
-
-
 def coupling_deviation(coupled: PhDae, direct: PhDae) -> dict:
     """Entrywise max deviations (relative to the direct system's scale).
 
-    G is compared on the externally driven ports only: the coupling consumes
-    the pressure port of the (p, q) subsystem, which has no counterpart in
-    the direct builder.
+    G is compared on the driven ports only: the coupling ports have no
+    counterpart in the direct builder.
     """
     if coupled.state_dim != direct.state_dim:
         raise ValueError("systems have different state dimensions")
@@ -222,8 +219,7 @@ def coupling_deviation(coupled: PhDae, direct: PhDae) -> dict:
         a, b = getattr(coupled, name), getattr(direct, name)
         scale = max(float(np.max(np.abs(b))) if b.size else 0.0, 1.0)
         out[name] = float(np.max(np.abs(a - b)) / scale) if b.size else 0.0
-    g_cols = _external_input_columns(coupled)
-    ga = coupled.G[:, g_cols] if g_cols.size else coupled.G[:, :0]
+    ga = coupled.G[:, ~_coupling_mask(coupled)]
     gb = direct.G
     if ga.shape != gb.shape:
         raise ValueError(f"driven input ports {ga.shape} do not match direct G {gb.shape}")

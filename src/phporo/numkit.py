@@ -13,11 +13,11 @@ certifies, and by the dense spectrum of ``psd_check`` everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import block_diag  # noqa: F401  (re-exported)
-from scipy.sparse import csc_array, issparse
+from scipy.sparse import coo_array, csc_array, issparse
 from scipy.sparse.linalg import splu
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -119,12 +119,7 @@ class SpectralReport:
         return self.verdict in (POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE)
 
     def to_dict(self) -> dict:
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "max_eigenvalue": self.max_eigenvalue,
-            "max_asymmetry": self.max_asymmetry,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def psd_check(M, tol: float | None = None, require_symmetric: bool = True) -> SpectralReport:
@@ -315,34 +310,27 @@ def solve(M, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# MatrixMarket import/export (coordinate and dense array formats)
+# MatrixMarket export (coordinate format) and import (coordinate or array)
 # ---------------------------------------------------------------------------
 # scipy.io is imported on use: importing it with the package would slow
 # every start-up for the few commands that write or read files.
 
-_MM_FORMATS = ("coordinate", "array")
-
-
-def write_matrix_market(path, M, fmt: str = "coordinate") -> None:
-    """Write M in MatrixMarket format (real general, 17 significant digits)."""
+def write_matrix_market(path, M) -> None:
+    """Write M in MatrixMarket coordinate format (real general, 17
+    significant digits)."""
     from scipy.io import mmwrite
-    from scipy.sparse import coo_array
 
-    A = as_matrix(M)
-    if fmt not in _MM_FORMATS:
-        raise ValueError(f"unknown MatrixMarket format {fmt!r}")
     # an open file keeps mmwrite from appending ".mtx" to the path
     with open(path, "wb") as fh:
-        mmwrite(fh, coo_array(A) if fmt == "coordinate" else A,
-                precision=17, symmetry="general")
+        mmwrite(fh, coo_array(as_matrix(M)), precision=17, symmetry="general")
 
 
 def read_matrix_market(path) -> np.ndarray:
-    """Read a real general MatrixMarket file written in either format."""
+    """Read a real general MatrixMarket file in coordinate or array format."""
     from scipy.io import mminfo, mmread
 
     _, _, _, fmt, field, symmetry = mminfo(path)
-    if fmt not in _MM_FORMATS or field != "real" or symmetry != "general":
+    if fmt not in ("coordinate", "array") or field != "real" or symmetry != "general":
         raise ValueError(f"unsupported MatrixMarket header: {fmt} {field} {symmetry}")
     A = mmread(path)
     return A.toarray() if fmt == "coordinate" else A

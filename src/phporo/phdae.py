@@ -43,10 +43,13 @@ def _block_slice(blocks, label: str) -> slice:
 class PhDae:
     """Immutable quadruple (E, J, R, G) with optional state/input block labels.
 
-    Structure is validated eagerly at default tolerances; ``validate=False``
-    exists only so that deliberately broken systems can be built for negative
-    checks.  The report is kept, so validating again at the same tolerance is
-    free; so are the certificates of E and R (see ``certificate``).
+    Structure is validated eagerly at default tolerances.  ``validate=False``
+    defers that: to compositions whose parts were validated when built
+    (``interconnect.aggregate``, ``close_loop``), to ``load_phdae``, which
+    validates at the recorded tolerance, and to negative checks that build
+    deliberately broken systems.  The report is kept, so validating again at
+    the same tolerance is free; so are the certificates of E and R (see
+    ``certificate``).
     """
 
     def __init__(self, E, J, R, G, state_blocks=None, input_blocks=None,
@@ -263,7 +266,7 @@ def save_phdae(sys: PhDae, directory, tol: float | None = None) -> None:
         fh.write("\n")
 
 
-def load_phdae(directory, validate: bool = True) -> PhDae:
+def load_phdae(directory) -> PhDae:
     """Read a ``save_phdae`` directory, validated at its recorded ``tol``."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -275,6 +278,5 @@ def load_phdae(directory, validate: bool = True) -> PhDae:
         input_blocks=[tuple(b) for b in manifest["input_blocks"]],
         validate=False,
     )
-    if validate:
-        validate_structure(sys, manifest.get("validation_tol")).require()
+    validate_structure(sys, manifest.get("validation_tol")).require()
     return sys

@@ -191,10 +191,10 @@ class TestCoupleNetwork:
             interconnect.couple_network(ops, Bbig)
 
 
-@pytest.mark.parametrize("route, expected", [("network", 12), ("two_field", 8)])
+@pytest.mark.parametrize("route, expected", [("network", 10), ("two_field", 6)])
 def test_each_coupled_system_is_validated_once(monkeypatch, route, expected):
-    # E and R are certified once for each subsystem, once for their one
-    # aggregate and once for the closed loop
+    # E and R are certified once for each subsystem and once for the closed
+    # loop; the aggregate between them is built unvalidated
     if route == "network":
         ops, B = make_network_ops(4, m=3, symmetric=False, seed=5)
         couple = lambda: interconnect.couple_network(ops, B)
@@ -207,3 +207,47 @@ def test_each_coupled_system_is_validated_once(monkeypatch, route, expected):
                         lambda *args, **kwargs: calls.append(1) or certify(*args, **kwargs))
     couple()
     assert len(calls) == expected
+
+
+ROUTES = ["two_field", "alt_qs"] + [f"network_{m}_{kind}" for m in (2, 3)
+                                    for kind in ("symmetric", "nonsymmetric")]
+
+
+def coupled_and_direct(route, n):
+    """The coupled system of a route and its direct builder's system."""
+    if route == "two_field":
+        ops = make_ops(n)
+        return interconnect.couple_two_field(ops), formulations.build_full_first_order(ops)
+    if route == "alt_qs":
+        ops = make_ops(n, rho=0.0)
+        return interconnect.couple_alt_qs(ops), formulations.build_alternative_qs(ops)
+    _, m, kind = route.split("_")
+    ops, B = make_network_ops(n, m=int(m), symmetric=kind == "symmetric", seed=5)
+    return interconnect.couple_network(ops, B), formulations.build_network_ph(ops, B)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("route", ROUTES)
+def test_coupled_system_equals_direct_builder(route, n):
+    coupled, direct = coupled_and_direct(route, n)
+    for name in ("E", "J", "R"):
+        assert np.array_equal(getattr(coupled, name), getattr(direct, name))
+    labels = np.repeat([name for name, _ in coupled.input_blocks],
+                       [size for _, size in coupled.input_blocks])
+    assert np.array_equal(coupled.G[:, labels != interconnect.COUPLING_PORT], direct.G)
+    assert set(interconnect.coupling_deviation(coupled, direct).values()) == {0.0}
+
+
+def test_couplings_factor_no_matrix(monkeypatch):
+    ops, qs = make_ops(3), make_ops(3, rho=0.0)
+    net_ops, B = make_network_ops(3, m=2, symmetric=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coupling solved a linear system")
+
+    monkeypatch.setattr(numkit, "Factorization", refuse)
+    monkeypatch.setattr(numkit, "solve", refuse)
+    # the certificates factor through lu_factor, so validation still runs
+    for coupled in (interconnect.couple_two_field(ops), interconnect.couple_alt_qs(qs),
+                    interconnect.couple_network(net_ops, B)):
+        assert phdae.validate_structure(coupled).verdict
