@@ -59,35 +59,38 @@ def classify_index(E, A) -> IndexReport:
     the index is 0 for empty Z, else 1 when A[Z, Z] is nonsingular (the
     certificate proves the symmetric part of -A[Z, Z] positive definite,
     whatever its scaling, or it passes ``Factorization``) and at least 2
-    otherwise.  Without a certificate of E, or when the first factorization
-    fails, ``classify_index_dense`` decides.
+    otherwise.  All of this runs on the CSR of E and A.  Without a
+    certificate of E, or when the first factorization fails,
+    ``classify_index_dense`` decides.
     """
-    E, A = _pencil(E, A)
-    return _classify(E, A, numkit.psd_certificate(E))
+    E, A = numkit.as_csr(E), numkit.as_csr(A)
+    _require_pencil(E, A)
+    return _classify(E, A, numkit.psd_certificate(E), lambda: classify_index_dense(E, A))
 
 
 def classify_phdae_index(sys: PhDae) -> IndexReport:
     """Classify a descriptor system through its drift pair (E, J - R),
-    reusing the system's certificate of E."""
-    return _classify(sys.E, sys.drift(), certificate(sys, "E"))
+    reusing the system's certificate of E; the dense test, if needed, reads
+    the system's dense views."""
+    return _classify(sys.csr.E, sys.drift(), certificate(sys, "E"),
+                     lambda: classify_index_dense(sys.E, sys.J - sys.R))
 
 
-def _pencil(E, A) -> tuple[np.ndarray, np.ndarray]:
-    E = numkit.as_matrix(E)
-    A = numkit.as_matrix(A)
+def _require_pencil(E, A) -> None:
     if E.shape != A.shape or E.shape[0] != E.shape[1]:
         raise ValueError(f"E and A must be square of equal size, got {E.shape} and {A.shape}")
-    return E, A
 
 
-def _classify(E: np.ndarray, A: np.ndarray, zero_rows: np.ndarray | None) -> IndexReport:
+def _classify(E, A, zero_rows: np.ndarray | None, dense) -> IndexReport:
+    """Index of the CSR pencil (E, A) given ``zero_rows = psd_certificate(E)``;
+    ``dense()`` runs the dense test where the certificate cannot decide."""
     if zero_rows is None:
-        return classify_index_dense(E, A)
+        return dense()
     try:
         numkit.Factorization(_REGULARITY_SHIFT * E - A)
     except SingularMatrixError:
         # the dense test decides, and raises if the pencil is singular
-        return classify_index_dense(E, A)
+        return dense()
     rank = E.shape[0] - zero_rows.size
     if not zero_rows.size:
         return IndexReport(0, rank, None)
@@ -103,7 +106,8 @@ def _classify(E: np.ndarray, A: np.ndarray, zero_rows: np.ndarray | None) -> Ind
 
 
 def classify_index_dense(E, A) -> IndexReport:
-    """Dense index classification, for an uncertified E and as test oracle.
+    """Dense index classification, for an uncertified E and as test oracle;
+    sparse E and A are densified.
 
     Regularity is decided by one SVD of lambda E - A at a fixed lambda > 0;
     a singular pencil (singular values down to 1e-10 times the largest, at
@@ -117,7 +121,8 @@ def classify_index_dense(E, A) -> IndexReport:
     singular value of W^T A V, the kernel test value, exceeds
     ``1e-10 * max(1, ||A||_2)``.
     """
-    E, A = _pencil(E, A)
+    E, A = numkit.as_matrix(E), numkit.as_matrix(A)
+    _require_pencil(E, A)
     n = E.shape[0]
     if n == 0:
         return IndexReport(0, 0, None)
@@ -206,20 +211,15 @@ def nonaugmented_quasi_static_pencil(ops: DiscreteOperators,
 
     This is the form without the auxiliary velocity state: the time
     derivative of u enters only through the divergence coupling, so E is the
-    rectangular-looking block [[0, 0], [D, M]] and A = [[-K_A, D^T], [0, -K]].
+    rectangular-looking block [[0, 0], [D, M]] and A = [[-K_A, D^T], [0, -K]],
+    both CSR.
     """
     dbar = stacked_coupling(ops)
-    mbar = blocked_storage_mass(ops)
-    kbar = kbar_matrix(ops, coupling)
     du = ops.dim_u
-    mdp = mbar.shape[0]
-    E = np.zeros((du + mdp, du + mdp))
-    E[du:, :du] = dbar
-    E[du:, du:] = mbar
-    A = np.zeros_like(E)
-    A[:du, :du] = -ops.stiff_elast
-    A[:du, du:] = dbar.T
-    A[du:, du:] = -kbar
+    n = du + dbar.shape[0]
+    E = numkit.block_csr((n, n), [(du, 0, dbar), (du, du, blocked_storage_mass(ops))])
+    A = numkit.block_csr((n, n), [(0, 0, -ops.stiff_elast), (0, du, dbar.T),
+                                  (du, du, -kbar_matrix(ops, coupling))])
     return E, A
 
 
@@ -242,6 +242,5 @@ def regularize_output_feedback(sys: PhDae, F11) -> PhDae:
     size = f_cols.stop - f_cols.start
     if F11.shape != (size, size):
         raise ValueError(f"feedback gain must be {size}x{size}, got {F11.shape}")
-    F = np.zeros((sys.input_dim, sys.input_dim))
-    F[f_cols, f_cols] = F11
+    F = numkit.block_csr((sys.input_dim, sys.input_dim), [(f_cols.start, f_cols.start, F11)])
     return close_loop(sys, FeedbackLaw(F))

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse import csr_array, eye_array
 
 from . import fem, numkit
 from .fem import FeSpace, Mesh2D, PoroMaterial
@@ -175,32 +176,29 @@ def kbar_matrix(ops: DiscreteOperators, coupling: NetworkCoupling | None = None)
     return K
 
 
-def _input_matrix(ops: DiscreteOperators) -> np.ndarray:
-    du, mdp = ops.dim_u, ops.networks * ops.dim_p
-    G = np.zeros((2 * du + mdp, du + mdp))
-    G[:du, :du] = ops.mass_u
-    G[2 * du :, du:] = blocked_unit_mass(ops)
-    return G
+def _per_network(ops: DiscreteOperators, block: np.ndarray, row: int, col: int) -> list:
+    """``numkit.block_csr`` triples of ``block`` repeated down the diagonal,
+    once per network, starting at (row, col)."""
+    dp = ops.dim_p
+    return [(row + i * dp, col + i * dp, block) for i in range(ops.networks)]
 
 
 def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None,
-                        mass_rho: np.ndarray, e_uu: np.ndarray, c_uu: np.ndarray) -> PhDae:
+                        mass_rho, e_uu, c_uu) -> PhDae:
     """State (w, u, p) with E = diag(mass_rho, e_uu, M-bar); c_uu couples w and u in J."""
-    du, dp, m = ops.dim_u, ops.dim_p, ops.networks
-    mdp = m * dp
-    kbar = kbar_matrix(ops, coupling)
-    ksym, kskew = numkit.sym_skew_split(kbar)
-    dbar = stacked_coupling(ops)
-    E = numkit.block_diag(mass_rho, e_uu, blocked_storage_mass(ops))
-    J = np.zeros((2 * du + mdp, 2 * du + mdp))
-    J[:du, du : 2 * du] = -c_uu
-    J[du : 2 * du, :du] = c_uu
-    J[:du, 2 * du :] = dbar.T
-    J[2 * du :, :du] = -dbar
-    J[2 * du :, 2 * du :] = -kskew
-    R = numkit.block_diag(np.zeros((2 * du, 2 * du)), ksym)
+    du, mdp = ops.dim_u, ops.networks * ops.dim_p
+    n = 2 * du + mdp
+    ksym, kskew = numkit.sym_skew_split(kbar_matrix(ops, coupling))
+    dbar, c_uu = numkit.as_csr(stacked_coupling(ops)), numkit.as_csr(c_uu)
+    E = numkit.block_csr((n, n), [(0, 0, mass_rho), (du, du, e_uu),
+                                  *_per_network(ops, ops.mass_storage, 2 * du, 2 * du)])
+    J = numkit.block_csr((n, n), [(0, du, -c_uu), (du, 0, c_uu), (0, 2 * du, dbar.T),
+                                  (2 * du, 0, -dbar), (2 * du, 2 * du, -kskew)])
+    R = numkit.block_csr((n, n), [(2 * du, 2 * du, ksym)])
+    G = numkit.block_csr((n, du + mdp), [(0, 0, ops.mass_u),
+                                         *_per_network(ops, ops.mass_p, 2 * du, du)])
     return PhDae(
-        E, J, R, _input_matrix(ops),
+        E, J, R, G,
         state_blocks=(("w", du), ("u", du), ("p", mdp)),
         input_blocks=(("f", du), ("g", mdp)),
     )
@@ -221,7 +219,7 @@ def build_quasi_static(ops: DiscreteOperators, coupling: NetworkCoupling | None 
     """First-order layout with the velocity mass forced to zero (singular E)."""
     if coupling is not None:
         _require_elliptic(ops, coupling)
-    return _first_order_system(ops, coupling, np.zeros_like(ops.mass_rho),
+    return _first_order_system(ops, coupling, csr_array(ops.mass_rho.shape),
                                ops.stiff_elast, ops.stiff_elast)
 
 
@@ -234,7 +232,7 @@ def build_sqrt_formulation(ops: DiscreteOperators) -> PhDae:
     if ops.networks != 1:
         raise ValueError("the square-root builder needs a single network")
     S = numkit.sqrtm_spd(ops.stiff_elast)
-    return _first_order_system(ops, None, ops.mass_rho, np.eye(ops.dim_u), S)
+    return _first_order_system(ops, None, ops.mass_rho, eye_array(ops.dim_u), S)
 
 
 def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | None = None) -> PhDae:
@@ -248,29 +246,26 @@ def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | Non
         raise StructureError(
             "the auxiliary-variable form needs symmetric exchange rates"
         )
-    kbar = kbar_matrix(ops, coupling)
+    kbar = numkit.as_csr(kbar_matrix(ops, coupling))
     defect = numkit.symmetry_defect(kbar)
     if defect > numkit.default_tol(kbar):
         raise StructureError(
             f"the auxiliary-variable form needs a symmetric flow operator "
             f"(asymmetry {defect:.3e}); nonsymmetric exchange rates are not supported"
         )
-    kbar = 0.5 * (kbar + kbar.T)
+    kbar = numkit.as_csr(0.5 * (kbar + kbar.T))
     if numkit.certified_report(kbar, numkit.psd_certificate(kbar)).verdict != POSITIVE_DEFINITE:
         raise StructureError("the flow operator must be positive definite")
     du, mdp = ops.dim_u, ops.networks * ops.dim_p
-    dbar = stacked_coupling(ops)
-    E = numkit.block_diag(np.zeros((du + mdp, du + mdp)), kbar)
-    J = np.zeros((du + 2 * mdp, du + 2 * mdp))
-    J[:du, du : du + mdp] = dbar.T
-    J[du : du + mdp, :du] = -dbar
-    J[du : du + mdp, du + mdp :] = kbar
-    J[du + mdp :, du : du + mdp] = -kbar
-    R = numkit.block_diag(ops.stiff_elast, blocked_storage_mass(ops),
-                          np.zeros((mdp, mdp)))
-    G = np.zeros((du + 2 * mdp, du + mdp))
-    G[:du, :du] = ops.mass_u
-    G[du + mdp :, du:] = blocked_unit_mass(ops)
+    n = du + 2 * mdp
+    dbar = numkit.as_csr(stacked_coupling(ops))
+    E = numkit.block_csr((n, n), [(du + mdp, du + mdp, kbar)])
+    J = numkit.block_csr((n, n), [(0, du, dbar.T), (du, 0, -dbar),
+                                  (du, du + mdp, kbar), (du + mdp, du, -kbar)])
+    R = numkit.block_csr((n, n), [(0, 0, ops.stiff_elast),
+                                  *_per_network(ops, ops.mass_storage, du, du)])
+    G = numkit.block_csr((n, du + mdp), [(0, 0, ops.mass_u),
+                                         *_per_network(ops, ops.mass_p, du + mdp, du)])
     return PhDae(
         E, J, R, G,
         state_blocks=(("u", du), ("p", mdp), ("q", mdp)),
@@ -321,7 +316,7 @@ class ParabolicReduction:
         sym, skew = numkit.sym_skew_split(self.stiff)
         mdp = self.mass.shape[0]
         return PhDae(
-            self.mass, -skew, sym, np.eye(mdp),
+            self.mass, -skew, sym, eye_array(mdp, format="csr"),
             state_blocks=(("p", mdp),), input_blocks=(("g", mdp),),
         )
 

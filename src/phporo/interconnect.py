@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import block_diag, csr_array, eye_array, kron
 
 from . import numkit
 from .formulations import DiscreteOperators, NetworkCoupling, stacked_coupling
@@ -31,14 +31,14 @@ COUPLING_PORT = "coupling"  # load-space port closed by the coupling, never driv
 
 @dataclass(frozen=True)
 class FeedbackLaw:
-    """Square output-feedback gain with cached symmetric/skew split."""
+    """Square output-feedback gain, held as CSR with its symmetric/skew split."""
 
-    F: np.ndarray
-    sym: np.ndarray = field(init=False, repr=False)
-    skew: np.ndarray = field(init=False, repr=False)
+    F: csr_array
+    sym: csr_array = field(init=False, repr=False)
+    skew: csr_array = field(init=False, repr=False)
 
     def __post_init__(self):
-        F = numkit.as_matrix(self.F)
+        F = numkit.as_csr(self.F)
         if F.shape[0] != F.shape[1]:
             raise ValueError(f"feedback gain must be square, got {F.shape}")
         sym, skew = numkit.sym_skew_split(F)
@@ -56,7 +56,7 @@ def aggregate(*systems: PhDae) -> PhDae:
 
     Built unvalidated: the parts were validated when they were built."""
     return PhDae(
-        *(numkit.block_diag(*(getattr(s, name) for s in systems)) for name in "EJRG"),
+        *(block_diag([getattr(s.csr, name) for s in systems], format="csr") for name in "EJRG"),
         state_blocks=sum((s.state_blocks for s in systems), ()),
         input_blocks=sum((s.input_blocks for s in systems), ()),
         validate=False,
@@ -64,13 +64,13 @@ def aggregate(*systems: PhDae) -> PhDae:
 
 
 def close_loop(sys: PhDae, law: FeedbackLaw) -> PhDae:
-    """The unvalidated closed loop (J + G F_skew G^T, R - G F_sym G^T)."""
+    """The unvalidated closed loop (J + G F_skew G^T, R - G F_sym G^T), sparse."""
     if law.size != sys.input_dim:
         raise ValueError(
             f"feedback gain size {law.size} does not match input dimension {sys.input_dim}"
         )
-    G = csr_array(sys.G)
-    return PhDae(sys.E, sys.J + G @ law.skew @ G.T, sys.R - G @ law.sym @ G.T, sys.G,
+    E, J, R, G = sys.csr
+    return PhDae(E, J + G @ law.skew @ G.T, R - G @ law.sym @ G.T, G,
                  state_blocks=sys.state_blocks, input_blocks=sys.input_blocks,
                  validate=False)
 
@@ -95,15 +95,13 @@ def feedback(sys: PhDae, law: FeedbackLaw) -> PhDae:
 def _hyperbolic_subsystem(ops: DiscreteOperators) -> PhDae:
     """Elastic body with velocity state: E = diag(mass_rho, K_A), lossless."""
     du = ops.dim_u
-    ka = ops.stiff_elast
-    J = np.zeros((2 * du, 2 * du))
-    J[:du, du:] = -ka
-    J[du:, :du] = ka
-    G = np.zeros((2 * du, 2 * du))
-    G[:du, :du] = ops.mass_u
-    G[:du, du:] = np.eye(du)
+    ka = numkit.as_csr(ops.stiff_elast)
+    shape = (2 * du, 2 * du)
     return PhDae(
-        numkit.block_diag(ops.mass_rho, ka), J, np.zeros((2 * du, 2 * du)), G,
+        numkit.block_csr(shape, [(0, 0, ops.mass_rho), (du, du, ka)]),
+        numkit.block_csr(shape, [(0, du, -ka), (du, 0, ka)]),
+        csr_array(shape),
+        numkit.block_csr(shape, [(0, 0, ops.mass_u), (0, du, eye_array(du))]),
         state_blocks=(("w", du), ("u", du)), input_blocks=(("f", du), (COUPLING_PORT, du)),
     )
 
@@ -113,8 +111,8 @@ def _parabolic_subsystem(ops: DiscreteOperators, network: int) -> PhDae:
     dp = ops.dim_p
     label = "p" if ops.networks == 1 else f"p{network + 1}"
     return PhDae(
-        ops.mass_storage, np.zeros((dp, dp)), ops.stiff_flow[network],
-        np.hstack([ops.mass_p, np.eye(dp)]),
+        ops.mass_storage, csr_array((dp, dp)), ops.stiff_flow[network],
+        numkit.block_csr((dp, 2 * dp), [(0, 0, ops.mass_p), (0, dp, eye_array(dp))]),
         state_blocks=((label, dp),), input_blocks=(("g", dp), (COUPLING_PORT, dp)),
     )
 
@@ -123,8 +121,8 @@ def _elliptic_subsystem(ops: DiscreteOperators) -> PhDae:
     """Static elastic body: purely resistive, zero stored energy."""
     du = ops.dim_u
     return PhDae(
-        np.zeros((du, du)), np.zeros((du, du)), ops.stiff_elast,
-        np.hstack([ops.mass_u, np.eye(du)]),
+        csr_array((du, du)), csr_array((du, du)), ops.stiff_elast,
+        numkit.block_csr((du, 2 * du), [(0, 0, ops.mass_u), (0, du, eye_array(du))]),
         state_blocks=(("u", du),), input_blocks=(("f", du), (COUPLING_PORT, du)),
     )
 
@@ -133,15 +131,15 @@ def _flux_potential_subsystem(ops: DiscreteOperators) -> PhDae:
     """Pressure/auxiliary pair (p, q) with energy carried by the flow operator;
     the coupling port acts on the p rows, the driven port on the q rows."""
     dp = ops.dim_p
-    kk = ops.stiff_flow[0]
-    E = numkit.block_diag(np.zeros((dp, dp)), kk)
-    J = np.zeros((2 * dp, 2 * dp))
-    J[:dp, dp:] = kk
-    J[dp:, :dp] = -kk
-    R = numkit.block_diag(ops.mass_storage, np.zeros((dp, dp)))
-    G = numkit.block_diag(np.eye(dp), ops.mass_p)
-    return PhDae(E, J, R, G, state_blocks=(("p", dp), ("q", dp)),
-                 input_blocks=((COUPLING_PORT, dp), ("g", dp)))
+    kk = numkit.as_csr(ops.stiff_flow[0])
+    shape = (2 * dp, 2 * dp)
+    return PhDae(
+        numkit.block_csr(shape, [(dp, dp, kk)]),
+        numkit.block_csr(shape, [(0, dp, kk), (dp, 0, -kk)]),
+        numkit.block_csr(shape, [(0, 0, ops.mass_storage)]),
+        numkit.block_csr(shape, [(0, 0, eye_array(dp)), (dp, dp, ops.mass_p)]),
+        state_blocks=(("p", dp), ("q", dp)), input_blocks=((COUPLING_PORT, dp), ("g", dp)),
+    )
 
 
 def _coupling_mask(sys: PhDae) -> np.ndarray:
@@ -156,11 +154,12 @@ def _close_coupling_ports(ops: DiscreteOperators, exchange: np.ndarray, sys: PhD
     not its parts, so that the parts are freed before the loop is closed."""
     ports = np.flatnonzero(_coupling_mask(sys))
     u, p = ports[: ops.dim_u], ports[ops.dim_u :]
-    dbar = stacked_coupling(ops)
-    F = np.zeros((sys.input_dim, sys.input_dim))
-    F[np.ix_(u, p)] = dbar.T
-    F[np.ix_(p, u)] = -dbar
-    F[np.ix_(p, p)] = np.kron(-exchange, ops.mass_p)
+    dbar = numkit.as_csr(stacked_coupling(ops)).tocoo()
+    exch = kron(numkit.as_csr(-exchange), numkit.as_csr(ops.mass_p), format="coo")
+    rows = np.concatenate([u[dbar.col], p[dbar.row], p[exch.row]])
+    cols = np.concatenate([p[dbar.row], u[dbar.col], p[exch.col]])
+    data = np.concatenate([dbar.data, -dbar.data, exch.data])
+    F = csr_array((data, (rows, cols)), shape=(sys.input_dim, sys.input_dim))
     return feedback(sys, FeedbackLaw(F))
 
 
@@ -214,15 +213,16 @@ def coupling_deviation(coupled: PhDae, direct: PhDae) -> dict:
     """
     if coupled.state_dim != direct.state_dim:
         raise ValueError("systems have different state dimensions")
-    out = {}
-    for name in ("E", "J", "R"):
-        a, b = getattr(coupled, name), getattr(direct, name)
-        scale = max(float(np.max(np.abs(b))) if b.size else 0.0, 1.0)
-        out[name] = float(np.max(np.abs(a - b)) / scale) if b.size else 0.0
-    ga = coupled.G[:, ~_coupling_mask(coupled)]
-    gb = direct.G
+    out = {name: _relative_gap(getattr(coupled.csr, name), getattr(direct.csr, name))
+           for name in ("E", "J", "R")}
+    ga = coupled.csr.G[:, np.flatnonzero(~_coupling_mask(coupled))]
+    gb = direct.csr.G
     if ga.shape != gb.shape:
         raise ValueError(f"driven input ports {ga.shape} do not match direct G {gb.shape}")
-    scale = max(float(np.max(np.abs(gb))) if gb.size else 0.0, 1.0)
-    out["G"] = float(np.max(np.abs(ga - gb)) / scale) if gb.size else 0.0
+    out["G"] = _relative_gap(ga, gb)
     return out
+
+
+def _relative_gap(a, b) -> float:
+    """max |a - b| over max(max |b|, 1), on the CSR difference."""
+    return numkit.max_abs(a - b) / max(numkit.max_abs(b), 1.0)

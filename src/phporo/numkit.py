@@ -1,9 +1,12 @@
 """Linear algebra utilities with explicit structural checks.
 
-Matrices are plain 2-d numpy arrays of float64, except that ``Factorization``
-also takes ``scipy.sparse`` matrices; it and ``psd_certificate`` factor
-through the sparse LU of ``lu_factor``.  Every routine is a pure function;
-nothing here mutates its arguments.  Structural tolerances default to the
+Every routine takes a dense array or a ``scipy.sparse`` matrix of float64.
+The structural ones (``default_tol``, the defects, ``sym_skew_split``,
+``psd_certificate``) work in O(nnz) on the canonical CSR of ``as_csr``, to
+which dense input is converted once; the spectral ones (``psd_check``,
+``sqrtm_spd``, ``balanced_kernels``) densify sparse input.  ``Factorization``
+and ``psd_certificate`` factor through the sparse LU of ``lu_factor``.  No
+routine mutates its arguments.  Structural tolerances default to the
 scale-aware value ``1e-10 * (1 + max|entry|)``; only the reporting checks
 take another one, and every other decision uses a fixed relative cut.
 
@@ -17,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import block_diag  # noqa: F401  (re-exported)
-from scipy.sparse import coo_array, csc_array, issparse
+from scipy.sparse import csc_array, csr_array, issparse
 from scipy.sparse.linalg import splu
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -34,20 +37,89 @@ class SingularMatrixError(ValueError):
 
 
 def as_matrix(M) -> np.ndarray:
-    """Convert to a float64 2-d array and verify all entries are finite."""
-    A = np.asarray(M, dtype=float)
+    """Convert to a float64 2-d array (sparse input densified) and verify
+    all entries are finite."""
+    A = M.toarray() if issparse(M) else np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got array of dimension {A.ndim}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
+    return A.astype(float, copy=False)
+
+
+def as_csr(M) -> csr_array:
+    """Canonical float64 CSR of a dense or sparse matrix: sorted indices, no
+    duplicates and no explicit zeros, so it equals ``csr_array`` of the dense
+    matrix; its ``data``, ``indices`` and ``indptr`` are read-only.
+
+    Read-only arrays mark a ``csr_array`` as checked, and it is returned as
+    it is; another canonical CSR input shares its arrays with the result,
+    which makes them read-only, and any other sparse input is copied before
+    it is cleaned.
+    """
+    if not issparse(M):
+        A = csr_array(as_matrix(M))
+    else:
+        A = M if type(M) is csr_array and M.dtype == np.float64 else csr_array(M, dtype=float)
+        if A.ndim != 2:
+            raise ValueError(f"expected a matrix, got array of dimension {A.ndim}")
+        if not A.data.flags.writeable and A.has_canonical_format:
+            return A
+        if not np.all(np.isfinite(A.data)):
+            raise ValueError("matrix contains non-finite entries")
+        if not (A.has_canonical_format and np.all(A.data)):
+            A = A.copy()
+            A.sum_duplicates()
+            A.eliminate_zeros()
+    for arr in (A.data, A.indices, A.indptr):
+        arr.setflags(write=False)
     return A
+
+
+def _entries(B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzeros of a dense or sparse block."""
+    if not issparse(B):
+        B = as_matrix(B)
+        rows, cols = np.nonzero(B)
+        return rows, cols, B[rows, cols]
+    if B.format in ("csr", "csc"):
+        major = np.repeat(np.arange(B.indptr.size - 1), np.diff(B.indptr))
+        return (major, B.indices, B.data) if B.format == "csr" else (B.indices, major, B.data)
+    B = B.tocoo()
+    return B.row, B.col, B.data
+
+
+def _csr_from_sorted(rows, cols, vals, shape) -> csr_array:
+    """``as_csr`` of coordinates sorted row-major, with the zero values left out."""
+    kept = vals != 0.0
+    rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return as_csr(csr_array((vals, cols, indptr), shape=shape))
+
+
+def block_csr(shape, blocks) -> csr_array:
+    """Canonical CSR of a ``shape`` matrix made of ``(row, col, block)``
+    triples, each dense or sparse block placed with its first entry at
+    (row, col); overlapping blocks add up."""
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for row, col, B in blocks:
+        r, c, v = _entries(B)
+        rows.append(r + row)
+        cols.append(c + col)
+        vals.append(v)
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    order = np.argsort(rows * shape[1] + cols)
+    return _csr_from_sorted(rows[order], cols[order], vals[order], shape)
+
+
+def max_abs(M) -> float:
+    """Largest |entry| of M; 0 for a matrix without nonzeros."""
+    return float(np.max(np.abs(as_csr(M).data), initial=0.0))
 
 
 def default_tol(M) -> float:
     """Scale-aware structural tolerance: 1e-10 * (1 + max|entry|)."""
-    A = np.asarray(M, dtype=float)
-    amax = float(np.max(np.abs(A))) if A.size else 0.0
-    return 1e-10 * (1.0 + amax)
+    return 1e-10 * (1.0 + max_abs(M))
 
 
 def _require_square(M: np.ndarray, op: str) -> None:
@@ -55,22 +127,39 @@ def _require_square(M: np.ndarray, op: str) -> None:
         raise ValueError(f"{op} requires a square matrix, got shape {M.shape}")
 
 
+def _with_transpose(A: csr_array):
+    """Rows, columns, a and at on the union of the patterns of the square
+    canonical CSR A and of A^T, row-major: a_k = A[r_k, c_k] and
+    at_k = A[c_k, r_k], zero where not stored."""
+    n = A.shape[0]
+    T = A.T.tocsr()  # canonical, as the transpose is built row by row
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    if np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices):
+        return rows, A.indices, A.data, T.data  # a symmetric pattern
+    keys = rows * n + A.indices
+    tkeys = np.repeat(np.arange(n), np.diff(T.indptr)) * n + T.indices
+    union = np.sort(np.concatenate([keys, tkeys]), kind="stable")
+    union = union[np.concatenate([union[:1] == union[:1], union[1:] != union[:-1]])]
+    a, at = np.zeros(union.size), np.zeros(union.size)
+    a[np.searchsorted(union, keys)] = A.data
+    at[np.searchsorted(union, tkeys)] = T.data
+    return union // n, union % n, a, at
+
+
 def symmetry_defect(M) -> float:
     """Largest entry of |M - M^T|."""
-    A = as_matrix(M)
+    A = as_csr(M)
     _require_square(A, "symmetry_defect")
-    if A.size == 0:
-        return 0.0
-    return float(np.max(np.abs(A - A.T)))
+    _, _, a, at = _with_transpose(A)
+    return float(np.max(np.abs(a - at), initial=0.0))
 
 
 def skew_defect(M) -> float:
     """Largest entry of |M + M^T| (includes the doubled diagonal)."""
-    A = as_matrix(M)
+    A = as_csr(M)
     _require_square(A, "skew_defect")
-    if A.size == 0:
-        return 0.0
-    return float(np.max(np.abs(A + A.T)))
+    _, _, a, at = _with_transpose(A)
+    return float(np.max(np.abs(a + at), initial=0.0))
 
 
 def is_symmetric(M, tol: float | None = None) -> bool:
@@ -83,13 +172,13 @@ def is_skew(M, tol: float | None = None) -> bool:
     return skew_defect(M) <= (default_tol(M) if tol is None else tol)
 
 
-def sym_skew_split(M) -> tuple[np.ndarray, np.ndarray]:
-    """Split M into (symmetric, skew-symmetric) parts that sum back to M."""
-    A = as_matrix(M)
+def sym_skew_split(M) -> tuple[csr_array, csr_array]:
+    """Split M into (symmetric, skew-symmetric) CSR parts that sum back to M."""
+    A = as_csr(M)
     _require_square(A, "sym_skew_split")
-    sym = 0.5 * (A + A.T)
-    skw = 0.5 * (A - A.T)
-    return sym, skw
+    rows, cols, a, at = _with_transpose(A)
+    return (_csr_from_sorted(rows, cols, 0.5 * (a + at), A.shape),
+            _csr_from_sorted(rows, cols, 0.5 * (a - at), A.shape))
 
 
 @dataclass(frozen=True)
@@ -133,8 +222,8 @@ def psd_check(M, tol: float | None = None, require_symmetric: bool = True) -> Sp
     A = as_matrix(M)
     _require_square(A, "psd_check")
     if tol is None:
-        tol = default_tol(A)
-    defect = symmetry_defect(A)
+        tol = default_tol(M)
+    defect = symmetry_defect(M)
     if require_symmetric and defect > tol:
         raise StructureError(
             f"matrix asymmetry {defect:.3e} exceeds tolerance {tol:.3e}"
@@ -156,22 +245,33 @@ def psd_certificate(M) -> np.ndarray | None:
     the kernels of M and M^T.  None means "not certified" (indefinite,
     singular on the block, or too ill-conditioned): ask ``psd_check``.
     """
-    A = as_matrix(M)
+    A = as_csr(M)
     _require_square(A, "psd_certificate")
-    nonzero = A != 0.0
-    rows = nonzero.any(axis=1)
-    if np.any(nonzero.any(axis=0) & ~rows):
+    rows = np.diff(A.indptr) > 0
+    cols = np.zeros(A.shape[1], dtype=bool)
+    cols[A.indices] = True
+    if np.any(cols & ~rows):
         return None
     keep = np.flatnonzero(rows)
     if keep.size:
-        B = A[np.ix_(keep, keep)]
-        diag = B.diagonal()
-        if not np.all(diag > 0.0):
+        # every stored entry lies in the block on the kept rows and columns
+        r, c, a, at = _with_transpose(A)
+        diag = np.zeros(A.shape[0])
+        on = r == c
+        diag[r[on]] = a[on]
+        if not np.all(diag[keep] > 0.0):
             return None
-        scale = 1.0 / np.sqrt(diag)
-        H = (0.5 * scale[:, None]) * (B + B.T) * scale
+        scale = np.zeros(A.shape[0])
+        scale[keep] = 1.0 / np.sqrt(diag[keep])
+        # H = ((0.5 s_i) (b_ij + b_ji)) s_j entry by entry, symmetric in its
+        # pattern, so its row-major arrays are its CSC arrays too
+        data = (a + at) * (0.5 * scale)[c] * scale[r]
+        nz = data != 0.0
+        block = np.cumsum(rows) - 1  # index in the block of each kept row
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(block[r[nz]], minlength=keep.size))])
+        H = csc_array((data[nz], block[c[nz]], indptr), shape=(keep.size, keep.size))
         try:
-            lu = lu_factor(csc_array(H), symmetric=True)
+            lu = lu_factor(H, symmetric=True)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             return None
         if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -259,20 +359,22 @@ class Factorization:
     tiny.  The factor is kept, so every later ``solve`` costs two triangular
     solves.
 
-    ``order`` holds the columns of M in the order the factor eliminates them
-    (``np.argsort(perm_c)``).  Given the ``order`` of an earlier
-    factorization of a matrix with the same pattern, M[:, order] is factored
-    with natural ordering, which skips COLAMD; the row pivots are chosen
-    afresh, so a matrix equal to the earlier one gets the same factor.
+    ``order`` holds the columns of the matrix in the order the factor
+    eliminates them (``np.argsort(perm_c)``).  Given the ``order`` of an
+    earlier factorization of a matrix A with the same pattern, M must hold
+    the columns of A in that order (M = A[:, order], best as CSC, which is
+    factored as it is); it is factored with natural ordering, which skips
+    COLAMD, and the row pivots are chosen afresh, so a matrix equal to the
+    earlier one gets the same factor.  ``solve`` answers for A.
     """
 
     def __init__(self, M, what: str = "matrix", order: np.ndarray | None = None):
-        if issparse(M):
-            A = csc_array(M, dtype=float)
-            if not np.all(np.isfinite(A.data)):
-                raise ValueError("matrix contains non-finite entries")
+        if issparse(M) and M.format == "csc":
+            A = M
         else:
-            A = csc_array(as_matrix(M))
+            A = csc_array(M if issparse(M) else as_matrix(M), dtype=float)
+        if not np.all(np.isfinite(A.data)):
+            raise ValueError("matrix contains non-finite entries")
         _require_square(A, "factorization")
         self.size = A.shape[0]
         self.order = order
@@ -280,7 +382,7 @@ class Factorization:
         if self.size == 0:
             return
         try:
-            lu = lu_factor(A) if order is None else lu_factor(A[:, order], natural=True)
+            lu = lu_factor(A) if order is None else lu_factor(A, natural=True)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularMatrixError(f"{what} numerically singular ({exc})") from exc
         pivots = np.abs(lu.U.diagonal())
@@ -289,7 +391,7 @@ class Factorization:
                 f"{what} numerically singular (smallest pivot {np.min(pivots):.3e})"
             )
         self.order = np.argsort(lu.perm_c) if order is None else order[np.argsort(lu.perm_c)]
-        # x solves M[:, order] x = b, so entry i of x belongs to column order[i]
+        # x solves A[:, order] x = b, so entry i of x belongs to column order[i]
         self._unpermute = None if order is None else np.argsort(order)
         self._lu = lu
 
@@ -317,20 +419,20 @@ def solve(M, b) -> np.ndarray:
 
 def write_matrix_market(path, M) -> None:
     """Write M in MatrixMarket coordinate format (real general, 17
-    significant digits)."""
+    significant digits), its nonzeros in row-major order."""
     from scipy.io import mmwrite
 
     # an open file keeps mmwrite from appending ".mtx" to the path
     with open(path, "wb") as fh:
-        mmwrite(fh, coo_array(as_matrix(M)), precision=17, symmetry="general")
+        mmwrite(fh, as_csr(M).tocoo(), precision=17, symmetry="general")
 
 
-def read_matrix_market(path) -> np.ndarray:
-    """Read a real general MatrixMarket file in coordinate or array format."""
+def read_matrix_market(path) -> csr_array:
+    """Canonical CSR (``as_csr``) of a real general MatrixMarket file in
+    coordinate or array format."""
     from scipy.io import mminfo, mmread
 
     _, _, _, fmt, field, symmetry = mminfo(path)
     if fmt not in ("coordinate", "array") or field != "real" or symmetry != "general":
         raise ValueError(f"unsupported MatrixMarket header: {fmt} {field} {symmetry}")
-    A = mmread(path)
-    return A.toarray() if fmt == "coordinate" else A
+    return as_csr(mmread(path, spmatrix=False))

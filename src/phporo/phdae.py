@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import block_diag, csr_array
 
 from . import numkit
 from .numkit import SpectralReport, StructureError
@@ -40,8 +42,41 @@ def _block_slice(blocks, label: str) -> slice:
     raise KeyError(f"no block named {label!r} in {[n for n, _ in blocks]}")
 
 
+class SystemMatrices(NamedTuple):
+    """The canonical CSR matrices (``numkit.as_csr``) of one system."""
+
+    E: csr_array
+    J: csr_array
+    R: csr_array
+    G: csr_array
+
+
+def _dense_view(M: csr_array) -> np.ndarray:
+    """Read-only dense copy of a stored matrix."""
+    A = M.toarray()
+    A.setflags(write=False)
+    return A
+
+
+def _view(name: str) -> property:
+    def read(self) -> np.ndarray:
+        if name not in self._dense:
+            self._dense[name] = _dense_view(getattr(self.csr, name))
+        return self._dense[name]
+
+    return property(read, doc=f"Read-only dense {name}, made from ``csr.{name}`` "
+                              f"the first time it is read.")
+
+
 class PhDae:
     """Immutable quadruple (E, J, R, G) with optional state/input block labels.
+
+    The matrices are stored as canonical CSR in ``csr`` (dense or sparse
+    input; a canonical CSR input is kept without a copy, its arrays made
+    read-only), and everything in the package works on those.  ``E``,
+    ``J``, ``R`` and ``G`` are read-only dense views, made the first time
+    they are read; inside the package only the dense path for an
+    uncertified matrix reads them.
 
     Structure is validated eagerly at default tolerances.  ``validate=False``
     defers that: to compositions whose parts were validated when built
@@ -52,23 +87,23 @@ class PhDae:
     ``certificate``).
     """
 
+    E = _view("E")
+    J = _view("J")
+    R = _view("R")
+    G = _view("G")
+
     def __init__(self, E, J, R, G, state_blocks=None, input_blocks=None,
                  validate: bool = True):
-        E = numkit.as_matrix(E).copy()
-        J = numkit.as_matrix(J).copy()
-        R = numkit.as_matrix(R).copy()
-        G = numkit.as_matrix(G).copy()
-        n = E.shape[0]
-        for name, M in (("E", E), ("J", J), ("R", R)):
+        self.csr = SystemMatrices(*(numkit.as_csr(M) for M in (E, J, R, G)))
+        n = self.csr.E.shape[0]
+        for name, M in zip("EJR", self.csr):
             if M.shape != (n, n):
                 raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
-        if G.shape[0] != n:
-            raise ValueError(f"G must have {n} rows, got {G.shape}")
-        for M in (E, J, R, G):
-            M.setflags(write=False)
-        self.E, self.J, self.R, self.G = E, J, R, G
+        if self.csr.G.shape[0] != n:
+            raise ValueError(f"G must have {n} rows, got {self.csr.G.shape}")
         self.state_blocks = _named_blocks(state_blocks, n, "z")
-        self.input_blocks = _named_blocks(input_blocks, G.shape[1], "v")
+        self.input_blocks = _named_blocks(input_blocks, self.csr.G.shape[1], "v")
+        self._dense: dict = {}  # name -> dense view
         self._structure = None  # (tol, StructureReport) of the last validation
         self._certificates: dict = {}  # "E"/"R" -> numkit.psd_certificate of it
         if validate:
@@ -76,11 +111,11 @@ class PhDae:
 
     @property
     def state_dim(self) -> int:
-        return self.E.shape[0]
+        return self.csr.E.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.G.shape[1]
+        return self.csr.G.shape[1]
 
     def state_slice(self, label: str) -> slice:
         return _block_slice(self.state_blocks, label)
@@ -88,8 +123,9 @@ class PhDae:
     def input_slice(self, label: str) -> slice:
         return _block_slice(self.input_blocks, label)
 
-    def drift(self) -> np.ndarray:
-        return self.J - self.R
+    def drift(self) -> csr_array:
+        """J - R as CSR."""
+        return self.csr.J - self.csr.R
 
     def __repr__(self):
         blocks = ", ".join(f"{n}:{s}" for n, s in self.state_blocks)
@@ -141,11 +177,18 @@ class StructureReport:
 
 
 def certificate(sys: PhDae, name: str) -> np.ndarray | None:
-    """``numkit.psd_certificate`` of ``sys.E`` or ``sys.R``, computed once
-    per system; the zero rows of a certified E are the algebraic rows."""
+    """``numkit.psd_certificate`` of ``sys.csr.E`` or ``sys.csr.R``, computed
+    once per system; the zero rows of a certified E are the algebraic rows."""
     if name not in sys._certificates:
-        sys._certificates[name] = numkit.psd_certificate(getattr(sys, name))
+        sys._certificates[name] = numkit.psd_certificate(getattr(sys.csr, name))
     return sys._certificates[name]
+
+
+def _certified(sys: PhDae, name: str) -> tuple:
+    """E or R with its ``certificate``: the CSR when certified, the dense
+    view for the spectrum otherwise."""
+    zero_rows = certificate(sys, name)
+    return getattr(sys if zero_rows is None else sys.csr, name), zero_rows
 
 
 def validate_structure(sys: PhDae, tol: float | None = None) -> StructureReport:
@@ -160,14 +203,13 @@ def validate_structure(sys: PhDae, tol: float | None = None) -> StructureReport:
     """
     if sys._structure is not None and sys._structure[0] == tol:
         return sys._structure[1]
-    psd_tol_e = tol if tol is not None else numkit.default_tol(sys.E)
-    psd_tol_r = tol if tol is not None else numkit.default_tol(sys.R)
-    skew_tol = tol if tol is not None else 1e-12 * (
-        1.0 + (float(np.max(np.abs(sys.J))) if sys.J.size else 0.0)
-    )
-    e_rep = numkit.certified_report(sys.E, certificate(sys, "E"), psd_tol_e)
-    r_rep = numkit.certified_report(sys.R, certificate(sys, "R"), psd_tol_r)
-    j_def = numkit.skew_defect(sys.J)
+    E, J, R, _ = sys.csr
+    psd_tol_e = tol if tol is not None else numkit.default_tol(E)
+    psd_tol_r = tol if tol is not None else numkit.default_tol(R)
+    skew_tol = tol if tol is not None else 1e-12 * (1.0 + numkit.max_abs(J))
+    e_rep = numkit.certified_report(*_certified(sys, "E"), psd_tol_e)
+    r_rep = numkit.certified_report(*_certified(sys, "R"), psd_tol_r)
+    j_def = numkit.skew_defect(J)
     # diag(R, 0_m) has the spectrum of R and m zeros
     if not sys.input_dim:
         w_rep = r_rep
@@ -194,7 +236,7 @@ def hamiltonian(sys: PhDae, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (sys.state_dim,):
         raise ValueError(f"state length {z.shape} does not match dimension {sys.state_dim}")
-    return 0.5 * float(z @ sys.E @ z)
+    return 0.5 * float(z @ (sys.csr.E @ z))
 
 
 def output(sys: PhDae, z) -> np.ndarray:
@@ -202,12 +244,13 @@ def output(sys: PhDae, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (sys.state_dim,):
         raise ValueError(f"state length {z.shape} does not match dimension {sys.state_dim}")
-    return sys.G.T @ z
+    return sys.csr.G.T @ z
 
 
-def dissipation_matrix(sys: PhDae) -> np.ndarray:
-    """Block matrix diag(R, 0_m); PSD iff the system dissipates."""
-    return numkit.block_diag(sys.R, np.zeros((sys.input_dim, sys.input_dim)))
+def dissipation_matrix(sys: PhDae) -> csr_array:
+    """Block matrix diag(R, 0_m) as CSR; PSD iff the system dissipates."""
+    m = sys.input_dim
+    return block_diag((sys.csr.R, csr_array((m, m))), format="csr")
 
 
 def power_balance_residual(sys: PhDae, z, v, zdot, tol: float | None = None) -> float:
@@ -223,8 +266,9 @@ def power_balance_residual(sys: PhDae, z, v, zdot, tol: float | None = None) -> 
         raise ValueError("state and derivative must match the system dimension")
     if v.shape != (sys.input_dim,):
         raise ValueError(f"input length {v.shape} does not match dimension {sys.input_dim}")
-    rhs = sys.drift() @ z + sys.G @ v
-    lhs = sys.E @ zdot
+    E, J, R, G = sys.csr
+    rhs = (J - R) @ z + G @ v
+    lhs = E @ zdot
     scale = 1.0 + max(
         float(np.max(np.abs(lhs))) if z.size else 0.0,
         float(np.max(np.abs(rhs))) if z.size else 0.0,
@@ -236,9 +280,9 @@ def power_balance_residual(sys: PhDae, z, v, zdot, tol: float | None = None) -> 
         raise InconsistentStateError(
             f"state does not satisfy the dynamics (residual {dyn:.3e} > {tol:.3e})"
         )
-    h_rate = float(z @ sys.E @ zdot)
+    h_rate = float(z @ lhs)
     supplied = float(output(sys, z) @ v)
-    dissipated = float(z @ sys.R @ z)
+    dissipated = float(z @ (R @ z))
     return abs(h_rate - (supplied - dissipated))
 
 
@@ -250,10 +294,11 @@ _MATRIX_FILES = {"E": "E.mtx", "J": "J.mtx", "R": "R.mtx", "G": "G.mtx"}
 
 
 def save_phdae(sys: PhDae, directory, tol: float | None = None) -> None:
-    """Write E, J, R, G and a manifest recording ``tol`` for ``load_phdae``."""
+    """Write E, J, R, G from their CSR and a manifest recording ``tol`` for
+    ``load_phdae``."""
     os.makedirs(directory, exist_ok=True)
     for name, fname in _MATRIX_FILES.items():
-        numkit.write_matrix_market(os.path.join(directory, fname), getattr(sys, name))
+        numkit.write_matrix_market(os.path.join(directory, fname), getattr(sys.csr, name))
     manifest = {
         "state_dim": sys.state_dim,
         "input_dim": sys.input_dim,
@@ -267,7 +312,7 @@ def save_phdae(sys: PhDae, directory, tol: float | None = None) -> None:
 
 
 def load_phdae(directory) -> PhDae:
-    """Read a ``save_phdae`` directory, validated at its recorded ``tol``."""
+    """Read a ``save_phdae`` directory as CSR, validated at its recorded ``tol``."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     mats = {name: numkit.read_matrix_market(os.path.join(directory, fname))

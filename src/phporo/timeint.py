@@ -9,15 +9,16 @@ exactly up to roundoff, so every trajectory carries a dissipated/supplied
 ledger that can be audited after the fact.  Implicit Euler is provided as a
 baseline; it introduces artificial dissipation and keeps the same ledger
 convention without the exact identity.  Both are the theta method
-(theta = 1/2 and theta = 1) of one stepping loop.  The loop works on CSR
-copies of E, J, R and G taken once per run: step matrices are sparse sums,
+(theta = 1/2 and theta = 1) of one stepping loop.  The loop works on the
+system's stored CSR of E, J, R and G: step matrices are sparse sums,
 factored once per distinct step size by ``numkit``'s sparse LU, and every
 product in a step is a sparse matrix-vector product.  The nonlinear
 permeability run supplies a new R of one fixed pattern on every step: both
 step matrices then live on one CSR pattern, the union of those of
 E - theta h J, E + (1 - theta) h J and R, fixed at the first step, and each
-step writes their data arrays and factors with the column order of the
-first factorization, so it pays for one numeric LU but no ordering.
+step writes their data arrays, the factored one as CSC with its columns
+already in the order of the first factorization, so it pays for one
+numeric LU but no ordering, conversion or column permutation.
 
 Index-2 systems are integrated directly without index reduction; the
 stepper neither corrects nor reports constraint drift, which callers can
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
 
 from . import fem
 from .formulations import DiscreteOperators, build_full_first_order
@@ -94,7 +95,7 @@ def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray) -> None:
     zero_rows = certificate(sys, "E")
     if zero_rows is not None and not zero_rows.size:
         return  # E is nonsingular
-    rhs = sys.drift() @ z0 + sys.G @ v0
+    rhs = sys.drift() @ z0 + sys.csr.G @ v0
     algebraic = rhs[zero_rows] if zero_rows is not None else balanced_kernels(sys.E)[2].T @ rhs
     resid = float(np.linalg.norm(algebraic))
     scale = 1.0 + float(np.max(np.abs(rhs))) if rhs.size else 1.0
@@ -127,18 +128,20 @@ def _entry_keys(M) -> np.ndarray:
 
 
 class _FrozenRSteps:
-    """Both step matrices of the frozen-R path on one CSR pattern.
+    """Both step matrices of the frozen-R path on one pattern.
 
     The pattern is the union of those of E - a J, E + b J and the first R
     (a = theta h, b = (1 - theta) h).  ``step`` takes an R of that same
-    pattern, writes E - a J + a R and E + b J - b R as data arrays on it,
-    entry by entry as the sparse sums would, and factors the first with the
-    column order of the pattern's first factorization.
+    pattern and writes E - a J + a R and E + b J - b R as data arrays on it,
+    entry by entry as the sparse sums would: the explicit matrix as CSR, the
+    implicit one as CSC with its columns in the order of the pattern's first
+    factorization, which every later step factors without a new ordering.
     """
 
     def __init__(self, implicit, explicit, R):
         keys = np.unique(np.concatenate([_entry_keys(M) for M in (implicit, explicit, R)]))
         n, m = R.shape
+        self._shape = R.shape
         self._indptr = np.searchsorted(keys, np.arange(n + 1) * m)
         self._indices = keys % m
         slots = [np.searchsorted(keys, _entry_keys(M)) for M in (implicit, explicit, R)]
@@ -147,10 +150,23 @@ class _FrozenRSteps:
         self._R_slots = slots[2]
         self._R_pattern = (R.indptr, R.indices)
         self._order = None
+        self._lay_out(np.arange(m))
 
     def _on_pattern(self, slots, values) -> np.ndarray:
         """Data array with the values at their slots and zeros elsewhere."""
         return np.bincount(slots, weights=values, minlength=self._indices.size)
+
+    def _lay_out(self, order) -> None:
+        """CSC layout of the pattern with column order[j] as column j:
+        ``_csc_slots`` maps its entries to the slots of the CSR pattern."""
+        rows = np.repeat(np.arange(self._shape[0]), np.diff(self._indptr))
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)
+        cols = column[self._indices]
+        self._csc_slots = np.lexsort((rows, cols))
+        self._csc_indices = rows[self._csc_slots].astype(np.intc)
+        counts = np.bincount(cols, minlength=order.size)
+        self._csc_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
 
     def holds(self, R) -> bool:
         """True if R has the pattern of the first R."""
@@ -158,10 +174,14 @@ class _FrozenRSteps:
 
     def step(self, R, a: float, b: float) -> tuple[Factorization, csr_array]:
         r = self._on_pattern(self._R_slots, R.data)
-        implicit, explicit = (csr_array((data, self._indices, self._indptr), shape=R.shape)
-                              for data in (self._implicit + a * r, self._explicit - b * r))
+        implicit = csc_array(((self._implicit + a * r)[self._csc_slots], self._csc_indices,
+                              self._csc_indptr), shape=self._shape)
+        explicit = csr_array((self._explicit - b * r, self._indices, self._indptr),
+                             shape=self._shape)
         lu = Factorization(implicit, "step matrix", order=self._order)
-        self._order = lu.order
+        if self._order is None or not np.array_equal(lu.order, self._order):
+            self._order = lu.order
+            self._lay_out(lu.order)
         return lu, explicit
 
 
@@ -170,8 +190,8 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
 
     Each step solves (E - theta h J + theta h R) z_new =
     (E + (1 - theta) h J - (1 - theta) h R) z + h G v with v sampled at
-    t_k + theta h.  E, J, R and G are taken as CSR once; the step matrices
-    are formed and factored once per distinct step size.  ``frozen_R(z)``,
+    t_k + theta h.  The step matrices are formed from the stored CSR and
+    factored once per distinct step size.  ``frozen_R(z)``,
     if given, returns the CSR dissipation matrix for the step that starts at
     z; it is then used for that step's matrices and ledger.  Those are
     written on every step into a pattern kept per step size (``_FrozenRSteps``,
@@ -186,7 +206,7 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     v = input if input is not None else (lambda t, zero=np.zeros(sys.input_dim): zero)
     _check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float))
 
-    E, J, R, G = (csr_array(M) for M in (sys.E, sys.J, sys.R, sys.G))
+    E, J, R, G = sys.csr
     steps = _snapped_steps(t)
     states = np.empty((len(t), sys.state_dim))
     states[0] = z0
@@ -257,6 +277,7 @@ def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None, 
         )
         # the block's rows and columns are the p rows and columns of R
         indptr = np.pad(block.indptr, (p_slice.start, base.state_dim - p_slice.stop), mode="edge")
-        return csr_array((block.data, block.indices + p_slice.start, indptr), shape=base.R.shape)
+        return csr_array((block.data, block.indices + p_slice.start, indptr),
+                         shape=base.csr.R.shape)
 
     return _theta_run(base, z0, input, t_grid, 0.5, frozen_R)

@@ -217,3 +217,127 @@ def node_basis_integrals(space):
             if dofs[a] >= 0:
                 out[dofs[a]] += area / 3.0
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense reference systems built from a DiscreteOperators bundle
+# ---------------------------------------------------------------------------
+# The (E, J, R, G) quadruples every builder and coupled route should store,
+# made with dense arrays block by block: dense block_diag, slice assignment,
+# np.kron and dense feedback products.  The operator blocks and the square
+# root S are inputs, so they come from the bundle and from numkit.
+
+def _block_diag(*blocks):
+    rows = sum(B.shape[0] for B in blocks)
+    cols = sum(B.shape[1] for B in blocks)
+    out = np.zeros((rows, cols))
+    r = c = 0
+    for B in blocks:
+        out[r : r + B.shape[0], c : c + B.shape[1]] = B
+        r, c = r + B.shape[0], c + B.shape[1]
+    return out
+
+
+def _flow_operator(ops, exchange=None):
+    K = _block_diag(*ops.stiff_flow)
+    return K if exchange is None else K + np.kron(exchange, ops.mass_p)
+
+
+def _first_order(ops, exchange, mass_rho, e_uu, c_uu):
+    du, mdp = ops.dim_u, ops.networks * ops.dim_p
+    kbar = _flow_operator(ops, exchange)
+    ksym, kskew = 0.5 * (kbar + kbar.T), 0.5 * (kbar - kbar.T)
+    dbar = np.vstack(ops.div_coupling)
+    eye_m = np.eye(ops.networks)
+    E = _block_diag(mass_rho, e_uu, np.kron(eye_m, ops.mass_storage))
+    J = np.zeros((2 * du + mdp, 2 * du + mdp))
+    J[:du, du : 2 * du] = -c_uu
+    J[du : 2 * du, :du] = c_uu
+    J[:du, 2 * du :] = dbar.T
+    J[2 * du :, :du] = -dbar
+    J[2 * du :, 2 * du :] = -kskew
+    R = _block_diag(np.zeros((2 * du, 2 * du)), ksym)
+    G = np.zeros((2 * du + mdp, du + mdp))
+    G[:du, :du] = ops.mass_u
+    G[2 * du :, du:] = np.kron(eye_m, ops.mass_p)
+    return E, J, R, G
+
+
+def _alternative_qs(ops, exchange):
+    du, mdp = ops.dim_u, ops.networks * ops.dim_p
+    kbar = _flow_operator(ops, exchange)
+    kbar = 0.5 * (kbar + kbar.T)
+    dbar = np.vstack(ops.div_coupling)
+    eye_m = np.eye(ops.networks)
+    E = _block_diag(np.zeros((du + mdp, du + mdp)), kbar)
+    J = np.zeros((du + 2 * mdp, du + 2 * mdp))
+    J[:du, du : du + mdp] = dbar.T
+    J[du : du + mdp, :du] = -dbar
+    J[du : du + mdp, du + mdp :] = kbar
+    J[du + mdp :, du : du + mdp] = -kbar
+    R = _block_diag(ops.stiff_elast, np.kron(eye_m, ops.mass_storage), np.zeros((mdp, mdp)))
+    G = np.zeros((du + 2 * mdp, du + mdp))
+    G[:du, :du] = ops.mass_u
+    G[du + mdp :, du:] = np.kron(eye_m, ops.mass_p)
+    return E, J, R, G
+
+
+def dense_system(tag, ops, exchange=None, sqrt=None, reduction=None):
+    """Dense (E, J, R, G) of the direct builder ``tag``; ``sqrt`` is the root
+    S of the elastic stiffness ("sqrt"), ``reduction`` the
+    ``ParabolicReduction`` whose mass and flow operator are wrapped
+    ("schur_parabolic")."""
+    ka = ops.stiff_elast
+    if tag in ("full", "network"):
+        return _first_order(ops, exchange, ops.mass_rho, ka, ka)
+    if tag == "quasi_static":
+        return _first_order(ops, exchange, np.zeros_like(ops.mass_rho), ka, ka)
+    if tag == "sqrt":
+        return _first_order(ops, None, ops.mass_rho, np.eye(ops.dim_u), sqrt)
+    if tag == "alt_qs":
+        return _alternative_qs(ops, exchange)
+    if tag == "schur_parabolic":
+        K = reduction.stiff
+        mdp = reduction.mass.shape[0]
+        return reduction.mass, -0.5 * (K - K.T), 0.5 * (K + K.T), np.eye(mdp)
+    raise ValueError(tag)
+
+
+def _coupled(parts, ops, exchange, port_rows):
+    """Aggregate dense subsystems and close their coupling ports densely."""
+    E, J, R, G = (_block_diag(*(part[i] for part in parts)) for i in range(4))
+    u, p = port_rows[: ops.dim_u], port_rows[ops.dim_u :]
+    dbar = np.vstack(ops.div_coupling)
+    F = np.zeros((G.shape[1], G.shape[1]))
+    F[np.ix_(u, p)] = dbar.T
+    F[np.ix_(p, u)] = -dbar
+    F[np.ix_(p, p)] = np.kron(-exchange, ops.mass_p)
+    sym, skew = 0.5 * (F + F.T), 0.5 * (F - F.T)
+    return E, J + G @ skew @ G.T, R - G @ sym @ G.T, G
+
+
+def dense_coupled(tag, ops, exchange=None):
+    """Dense (E, J, R, G) of the coupled route ``tag`` ("full", "alt_qs" or
+    "network"): the subsystems with a driven and a coupling port each, their
+    block-diagonal aggregate and the dense closed loop."""
+    du, dp = ops.dim_u, ops.dim_p
+    ka, eye_u, eye_p = ops.stiff_elast, np.eye(du), np.eye(dp)
+    if tag == "alt_qs":
+        kk = ops.stiff_flow[0]
+        elastic = (np.zeros((du, du)), np.zeros((du, du)), ka, np.hstack([ops.mass_u, eye_u]))
+        flux = (_block_diag(np.zeros((dp, dp)), kk),
+                np.block([[np.zeros((dp, dp)), kk], [-kk, np.zeros((dp, dp))]]),
+                _block_diag(ops.mass_storage, np.zeros((dp, dp))),
+                _block_diag(eye_p, ops.mass_p))
+        ports = np.concatenate([du + np.arange(du), 2 * du + np.arange(dp)])
+        return _coupled((elastic, flux), ops, np.zeros((1, 1)), ports)
+    exchange = np.zeros((1, 1)) if exchange is None else exchange
+    zero_u = np.zeros((du, du))
+    hyperbolic = (_block_diag(ops.mass_rho, ka), np.block([[zero_u, -ka], [ka, zero_u]]),
+                  np.zeros((2 * du, 2 * du)), np.block([[ops.mass_u, eye_u], [zero_u, zero_u]]))
+    networks = [(ops.mass_storage, np.zeros((dp, dp)), K, np.hstack([ops.mass_p, eye_p]))
+                for K in ops.stiff_flow]
+    ports = np.concatenate([du + np.arange(du)]
+                           + [2 * du + 2 * dp * i + dp + np.arange(dp)
+                              for i in range(ops.networks)])
+    return _coupled([hyperbolic, *networks], ops, exchange, ports)

@@ -4,11 +4,13 @@
 certifies a matrix; the dense eigenvalue and SVD code stays as the path for
 everything else and as the oracle here.  Every system is checked twice: as
 built, and with the certificate forced to answer "not certified", which
-runs the dense code from start to end.
+runs the dense code from start to end.  The certificate and the structural
+measures take dense and CSR input alike, and the tests run on both.
 """
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from phporo import dae_analysis, fem, formulations, interconnect, numkit, phdae, timeint
 from phporo.interconnect import FeedbackLaw
@@ -38,11 +40,36 @@ def built_systems(n):
     }
 
 
-def fresh(sys, validate=False, **replaced):
-    """A copy of sys that keeps no certificate or report, with some matrices replaced."""
-    mats = [replaced.get(name, getattr(sys, name)) for name in "EJRG"]
+def with_explicit_zeros(M):
+    """CSR of M that also stores every zero diagonal entry: not canonical."""
+    M = np.asarray(M, dtype=float)
+    rows, cols = np.nonzero(M)
+    diag = np.arange(min(M.shape))
+    return csr_array((np.concatenate([M[rows, cols], np.zeros(diag.size)]),
+                      (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
+                     shape=M.shape)
+
+
+@pytest.fixture
+def layout():
+    """Matrix input as a dense array; the ``...OnCsr`` classes give it as a
+    CSR with explicit zeros instead."""
+    return lambda M: np.asarray(M, dtype=float)
+
+
+def fresh(sys, validate=False, layout=np.asarray, **replaced):
+    """A copy of sys that keeps no certificate or report, with some matrices
+    replaced, built from its matrices in ``layout``."""
+    mats = [layout(replaced.get(name, getattr(sys, name))) for name in "EJRG"]
     return PhDae(*mats, state_blocks=sys.state_blocks, input_blocks=sys.input_blocks,
                  validate=validate)
+
+
+def structural(M):
+    """The certificate and the structural measures of M."""
+    zero_rows = numkit.psd_certificate(M)
+    return (None if zero_rows is None else zero_rows.tolist(), numkit.symmetry_defect(M),
+            numkit.skew_defect(M), numkit.default_tol(M))
 
 
 def outcomes(sys):
@@ -67,14 +94,23 @@ def dense_outcomes(sys, monkeypatch):
         return outcomes(fresh(sys))
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_certificate_agrees_with_the_dense_verdict(n, monkeypatch):
+def certificate_agrees_with_the_dense_verdict(n, monkeypatch, layout):
     for name, sys in built_systems(n).items():
-        copy = fresh(sys)
+        copy = fresh(sys, layout=layout)
         got = outcomes(copy)
         assert phdae.certificate(copy, "E") is not None, name
         assert phdae.certificate(copy, "R") is not None, name
         assert got == dense_outcomes(sys, monkeypatch), name
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_certificate_agrees_with_the_dense_verdict(n, monkeypatch, layout):
+    certificate_agrees_with_the_dense_verdict(n, monkeypatch, layout)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_certificate_agrees_with_the_dense_verdict_on_csr(n, monkeypatch):
+    certificate_agrees_with_the_dense_verdict(n, monkeypatch, with_explicit_zeros)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -90,15 +126,16 @@ def test_zero_rows_span_the_dense_kernels(n):
 
 
 class TestNegativeCases:
-    def test_oversized_exchange_rates(self, monkeypatch):
+    def test_oversized_exchange_rates(self, monkeypatch, layout):
         ops, B = make_network_ops(3, m=2)
         sys = formulations.build_network_ph(ops, B)
         big = formulations.kbar_matrix(ops, random_coupling(np.random.default_rng(0), 2,
                                                              scale=1e6))
         R = sys.R.copy()
         R[2 * ops.dim_u :, 2 * ops.dim_u :] = 0.5 * (big + big.T)
-        broken = fresh(sys, R=R)
+        broken = fresh(sys, R=R, layout=layout)
         assert phdae.certificate(broken, "R") is None
+        assert structural(layout(R)) == structural(R)
         got = outcomes(broken)
         assert got == dense_outcomes(broken, monkeypatch)
         assert got[0] is False and got[2] == "indefinite"
@@ -106,48 +143,61 @@ class TestNegativeCases:
             formulations.build_network_ph(ops, random_coupling(np.random.default_rng(0), 2,
                                                                scale=1e6))
 
-    def test_j_with_a_symmetric_defect(self, monkeypatch):
+    def test_j_with_a_symmetric_defect(self, monkeypatch, layout):
         sys = built_systems(2)["full"]
-        broken = fresh(sys, J=sys.J + 1e-6 * np.eye(sys.state_dim))
+        J = sys.J + 1e-6 * np.eye(sys.state_dim)
+        broken = fresh(sys, J=J, layout=layout)
+        assert structural(layout(J)) == structural(J)
         got = outcomes(broken)
         assert got == dense_outcomes(broken, monkeypatch)
         assert got[0] is False
         assert "J skew defect" in "".join(phdae.validate_structure(broken).failures())
 
-    def test_feedback_that_loses_dissipativity(self, monkeypatch):
+    def test_feedback_that_loses_dissipativity(self, monkeypatch, layout):
         sys = built_systems(2)["quasi_static"]
-        closed = interconnect.close_loop(sys, FeedbackLaw(np.eye(sys.input_dim)))
+        closed = interconnect.close_loop(sys, FeedbackLaw(layout(np.eye(sys.input_dim))))
         assert phdae.certificate(closed, "R") is None
+        assert structural(layout(closed.R)) == structural(closed.R)
         got = outcomes(closed)
         assert got == dense_outcomes(closed, monkeypatch)
         assert got[0] is False and got[2] == "indefinite"
         with pytest.raises(StructureError, match="min eigenvalue"):
-            interconnect.feedback(sys, FeedbackLaw(np.eye(sys.input_dim)))
+            interconnect.feedback(sys, FeedbackLaw(layout(np.eye(sys.input_dim))))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    def test_exactly_singular_block_is_not_certified(self, n):
+    def test_exactly_singular_block_is_not_certified(self, n, layout):
         # the Laplacian without Dirichlet elimination: PSD, constants in its
         # kernel, and no zero row
         mesh = fem.build_unit_square_mesh(n)
         every = np.arange(len(mesh.nodes))
         laplace = fem.assemble_laplace(fem.FeSpace(fem.SCALAR_P1, mesh, every, every), 1.0)
-        assert numkit.psd_certificate(laplace) is None
-        assert numkit.psd_check(laplace).verdict == numkit.POSITIVE_SEMIDEFINITE
+        assert numkit.psd_certificate(layout(laplace)) is None
+        assert numkit.psd_check(layout(laplace)).verdict == numkit.POSITIVE_SEMIDEFINITE
 
-    def test_zero_rows_that_are_not_zero_columns_take_the_dense_path(self):
-        E, A = dae_analysis.nonaugmented_quasi_static_pencil(make_ops(3, rho=0.0))
+    def test_zero_rows_that_are_not_zero_columns_take_the_dense_path(self, layout):
+        E, A = (M.toarray() for M in dae_analysis.nonaugmented_quasi_static_pencil(
+            make_ops(3, rho=0.0)))
         assert not E[: make_ops(3).dim_u].any()
-        assert numkit.psd_certificate(E) is None
-        got = dae_analysis.classify_index(E, A)
+        assert numkit.psd_certificate(layout(E)) is None
+        assert structural(layout(E)) == structural(E)
+        got = dae_analysis.classify_index(layout(E), layout(A))
         assert got == dae_analysis.classify_index_dense(E, A)
         assert got.label == "1" and got.kernel_test_value is not None
 
 
+class TestNegativeCasesOnCsr(TestNegativeCases):
+    """The negative cases with every matrix given as CSR with explicit zeros."""
+
+    @pytest.fixture
+    def layout(self):
+        return with_explicit_zeros
+
+
 class TestPsdCertificate:
-    def test_zero_rows_and_definite_rest(self):
-        assert numkit.psd_certificate(np.diag([2.0, 0.0, 1e-20])).tolist() == [1]
-        assert numkit.psd_certificate(np.zeros((3, 3))).tolist() == [0, 1, 2]
-        assert numkit.psd_certificate(np.zeros((0, 0))).tolist() == []
+    def test_zero_rows_and_definite_rest(self, layout):
+        assert numkit.psd_certificate(layout(np.diag([2.0, 0.0, 1e-20]))).tolist() == [1]
+        assert numkit.psd_certificate(layout(np.zeros((3, 3)))).tolist() == [0, 1, 2]
+        assert numkit.psd_certificate(layout(np.zeros((0, 0)))).tolist() == []
 
     @pytest.mark.parametrize("M", [
         [[1.0, 2.0], [2.0, 1.0]],              # indefinite
@@ -159,26 +209,44 @@ class TestPsdCertificate:
         [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0],
          [0.0, 0.0, 1.0, 1.0]],
     ])
-    def test_not_certified(self, M):
-        assert numkit.psd_certificate(np.array(M)) is None
+    def test_not_certified(self, M, layout):
+        assert numkit.psd_certificate(layout(M)) is None
+        assert structural(layout(M)) == structural(np.array(M))
 
-    def test_symmetric_part_is_certified(self):
+    def test_symmetric_part_is_certified(self, layout):
         # a skew part changes neither the definiteness nor the zero rows
-        M = np.array([[2.0, 1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        M = layout([[2.0, 1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
         assert numkit.psd_certificate(M).tolist() == [2]
         report = numkit.certified_report(M, numkit.psd_certificate(M))
         assert report.verdict == numkit.POSITIVE_SEMIDEFINITE
         assert report.min_eigenvalue is None and report.max_asymmetry == 2.0
 
-    def test_non_finite_and_non_square_rejected(self):
+    def test_non_finite_and_non_square_rejected(self, layout):
         with pytest.raises(ValueError):
-            numkit.psd_certificate(np.array([[np.nan]]))
+            numkit.psd_certificate(layout(np.array([[np.nan]])))
         with pytest.raises(ValueError):
-            numkit.psd_certificate(np.ones((2, 3)))
+            numkit.psd_certificate(layout(np.ones((2, 3))))
 
-    def test_uncertified_report_is_the_dense_one(self):
+    def test_uncertified_report_is_the_dense_one(self, layout):
         M = np.diag([1.0, -1.0])
-        assert numkit.certified_report(M, None) == numkit.psd_check(M)
+        assert numkit.certified_report(layout(M), None) == numkit.psd_check(M)
+
+
+class TestPsdCertificateOnCsr(TestPsdCertificate):
+    """The certificate cases with every matrix given as CSR with explicit zeros."""
+
+    @pytest.fixture
+    def layout(self):
+        return with_explicit_zeros
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_structural_measures_agree_on_dense_and_csr(n):
+    for name, sys in built_systems(n).items():
+        for M in (sys.E, sys.J, sys.R):
+            got = structural(M)
+            assert structural(csr_array(M)) == got, name
+            assert structural(with_explicit_zeros(M)) == got, name
 
 
 def test_certified_systems_need_no_dense_spectrum(monkeypatch):

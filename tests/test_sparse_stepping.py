@@ -1,6 +1,9 @@
-"""The sparse theta-method core against a dense reference loop at n <= 4.
+"""The sparse systems and the sparse theta-method core against dense
+references at n <= 4.
 
-The reference is the dense algorithm the core replaced: dense step matrices,
+Every builder and coupled route stores the CSR of the dense quadruple that
+``oracle`` assembles from the same operators.  The stepping reference is the
+dense algorithm the core replaced: dense step matrices,
 ``scipy.linalg.lu_factor`` once per distinct step size (or per step when a
 frozen R is supplied) and dense products for the update and the ledger.
 """
@@ -10,10 +13,126 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import coo_array, csr_array
 
-from phporo import cli, fem, formulations, numkit, timeint
+from phporo import cli, fem, formulations, interconnect, numkit, phdae, timeint
+from phporo.phdae import PhDae
 
-from conftest import consistent_state, linear_data, make_ops
+import oracle
+from conftest import consistent_state, linear_data, make_network_ops, make_ops
 from test_cli import material_doc, network_doc, scenario_doc
+
+
+def built_and_reference(case, n):
+    """The system ``case`` builds at mesh size n and its dense oracle quadruple."""
+    ops, qs = make_ops(n), make_ops(n, rho=0.0)
+    nops, B = make_network_ops(n, m=2, symmetric=False, seed=3)
+    qs_net, B_sym = make_network_ops(n, m=2, seed=4)
+    zero = lambda t: np.zeros(qs.dim_u)  # noqa: E731
+    reduction = formulations.schur_reduce_parabolic(qs, zero, zero, zero)
+    S = numkit.sqrtm_spd(ops.stiff_elast)
+    return {
+        "full": lambda: (formulations.build_full_first_order(ops),
+                         oracle.dense_system("full", ops)),
+        "sqrt": lambda: (formulations.build_sqrt_formulation(ops),
+                         oracle.dense_system("sqrt", ops, sqrt=S)),
+        "quasi_static": lambda: (formulations.build_quasi_static(qs),
+                                 oracle.dense_system("quasi_static", qs)),
+        "quasi_static_network": lambda: (
+            formulations.build_quasi_static(qs_net, B_sym),
+            oracle.dense_system("quasi_static", qs_net, B_sym.exchange)),
+        "alt_qs": lambda: (formulations.build_alternative_qs(qs),
+                           oracle.dense_system("alt_qs", qs)),
+        "alt_qs_network": lambda: (formulations.build_alternative_qs(qs_net, B_sym),
+                                   oracle.dense_system("alt_qs", qs_net, B_sym.exchange)),
+        "network": lambda: (formulations.build_network_ph(nops, B),
+                            oracle.dense_system("network", nops, B.exchange)),
+        "schur_parabolic": lambda: (reduction.as_phdae(),
+                                    oracle.dense_system("schur_parabolic", qs,
+                                                        reduction=reduction)),
+        "full:coupled": lambda: (interconnect.couple_two_field(ops),
+                                 oracle.dense_coupled("full", ops)),
+        "alt_qs:coupled": lambda: (interconnect.couple_alt_qs(qs),
+                                   oracle.dense_coupled("alt_qs", qs)),
+        "network:coupled": lambda: (interconnect.couple_network(nops, B),
+                                    oracle.dense_coupled("network", nops, B.exchange)),
+    }[case]()
+
+
+BUILT = ("full", "sqrt", "quasi_static", "quasi_static_network", "alt_qs", "alt_qs_network",
+         "network", "schur_parabolic", "full:coupled", "alt_qs:coupled", "network:coupled")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", BUILT)
+def test_stored_csr_is_the_csr_of_the_dense_reference(case, n):
+    sys, reference = built_and_reference(case, n)
+    for name, dense in zip("EJRG", reference):
+        got, want = getattr(sys.csr, name), csr_array(dense)
+        assert got.shape == want.shape, (case, name)
+        assert np.array_equal(got.indptr, want.indptr), (case, name)
+        assert np.array_equal(got.indices, want.indices), (case, name)
+        assert np.array_equal(got.data, want.data), (case, name)
+        assert not any(a.flags.writeable for a in (got.data, got.indices, got.indptr))
+        assert np.array_equal(getattr(sys, name), dense), (case, name)
+
+
+@pytest.fixture
+def no_dense_views(monkeypatch):
+    """Make building a dense view of a system matrix fail."""
+    def refuse(M):
+        raise AssertionError("dense view of a system matrix")
+
+    monkeypatch.setattr(phdae, "_dense_view", refuse)
+
+
+CHECKED = {
+    "full": lambda: scenario_doc(mesh_n=3),
+    "sqrt": lambda: scenario_doc(mesh_n=3, formulation="sqrt"),
+    "quasi_static": lambda: scenario_doc(mesh_n=3, formulation="quasi_static",
+                                         materials=[material_doc(rho=0.0)]),
+    "alt_qs": lambda: scenario_doc(mesh_n=3, formulation="alt_qs",
+                                   materials=[material_doc(rho=0.0)]),
+    "network": lambda: network_doc(mesh_n=3),
+    "schur_parabolic": lambda: scenario_doc(mesh_n=3, formulation="schur_parabolic",
+                                            materials=[material_doc(rho=0.0)]),
+    "full:coupled": lambda: scenario_doc(mesh_n=3, route="coupled"),
+    "alt_qs:coupled": lambda: scenario_doc(mesh_n=3, route="coupled", formulation="alt_qs",
+                                           materials=[material_doc(rho=0.0)]),
+    "network:coupled": lambda: network_doc(mesh_n=3, route="coupled"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKED))
+def test_certified_check_reads_no_dense_view(case, no_dense_views):
+    report, code = cli.cmd_check(cli.parse_scenario(CHECKED[case]()))
+    assert code == 0 and report["pass"]
+    assert report["structure"]["E"]["min_eigenvalue"] is None  # decided by the certificate
+
+
+@pytest.mark.parametrize("case", ["full", "quasi_static"])
+def test_simulate_reads_no_dense_view(case, no_dense_views, tmp_path):
+    summary, code = cli.cmd_simulate(cli.parse_scenario(CHECKED[case]()), str(tmp_path / "t.csv"))
+    assert code == 0 and summary["max_power_balance_residual"] <= 1e-10
+
+
+def test_export_and_load_read_no_dense_view(no_dense_views, tmp_path):
+    scn = cli.parse_scenario(CHECKED["full"]())
+    report, code = cli.cmd_export(scn, str(tmp_path / "export"))
+    assert code == 0 and report["pass"]
+    loaded = phdae.load_phdae(tmp_path / "export")
+    built = cli.build_system(scn, cli.build_operators(scn))
+    for name in "EJRG":
+        a, b = getattr(loaded.csr, name), getattr(built.csr, name)
+        assert all(map(np.array_equal, (a.indptr, a.indices, a.data),
+                       (b.indptr, b.indices, b.data)))
+
+
+def test_uncertified_matrix_takes_the_dense_view():
+    sys = PhDae(np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1.0]), np.ones((2, 1)),
+                validate=False)
+    assert phdae.certificate(sys, "R") is None
+    report = phdae.validate_structure(sys)
+    assert report.r_report.verdict == numkit.INDEFINITE
+    assert set(sys._dense) == {"R"}
 
 
 def dense_theta_run(sys, z0, v, t, theta, frozen_R=None):
