@@ -349,8 +349,13 @@ def initial_state(scn: Scenario, ops: DiscreteOperators, system) -> np.ndarray:
         ops, p0, f(0.0), fdot(0.0), g(0.0), coupling
     )
     if scn.formulation == "sqrt":
-        u0 = numkit.sqrtm_spd(ops.stiff_elast) @ u0
+        u0 = _square_root(system) @ u0
     return np.concatenate([w0, u0, p0])
+
+
+def _square_root(system: PhDae) -> np.ndarray:
+    """The root S of K_A that ``build_sqrt_formulation`` put into J."""
+    return system.csr.J[system.state_slice("u"), system.state_slice("w")].toarray()
 
 
 def time_grid(scn: Scenario) -> np.ndarray:
@@ -464,7 +469,7 @@ def cmd_compare(first: Scenario, second: Scenario) -> tuple[dict, int]:
         ops = build_operators(by_tag["full"])
         sys_full, traj_full = _run(by_tag["full"], ops)
         sys_sqrt, traj_sqrt = _run(by_tag["sqrt"], ops)
-        S = numkit.sqrtm_spd(ops.stiff_elast)
+        S = _square_root(sys_sqrt)
         mapped = traj_full.states.copy()
         u = sys_full.state_slice("u")
         mapped[:, u] = traj_full.states[:, u] @ S.T

@@ -1,10 +1,11 @@
 """Differentiation-index classification and consistency machinery.
 
-For a regular constant-coefficient pair (E, A) the index is 0 when E is
-invertible, 1 when W^T A V is invertible for kernel bases V of E and W of
-E^T, and at least 2 otherwise.  Detection of anything beyond "at least 2"
-is deliberately out of scope; for a regular pH pencil, whose index is at
-most 2 (Mehl, Mehrmann and Wojtylak, SIMAX 2018), it means exactly 2.
+With Z the zero rows of E and N the other rows, det(lambda E - A) has the
+leading coefficient +-det(L), L = [E[N, :]; -A[Z, :]] (Kunkel and Mehrmann,
+EMS 2006): a nonsingular L makes the pencil regular, e_Z span the left kernel
+of E and the index 0 for empty Z, else 1.  A certified E with a singular
+A[Z, Z] has index at least 2, which for a regular pH pencil means exactly 2
+(Mehl, Mehrmann and Wojtylak, SIMAX 2018).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import diags_array
 
 from . import numkit
 from .formulations import (
@@ -36,109 +38,83 @@ class IndexReport:
 
     index: int
     e_rank: int
-    kernel_test_value: float | None  # None unless the dense kernel test ran
 
     @property
     def label(self) -> str:
         return _INDEX_LABELS[self.index]
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.label,
-            "e_rank": self.e_rank,
-            "kernel_test_value": self.kernel_test_value,
-        }
+        return {"index": self.label, "e_rank": self.e_rank}
 
 
 def classify_index(E, A) -> IndexReport:
     """Classify the differentiation index of E z' = A z + k.
 
-    When ``numkit.psd_certificate`` certifies E, with zero rows Z, the
-    pencil is regular when lambda E - A at a fixed lambda > 0 passes
-    ``numkit.Factorization``, E has rank n - |Z| with kernel basis e_Z, and
-    the index is 0 for empty Z, else 1 when A[Z, Z] is nonsingular (the
-    certificate proves the symmetric part of -A[Z, Z] positive definite,
-    whatever its scaling, or it passes ``Factorization``) and at least 2
-    otherwise.  All of this runs on the CSR of E and A.  Without a
-    certificate of E, or when the first factorization fails,
-    ``classify_index_dense`` decides.
+    ``algebraic_rows`` decides index 0 or 1 on the CSR of E and A.  Where it
+    does not (a certified E with a singular A[Z, Z]), the index is at least
+    2 if lambda E - A at a fixed lambda > 0 passes ``numkit.Factorization``,
+    else the pencil is singular (``SingularMatrixError``).  That lambda is
+    exact for pH pencils A = J - R: Re x^H (lambda E - J + R) x = 0 forces
+    E x = R x = J x = 0, a kernel common to the pencil at every lambda.
     """
     E, A = numkit.as_csr(E), numkit.as_csr(A)
-    _require_pencil(E, A)
-    return _classify(E, A, numkit.psd_certificate(E), lambda: classify_index_dense(E, A))
+    if E.shape != A.shape or E.shape[0] != E.shape[1]:
+        raise ValueError(f"E and A must be square of equal size, got {E.shape} and {A.shape}")
+    return _classify(E, A, numkit.psd_certificate(E))
 
 
 def classify_phdae_index(sys: PhDae) -> IndexReport:
-    """Classify a descriptor system through its drift pair (E, J - R),
-    reusing the system's certificate of E; the dense test, if needed, reads
-    the system's dense views."""
-    return _classify(sys.csr.E, sys.drift(), certificate(sys, "E"),
-                     lambda: classify_index_dense(sys.E, sys.J - sys.R))
+    """Classify the drift pair (E, J - R) of a system, reusing its certificate of E."""
+    return _classify(sys.csr.E, sys.drift(), certificate(sys, "E"))
 
 
-def _require_pencil(E, A) -> None:
-    if E.shape != A.shape or E.shape[0] != E.shape[1]:
-        raise ValueError(f"E and A must be square of equal size, got {E.shape} and {A.shape}")
+def _nonsingular(M) -> bool:
+    """True if ``numkit.psd_certificate`` proves the symmetric part of M
+    positive definite, whatever its scaling, or M passes ``Factorization``."""
+    kernel = numkit.psd_certificate(M)
+    if kernel is not None and not kernel.size:
+        return True
+    try:
+        numkit.Factorization(M)
+    except SingularMatrixError:
+        return False
+    return True
 
 
-def _classify(E, A, zero_rows: np.ndarray | None, dense) -> IndexReport:
-    """Index of the CSR pencil (E, A) given ``zero_rows = psd_certificate(E)``;
-    ``dense()`` runs the dense test where the certificate cannot decide."""
-    if zero_rows is None:
-        return dense()
+def algebraic_rows(E, A, zero_rows: np.ndarray | None) -> tuple[np.ndarray, bool]:
+    """Zero rows Z of the CSR E and whether L = [E[N, :]; -A[Z, :]] is
+    nonsingular, given ``zero_rows = psd_certificate(E)``.
+
+    A certified E has E[N, Z] = 0 and a definite E[N, N], so L is block
+    triangular and -A[Z, Z] decides.  Otherwise Z are the rows of E without
+    stored entries and L itself decides; a singular L leaves the index
+    undecided and raises ``SingularMatrixError``.  Either way e_Z spans the
+    left kernel of E: by the certificate, or as L is nonsingular.
+    """
+    if zero_rows is not None:
+        return zero_rows, not zero_rows.size or _nonsingular(-A[np.ix_(zero_rows, zero_rows)])
+    on_z = np.diff(E.indptr) == 0
+    # E has no entries on the rows Z, so subtracting A's rows there stacks L
+    if not _nonsingular(E - diags_array(on_z.astype(float)) @ A):
+        raise SingularMatrixError(
+            "index undecided: E is not certified and [E[N, :]; -A[Z, :]] is singular"
+        )
+    return np.flatnonzero(on_z), True
+
+
+def _classify(E, A, zero_rows: np.ndarray | None) -> IndexReport:
+    """Index of the CSR pencil (E, A) given ``zero_rows = psd_certificate(E)``."""
+    zero_rows, decided = algebraic_rows(E, A, zero_rows)
+    rank = E.shape[0] - zero_rows.size
+    if decided:
+        return IndexReport(1 if zero_rows.size else 0, rank)
     try:
         numkit.Factorization(_REGULARITY_SHIFT * E - A)
-    except SingularMatrixError:
-        # the dense test decides, and raises if the pencil is singular
-        return dense()
-    rank = E.shape[0] - zero_rows.size
-    if not zero_rows.size:
-        return IndexReport(0, rank, None)
-    block = A[np.ix_(zero_rows, zero_rows)]
-    kernel = numkit.psd_certificate(-block)
-    if kernel is not None and not kernel.size:
-        return IndexReport(1, rank, None)
-    try:
-        numkit.Factorization(block)
-    except SingularMatrixError:
-        return IndexReport(INDEX_AT_LEAST_2, rank, None)
-    return IndexReport(1, rank, None)
-
-
-def classify_index_dense(E, A) -> IndexReport:
-    """Dense index classification, for an uncertified E and as test oracle;
-    sparse E and A are densified.
-
-    Regularity is decided by one SVD of lambda E - A at a fixed lambda > 0;
-    a singular pencil (singular values down to 1e-10 times the largest, at
-    least 1) raises ``ValueError``.  For pH pencils A = J - R this
-    is exact: Re x^H (lambda E - J + R) x = 0 forces E x = R x = 0 (both
-    PSD), hence J x = 0, so a pencil singular at one lambda > 0 has a common
-    kernel of E, J and R and is singular everywhere (Mehl, Mehrmann and
-    Wojtylak, SIMAX 2018).  A general pencil with an eigenvalue at that
-    lambda is reported as singular.  The rank of E and its kernels come
-    from ``numkit.balanced_kernels``; the index is 1 when the smallest
-    singular value of W^T A V, the kernel test value, exceeds
-    ``1e-10 * max(1, ||A||_2)``.
-    """
-    E, A = numkit.as_matrix(E), numkit.as_matrix(A)
-    _require_pencil(E, A)
-    n = E.shape[0]
-    if n == 0:
-        return IndexReport(0, 0, None)
-
-    sv = np.linalg.svd(_REGULARITY_SHIFT * E - A, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
-        raise ValueError(f"matrix pencil is singular at lambda = {_REGULARITY_SHIFT}")
-
-    rank, V, W = numkit.balanced_kernels(E)
-    if rank == n:
-        return IndexReport(0, rank, None)
-
-    # V and W have n - rank > 0 columns, so the core is a nonempty square
-    ktv = float(np.linalg.svd(W.T @ A @ V, compute_uv=False)[-1])
-    index = 1 if ktv > 1e-10 * max(float(np.linalg.norm(A, 2)), 1.0) else INDEX_AT_LEAST_2
-    return IndexReport(index, rank, ktv)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"matrix pencil is singular at lambda = {_REGULARITY_SHIFT}"
+        ) from exc
+    return IndexReport(INDEX_AT_LEAST_2, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +171,15 @@ def consistent_initialization(ops: DiscreteOperators, p0, f0, fdot0, g0,
 
 def hidden_constraint_residual(ops: DiscreteOperators, w, p, fdot, g,
                                coupling: NetworkCoupling | None = None) -> float:
-    """Norm of the differentiated constraint the velocity state must satisfy."""
+    """Norm of the differentiated constraint on the velocity state,
+    K_A w + D-bar^T M-bar^-1 (D-bar w + K-bar p - g) - fdot, by one M-bar solve."""
     w = np.asarray(w, dtype=float)
     p = np.asarray(p, dtype=float)
     fdot = np.asarray(fdot, dtype=float)
     g = np.asarray(g, dtype=float)
-    dbar, kbar, mbar, schur = _schur_blocks(ops, coupling)
-    resid = schur @ w + dbar.T @ mbar.solve(kbar @ p - g) - fdot
-    return float(np.linalg.norm(resid))
+    dbar = stacked_coupling(ops)
+    flux = numkit.solve(blocked_storage_mass(ops), dbar @ w + kbar_matrix(ops, coupling) @ p - g)
+    return float(np.linalg.norm(ops.stiff_elast @ w + dbar.T @ flux - fdot))
 
 
 def nonaugmented_quasi_static_pencil(ops: DiscreteOperators,

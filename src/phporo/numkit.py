@@ -4,7 +4,7 @@ Every routine takes a dense array or a ``scipy.sparse`` matrix of float64.
 The structural ones (``default_tol``, the defects, ``sym_skew_split``,
 ``psd_certificate``) work in O(nnz) on the canonical CSR of ``as_csr``, to
 which dense input is converted once; the spectral ones (``psd_check``,
-``sqrtm_spd``, ``balanced_kernels``) densify sparse input.  ``Factorization``
+``sqrtm_spd``) densify sparse input.  ``Factorization``
 and ``psd_certificate`` factor through the sparse LU of ``lu_factor``.  No
 routine mutates its arguments.  Structural tolerances default to the
 scale-aware value ``1e-10 * (1 + max|entry|)``; only the reporting checks
@@ -313,28 +313,6 @@ def sqrtm_spd(M) -> np.ndarray:
         )
     S = (V * np.sqrt(w)) @ V.T
     return 0.5 * (S + S.T)
-
-
-def balanced_kernels(M) -> tuple[int, np.ndarray, np.ndarray]:
-    """Rank of M with orthonormal bases V of ker M and W of ker M^T.
-
-    The rank is decided on D_r M D_c, where D_r and D_c hold the inverse
-    square roots of the row and column max-norms of M (1 for a zero row or
-    column), so that a block tiny against the rest of M, such as the storage
-    mass of a stiff medium, is not cut as rank deficiency: singular values up
-    to ``1e-10 * max(1, largest)`` count as zero.  The kernels found there are
-    mapped back through D_c and D_r and re-orthonormalized.
-    """
-    A = as_matrix(M)
-    _require_square(A, "balanced_kernels")
-    mag = np.abs(A)
-    d_row, d_col = (1.0 / np.sqrt(np.where(norms > 0.0, norms, 1.0))
-                    for norms in (mag.max(axis=1, initial=0.0), mag.max(axis=0, initial=0.0)))
-    U, sv, Vh = np.linalg.svd(d_row[:, None] * A * d_col)
-    rank = int(np.sum(sv > 1e-10 * max(sv[0] if sv.size else 0.0, 1.0)))
-    V = np.linalg.qr(d_col[:, None] * Vh[rank:].T)[0]
-    W = np.linalg.qr(d_row[:, None] * U[:, rank:])[0]
-    return rank, V, W
 
 
 def lu_factor(A, symmetric: bool = False, natural: bool = False):

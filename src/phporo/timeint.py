@@ -34,7 +34,8 @@ from scipy.sparse import csc_array, csr_array
 
 from . import fem
 from .formulations import DiscreteOperators, build_full_first_order
-from .numkit import Factorization, SingularMatrixError, balanced_kernels
+from .dae_analysis import algebraic_rows
+from .numkit import Factorization, SingularMatrixError
 from .phdae import InconsistentStateError, PhDae, certificate
 
 
@@ -86,18 +87,16 @@ class Trajectory:
 
 
 def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray) -> None:
-    """Algebraic rows (left kernel of E) of r = (J - R) z0 + G v0 must
-    vanish, up to 1e-8 * (1 + max|r|).
+    """Algebraic rows of r = (J - R) z0 + G v0 must vanish, up to
+    1e-8 * (1 + max|r|).
 
-    A certified E names those rows (its zero rows); otherwise the left
-    kernel comes from ``balanced_kernels``.
+    Those rows are the rows Z of ``dae_analysis.algebraic_rows``, whose unit
+    vectors span the left kernel of E.
     """
-    zero_rows = certificate(sys, "E")
-    if zero_rows is not None and not zero_rows.size:
-        return  # E is nonsingular
-    rhs = sys.drift() @ z0 + sys.csr.G @ v0
-    algebraic = rhs[zero_rows] if zero_rows is not None else balanced_kernels(sys.E)[2].T @ rhs
-    resid = float(np.linalg.norm(algebraic))
+    A = sys.drift()
+    zero_rows, _ = algebraic_rows(sys.csr.E, A, certificate(sys, "E"))
+    rhs = A @ z0 + sys.csr.G @ v0
+    resid = float(np.linalg.norm(rhs[zero_rows]))
     scale = 1.0 + float(np.max(np.abs(rhs))) if rhs.size else 1.0
     limit = 1e-8 * scale
     if resid > limit:

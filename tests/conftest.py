@@ -14,12 +14,13 @@ def make_ops(n=2, rho=1.0, **kwargs):
     return formulations.assemble_two_field(mesh, make_material(rho=rho, **kwargs))
 
 
-def make_network_ops(n=2, m=2, rho=0.0, seed=0, symmetric=True, scale=0.02):
-    """Network bundle with per-network coefficients and a small random coupling."""
+def make_network_ops(n=2, m=2, rho=0.0, seed=0, symmetric=True, scale=0.02, **kwargs):
+    """Network bundle with per-network coefficients and a small random
+    coupling; ``kwargs`` are material fields shared by every network."""
     rng = np.random.default_rng(seed)
     mesh = fem.build_unit_square_mesh(n)
     mats = [make_material(rho=rho, alpha=0.3 + 0.2 * i, kappa=0.5 + 0.5 * i,
-                          nu=1.0 + 0.25 * i) for i in range(m)]
+                          nu=1.0 + 0.25 * i, **kwargs) for i in range(m)]
     B = random_coupling(rng, m, scale=scale, symmetric=symmetric)
     return formulations.assemble_network(mesh, mats, B), B
 

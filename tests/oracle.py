@@ -4,10 +4,15 @@ Everything here is computed the slow way on purpose: hat functions come from
 solving the 3x3 vertex interpolation system, integrals use the 3-point
 edge-midpoint quadrature evaluated numerically, and element energies are
 contracted from explicit 2x2 strain tensors.  No code is shared with
-phporo.fem beyond the mesh and dof layout conventions.
+phporo.fem beyond the mesh and dof layout conventions.  The dense rank,
+kernel and index classification at the end is the oracle of the sparse
+index rule in phporo.dae_analysis.
 """
 
 import numpy as np
+
+from phporo.dae_analysis import INDEX_AT_LEAST_2, IndexReport
+from phporo.numkit import as_matrix
 
 # barycentric coordinates of the edge midpoints (quadrature of order 2)
 EDGE_MIDPOINTS = np.array([
@@ -341,3 +346,71 @@ def dense_coupled(tag, ops, exchange=None):
                            + [2 * du + 2 * dp * i + dp + np.arange(dp)
                               for i in range(ops.networks)])
     return _coupled([hyperbolic, *networks], ops, exchange, ports)
+
+
+# ---------------------------------------------------------------------------
+# Dense rank, kernels and index (the oracle of dae_analysis)
+# ---------------------------------------------------------------------------
+# Singular values decide everything here; the sparse rule in dae_analysis
+# must give the same index label and rank of E on every built system.
+
+def balanced_kernels(M):
+    """Rank of M with orthonormal bases V of ker M and W of ker M^T.
+
+    The rank is decided on D_r M D_c, where D_r and D_c hold the inverse
+    square roots of the row and column max-norms of M (1 for a zero row or
+    column), so that a block tiny against the rest of M, such as the storage
+    mass of a stiff medium, is not cut as rank deficiency: singular values up
+    to ``1e-10 * max(1, largest)`` count as zero.  The kernels found there are
+    mapped back through D_c and D_r and re-orthonormalized.
+    """
+    A = as_matrix(M)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"balanced_kernels requires a square matrix, got shape {A.shape}")
+    mag = np.abs(A)
+    d_row, d_col = (1.0 / np.sqrt(np.where(norms > 0.0, norms, 1.0))
+                    for norms in (mag.max(axis=1, initial=0.0), mag.max(axis=0, initial=0.0)))
+    U, sv, Vh = np.linalg.svd(d_row[:, None] * A * d_col)
+    rank = int(np.sum(sv > 1e-10 * max(sv[0] if sv.size else 0.0, 1.0)))
+    V = np.linalg.qr(d_col[:, None] * Vh[rank:].T)[0]
+    W = np.linalg.qr(d_row[:, None] * U[:, rank:])[0]
+    return rank, V, W
+
+
+def classify_index_dense(E, A):
+    """Dense index classification of the pencil (E, A); sparse input is
+    densified.
+
+    Regularity is decided by one SVD of 2 E - A; a singular pencil (singular
+    values down to 1e-10 times the largest, at least 1) raises
+    ``ValueError``.  The rank of E and its kernels come from
+    ``balanced_kernels``; the index is 1 when the smallest singular value of
+    W^T A V exceeds ``1e-10 * max(1, ||A||_2)``, else at least 2.
+    """
+    E, A = as_matrix(E), as_matrix(A)
+    if E.shape != A.shape or E.shape[0] != E.shape[1]:
+        raise ValueError(f"E and A must be square of equal size, got {E.shape} and {A.shape}")
+    n = E.shape[0]
+    if n == 0:
+        return IndexReport(0, 0)
+    sv = np.linalg.svd(2.0 * E - A, compute_uv=False)
+    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
+        raise ValueError("matrix pencil is singular at lambda = 2.0")
+    rank, V, W = balanced_kernels(E)
+    if rank == n:
+        return IndexReport(0, rank)
+    # V and W have n - rank > 0 columns, so the core is a nonempty square
+    core = float(np.linalg.svd(W.T @ A @ V, compute_uv=False)[-1])
+    return IndexReport(1 if core > 1e-10 * max(float(np.linalg.norm(A, 2)), 1.0)
+                       else INDEX_AT_LEAST_2, rank)
+
+
+def consistent_start_residual(sys, z0, v0):
+    """Residual and limit of the start check on the left kernel W of E from
+    ``balanced_kernels``: (|W^T r|, 1e-8 * (1 + max|r|)) for
+    r = (J - R) z0 + G v0, or None when E is nonsingular."""
+    rank, _, W = balanced_kernels(sys.E)
+    if rank == sys.state_dim:
+        return None
+    rhs = (sys.J - sys.R) @ z0 + sys.G @ v0
+    return float(np.linalg.norm(W.T @ rhs)), 1e-8 * (1.0 + float(np.max(np.abs(rhs))))

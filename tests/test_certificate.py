@@ -1,11 +1,12 @@
 """The sparse definiteness certificate against the dense spectrum it replaces.
 
-``numkit.psd_certificate`` decides structure, rank and index wherever it
-certifies a matrix; the dense eigenvalue and SVD code stays as the path for
-everything else and as the oracle here.  Every system is checked twice: as
-built, and with the certificate forced to answer "not certified", which
-runs the dense code from start to end.  The certificate and the structural
-measures take dense and CSR input alike, and the tests run on both.
+``numkit.psd_certificate`` decides structure wherever it certifies a matrix,
+and the dense eigenvalue check stays as the path for everything else.  Every
+system is checked twice: as built, and against the dense verdicts, for
+which the structure report runs with the certificate forced to answer "not
+certified" and the index and start checks come from the SVD oracle in
+``oracle.py``.  The certificate and the structural measures take dense and
+CSR input alike, and the tests run on both.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from phporo.interconnect import FeedbackLaw
 from phporo.numkit import StructureError
 from phporo.phdae import InconsistentStateError, PhDae
 
+import oracle
 from conftest import make_network_ops, make_ops, random_coupling
 
 
@@ -72,26 +74,45 @@ def structural(M):
             numkit.skew_defect(M), numkit.default_tol(M))
 
 
-def outcomes(sys):
-    """Structure, index and start-consistency verdicts of one system."""
-    report = phdae.validate_structure(sys)
-    index = dae_analysis.classify_phdae_index(sys)
-    starts = []
-    for z0 in (np.zeros(sys.state_dim), np.random.default_rng(0).standard_normal(sys.state_dim)):
-        try:
-            timeint._check_consistent_start(sys, z0, np.zeros(sys.input_dim))
-            starts.append("consistent")
-        except InconsistentStateError as exc:
-            starts.append(str(exc))  # the residual, to four digits
+def start_states(sys):
+    return np.zeros(sys.state_dim), np.random.default_rng(0).standard_normal(sys.state_dim)
+
+
+def verdicts(report, index, starts):
     return (report.verdict, report.e_report.verdict, report.r_report.verdict,
             report.w_report.verdict, report.j_skew_defect, index.label, index.e_rank,
             tuple(starts))
 
 
+def start_verdict(sys, z0):
+    try:
+        timeint._check_consistent_start(sys, z0, np.zeros(sys.input_dim))
+        return "consistent"
+    except InconsistentStateError as exc:
+        return str(exc)  # the residual, to four digits
+
+
+def oracle_start_verdict(sys, z0):
+    checked = oracle.consistent_start_residual(sys, z0, np.zeros(sys.input_dim))
+    if checked is None or checked[0] <= checked[1]:
+        return "consistent"
+    return "initial state violates the algebraic constraints (residual %.3e > %.3e)" % checked
+
+
+def outcomes(sys):
+    """Structure, index and start-consistency verdicts of one system."""
+    return verdicts(phdae.validate_structure(sys), dae_analysis.classify_phdae_index(sys),
+                    [start_verdict(sys, z0) for z0 in start_states(sys)])
+
+
 def dense_outcomes(sys, monkeypatch):
+    """The verdicts of ``outcomes`` from the dense code: the structure report
+    without the certificate, the index and start checks from the oracle."""
     with monkeypatch.context() as patch:
         patch.setattr(numkit, "psd_certificate", lambda M: None)
-        return outcomes(fresh(sys))
+        report = phdae.validate_structure(fresh(sys))
+    return verdicts(report, oracle.classify_index_dense(sys.E, sys.J - sys.R),
+                    [oracle_start_verdict(sys, z0) for z0 in start_states(sys)])
 
 
 def certificate_agrees_with_the_dense_verdict(n, monkeypatch, layout):
@@ -117,12 +138,29 @@ def test_certificate_agrees_with_the_dense_verdict_on_csr(n, monkeypatch):
 def test_zero_rows_span_the_dense_kernels(n):
     for name, sys in built_systems(n).items():
         zero_rows = phdae.certificate(sys, "E")
-        rank, V, W = numkit.balanced_kernels(sys.E)
+        rank, V, W = oracle.balanced_kernels(sys.E)
         assert rank == sys.state_dim - zero_rows.size, name
         unit = np.eye(sys.state_dim)[:, zero_rows]
         for basis in (V, W):
             # the same subspace: projecting e_Z onto the dense basis keeps it
             assert np.allclose(basis @ (basis.T @ unit), unit, atol=1e-12), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_index_agrees_with_the_oracle(n):
+    # every builder and coupled route, the feedback loops of criterion 6 and
+    # the non-augmented pencils with one and two networks
+    systems = built_systems(n)
+    qs = formulations.build_quasi_static(make_ops(n, rho=0.0))
+    eye = np.eye(qs.state_slice("w").stop)
+    for label, gain in (("negative", -eye), ("zero", 0.0 * eye), ("positive", eye)):
+        systems["feedback_" + label] = dae_analysis.regularize_output_feedback(qs, gain)
+    for name, sys in systems.items():
+        expected = oracle.classify_index_dense(sys.E, sys.J - sys.R)
+        assert dae_analysis.classify_phdae_index(sys) == expected, name
+    for args in ((make_ops(n, rho=0.0),), make_network_ops(n, m=2, symmetric=False, seed=3)):
+        E, A = dae_analysis.nonaugmented_quasi_static_pencil(*args)
+        assert dae_analysis.classify_index(E, A) == oracle.classify_index_dense(E, A)
 
 
 class TestNegativeCases:
@@ -174,15 +212,16 @@ class TestNegativeCases:
         assert numkit.psd_certificate(layout(laplace)) is None
         assert numkit.psd_check(layout(laplace)).verdict == numkit.POSITIVE_SEMIDEFINITE
 
-    def test_zero_rows_that_are_not_zero_columns_take_the_dense_path(self, layout):
+    def test_uncertified_e_decided_by_stacked_rows(self, layout):
+        # the zero rows of E are not zero columns: L = [E[N, :]; -A[Z, :]] decides
         E, A = (M.toarray() for M in dae_analysis.nonaugmented_quasi_static_pencil(
             make_ops(3, rho=0.0)))
         assert not E[: make_ops(3).dim_u].any()
         assert numkit.psd_certificate(layout(E)) is None
         assert structural(layout(E)) == structural(E)
         got = dae_analysis.classify_index(layout(E), layout(A))
-        assert got == dae_analysis.classify_index_dense(E, A)
-        assert got.label == "1" and got.kernel_test_value is not None
+        assert got == oracle.classify_index_dense(E, A)
+        assert got.label == "1"
 
 
 class TestNegativeCasesOnCsr(TestNegativeCases):
@@ -251,6 +290,9 @@ def test_structural_measures_agree_on_dense_and_csr(n):
 
 def test_certified_systems_need_no_dense_spectrum(monkeypatch):
     systems = built_systems(4)
+    nops, B = make_network_ops(4, m=2, symmetric=False, seed=3)
+    pencils = [dae_analysis.nonaugmented_quasi_static_pencil(make_ops(4, rho=0.0)),
+               dae_analysis.nonaugmented_quasi_static_pencil(nops, B)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense SVD or eigendecomposition")
@@ -263,3 +305,5 @@ def test_certified_systems_need_no_dense_spectrum(monkeypatch):
         dae_analysis.classify_phdae_index(copy)
         timeint._check_consistent_start(copy, np.zeros(copy.state_dim),
                                         np.zeros(copy.input_dim))
+    for E, A in pencils:
+        assert dae_analysis.classify_index(E, A).label == "1"

@@ -508,6 +508,35 @@ class TestStiffStorage:
         assert report["max_power_balance_residual"] <= 1e-10 * max(1.0, np.max(np.abs(H)))
 
 
+class TestSquareRootOncePerRun:
+    """``sqrt`` runs compute the root S of K_A once, in the builder; the
+    initial state and the full/sqrt comparison read it from J."""
+
+    @pytest.fixture
+    def roots(self, monkeypatch):
+        calls = []
+        real = numkit.sqrtm_spd
+        monkeypatch.setattr(numkit, "sqrtm_spd", lambda M: calls.append(M) or real(M))
+        return calls
+
+    def test_simulate_on_sqrt(self, tmp_path, roots):
+        doc = scenario_doc(formulation="sqrt")
+        _, code = cli.cmd_simulate(parse_scenario(doc), str(tmp_path / "s.csv"))
+        assert code == 0 and len(roots) == 1
+
+    def test_full_vs_sqrt_compare(self, roots):
+        first = parse_scenario(scenario_doc())
+        second = parse_scenario(scenario_doc(formulation="sqrt"))
+        _, code = cli.cmd_compare(first, second)
+        assert code == 0 and len(roots) == 1
+
+    def test_root_read_from_j_is_the_builders(self):
+        scn = parse_scenario(scenario_doc(formulation="sqrt", mesh_n=3))
+        ops = cli.build_operators(scn)
+        S = cli._square_root(cli.build_system(scn, ops))
+        assert np.array_equal(S, numkit.sqrtm_spd(ops.stiff_elast))
+
+
 class TestCompareIntegrator:
     def test_euler_pair_is_integrated_with_euler(self):
         first = parse_scenario(scenario_doc(mesh_n=3, integrator="euler",

@@ -4,6 +4,7 @@ import pytest
 from phporo import dae_analysis, formulations, interconnect, numkit, phdae, timeint
 from phporo.dae_analysis import classify_index, classify_phdae_index
 
+import oracle
 from conftest import consistent_state, linear_data, make_network_ops, make_ops
 
 
@@ -13,16 +14,13 @@ class TestClassifyIndex:
         report = classify_index(np.eye(4), rng.standard_normal((4, 4)))
         assert report.label == "0"
         assert report.e_rank == 4
-        assert report.kernel_test_value is None
 
     def test_forced_index_one(self):
         report = classify_index(np.diag([1.0, 0.0]), np.eye(2))
         assert report.label == "1"
         assert report.e_rank == 1
-        assert report.kernel_test_value is None  # decided by E's certificate
-        dense = dae_analysis.classify_index_dense(np.diag([1.0, 0.0]), np.eye(2))
+        dense = oracle.classify_index_dense(np.diag([1.0, 0.0]), np.eye(2))
         assert (dense.label, dense.e_rank) == ("1", 1)
-        assert dense.kernel_test_value == pytest.approx(1.0)
 
     def test_singular_pencil_rejected(self):
         # E = 0 and singular A make det(lambda E - A) identically zero
@@ -34,8 +32,16 @@ class TestClassifyIndex:
         # singular for every lambda
         full = formulations.build_full_first_order(make_ops(2))
         idle = phdae.PhDae(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match="singular") as raised:
             classify_phdae_index(interconnect.aggregate(full, idle))
+        assert raised.type is numkit.SingularMatrixError
+        assert str(raised.value).startswith("matrix pencil is singular")
+
+    def test_undecided_uncertified_input_rejected(self):
+        # E has no zero row, is not certified and is singular, so
+        # L = [E[N, :]; -A[Z, :]] = E cannot decide the index
+        with pytest.raises(numkit.SingularMatrixError, match="index undecided"):
+            classify_index(np.ones((2, 2)), -np.eye(2))
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
@@ -80,7 +86,33 @@ class TestClassifyIndex:
     def test_report_serialization(self):
         report = classify_index(np.diag([1.0, 0.0]), np.eye(2))
         doc = report.to_dict()
-        assert doc == {"index": "1", "e_rank": 1, "kernel_test_value": None}
+        assert doc == {"index": "1", "e_rank": 1}
+
+
+class TestNonaugmentedPencil:
+    """The sparse rule decides the (u, p) form without a dense spectrum,
+    also where stiff storage (large biot_M) scales M-bar down."""
+
+    @pytest.mark.parametrize("n", [2, 4, 12])
+    @pytest.mark.parametrize("biot_M", [1.0, 1e8, 1e12, 1e14])
+    @pytest.mark.parametrize("networks", [1, 2])
+    def test_index_one_without_dense_spectra(self, n, biot_M, networks, monkeypatch):
+        if networks == 1:
+            ops, coupling = make_ops(n, rho=0.0, biot_M=biot_M), None
+        else:
+            ops, coupling = make_network_ops(n, m=2, symmetric=False, biot_M=biot_M)
+        E, A = dae_analysis.nonaugmented_quasi_static_pencil(ops, coupling)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense SVD or eigendecomposition")
+
+        with monkeypatch.context() as patch:
+            for name in ("svd", "eigvalsh", "eigh"):
+                patch.setattr(np.linalg, name, refuse)
+            report = classify_index(E, A)
+        assert report.label == "1"
+        if n <= 4:
+            assert report.e_rank == oracle.classify_index_dense(E, A).e_rank
 
 
 class TestConsistentInitialization:
@@ -152,6 +184,23 @@ class TestHiddenConstraint:
         grown = dae_analysis.hidden_constraint_residual(ops3_qs, w0 + delta, p0,
                                                         fdot(0.0), g(0.0))
         assert grown == pytest.approx(np.linalg.norm(schur @ delta), rel=1e-9)
+
+    @pytest.mark.parametrize("networks", [1, 2])
+    def test_agrees_with_the_schur_formula(self, networks):
+        # K_A w + D^T M^-1 (D w + K p - g) - fdot regrouped around the Schur
+        # matrix K_A + D^T M^-1 D
+        ops, coupling = ((make_ops(3, rho=0.0), None) if networks == 1
+                         else make_network_ops(3, m=2, symmetric=False))
+        dbar = formulations.stacked_coupling(ops)
+        mbar = formulations.blocked_storage_mass(ops)
+        rng = np.random.default_rng(11)
+        w, fdot = rng.standard_normal((2, ops.dim_u))
+        p, g = rng.standard_normal((2, dbar.shape[0]))
+        schur = ops.stiff_elast + dbar.T @ numkit.solve(mbar, dbar)
+        flow = formulations.kbar_matrix(ops, coupling) @ p - g
+        expected = np.linalg.norm(schur @ w + dbar.T @ numkit.solve(mbar, flow) - fdot)
+        got = dae_analysis.hidden_constraint_residual(ops, w, p, fdot, g, coupling)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestOutputFeedbackRegularization:
