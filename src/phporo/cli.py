@@ -35,6 +35,10 @@ class ScenarioError(ValueError):
 _NUMERICAL_ERRORS = (StructureError, SingularMatrixError, InconsistentStateError,
                      BoundViolationError)
 
+# Rows of the one dense square matrix a sqrt run (the root S of K_A) or a
+# schur_parabolic run (the reduced mass) forms; 4096 rows are 134 MB.
+DENSE_ROWS_CAP = 4096
+
 
 # ---------------------------------------------------------------------------
 # Source-term grammar
@@ -176,6 +180,10 @@ def _parse_document(doc: dict) -> Scenario:
         raise ScenarioError("multi-network scenarios need exchange_matrix")
     if formulation == "alt_qs" and m > 1 and exchange is not None and not exchange.is_symmetric:
         raise ScenarioError("alt_qs with several networks needs a symmetric exchange matrix")
+    dense_rows = {"sqrt": 2, "schur_parabolic": m}.get(formulation, 0) * (mesh_n - 1) ** 2
+    if dense_rows > DENSE_ROWS_CAP:
+        raise ScenarioError(f"{formulation} at mesh_n = {mesh_n} forms a dense matrix of "
+                            f"{dense_rows} rows, above DENSE_ROWS_CAP = {DENSE_ROWS_CAP}")
 
     raw_g = doc.get("source_g") or []
     if raw_g and not isinstance(raw_g[0], list):
@@ -324,8 +332,8 @@ def load_signals(scn: Scenario, ops: DiscreteOperators):
         return _separable_signal([(term, M @ vec) for term, vec in parts], size)
 
     return (
-        load(ops.mass_u, _spatial_parts(ops.vspace, _by_component(scn.source_f), du), du),
-        load(ops.mass_u, _spatial_parts(ops.vspace, _by_component(rates), du), du),
+        load(ops.csr.mass_u, _spatial_parts(ops.vspace, _by_component(scn.source_f), du), du),
+        load(ops.csr.mass_u, _spatial_parts(ops.vspace, _by_component(rates), du), du),
         load(mp, _spatial_parts(ops.qspace, scn.source_g, mdp), mdp),
     )
 
@@ -499,14 +507,9 @@ def cmd_export(scn: Scenario, out_dir: str) -> tuple[dict, int]:
     ops = build_operators(scn)
     system, structure, index = _checked_system(scn, ops)
     phdae.save_phdae(system, out_dir, tol=scn.tol)
-    blocks = {
-        "mass_rho": ops.mass_rho,
-        "stiff_elast": ops.stiff_elast,
-        "mass_storage": ops.mass_storage,
-        "mass_p": ops.mass_p,
-        "mass_u": ops.mass_u,
-    }
-    for i, (K, D) in enumerate(zip(ops.stiff_flow, ops.div_coupling)):
+    blocks = {name: getattr(ops.csr, name)
+              for name in ("mass_rho", "stiff_elast", "mass_storage", "mass_p", "mass_u")}
+    for i, (K, D) in enumerate(zip(ops.csr.stiff_flow, ops.csr.div_coupling)):
         blocks[f"stiff_flow_{i}"] = K
         blocks[f"div_coupling_{i}"] = D
     for name, M in blocks.items():

@@ -122,16 +122,17 @@ def _classify(E, A, zero_rows: np.ndarray | None) -> IndexReport:
 # ---------------------------------------------------------------------------
 
 def _schur_blocks(ops: DiscreteOperators, coupling: NetworkCoupling | None):
-    """D-bar, K-bar, the factored M-bar and the Schur matrix K_A + D-bar^T M-bar^-1 D-bar."""
+    """D-bar, K-bar, the factored M-bar and the dense K_A + D-bar^T M-bar^-1 D-bar."""
     dbar = stacked_coupling(ops)
     mbar = numkit.Factorization(blocked_storage_mass(ops))
-    schur = ops.stiff_elast + dbar.T @ mbar.solve(dbar)
+    schur = ops.csr.stiff_elast.toarray() + dbar.T @ mbar.solve(dbar.toarray())
     return dbar, kbar_matrix(ops, coupling), mbar, schur
 
 
 def _backward_error(A, x, b) -> float:
     """Normwise backward error |A x - b| / (|A| |x| + |b|) in the infinity norm."""
-    scale = np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
+    norm_a = float(np.max(abs(A).sum(axis=1), initial=0.0))  # A dense or sparse
+    scale = norm_a * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
     # a zero scale means A x and b vanish, so the residual does too
     return float(np.linalg.norm(A @ x - b, np.inf) / scale) if scale > 0.0 else 0.0
 
@@ -150,7 +151,7 @@ def consistent_initialization(ops: DiscreteOperators, p0, f0, fdot0, g0,
     fdot0 = np.asarray(fdot0, dtype=float)
     g0 = np.asarray(g0, dtype=float)
     dbar, kbar, mbar, schur = _schur_blocks(ops, coupling)
-    ka = ops.stiff_elast
+    ka = ops.csr.stiff_elast
 
     rhs_u = dbar.T @ p0 + f0
     u0 = numkit.solve(ka, rhs_u)
@@ -179,7 +180,7 @@ def hidden_constraint_residual(ops: DiscreteOperators, w, p, fdot, g,
     g = np.asarray(g, dtype=float)
     dbar = stacked_coupling(ops)
     flux = numkit.solve(blocked_storage_mass(ops), dbar @ w + kbar_matrix(ops, coupling) @ p - g)
-    return float(np.linalg.norm(ops.stiff_elast @ w + dbar.T @ flux - fdot))
+    return float(np.linalg.norm(ops.csr.stiff_elast @ w + dbar.T @ flux - fdot))
 
 
 def nonaugmented_quasi_static_pencil(ops: DiscreteOperators,
@@ -195,7 +196,7 @@ def nonaugmented_quasi_static_pencil(ops: DiscreteOperators,
     du = ops.dim_u
     n = du + dbar.shape[0]
     E = numkit.block_csr((n, n), [(du, 0, dbar), (du, du, blocked_storage_mass(ops))])
-    A = numkit.block_csr((n, n), [(0, 0, -ops.stiff_elast), (0, du, dbar.T),
+    A = numkit.block_csr((n, n), [(0, 0, -ops.csr.stiff_elast), (0, du, dbar.T),
                                   (du, du, -kbar_matrix(ops, coupling))])
     return E, A
 

@@ -12,20 +12,22 @@ integrands; P1 stiffness integrands are elementwise constant, so stiffness
 and coupling matrices are exact.
 
 Assembly evaluates each element kernel once on the stack of all triangles
-and sums the local matrices into the global one with a single scatter that
-adds the contributions to every entry in element order, so assembled
-results are bit-reproducible from run to run.  The matrices are dense, except
-the nonlinear permeability block, which is reassembled on every time step:
-it is CSR on a pattern fixed by the mesh.
+and sums the local matrices with one ``np.bincount``, contributions to every
+entry in element order, into the CSR of the mesh stencil of the (row space,
+column space) pair, so results are bit-reproducible from run to run.  The
+linear operators are canonical CSR (``numkit.as_csr``: the stencil's exact
+zeros dropped); the nonlinear permeability block, reassembled on every time
+step, keeps the whole stencil, so its pattern is the same on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
+
+from . import numkit
 
 SCALAR_P1 = "scalar_p1"
 VECTOR_P1 = "vector_p1"
@@ -74,6 +76,8 @@ class FeSpace:
     mesh: Mesh2D
     free_nodes: np.ndarray = field(repr=False)
     node_to_free: np.ndarray = field(repr=False)  # -1 for constrained nodes
+    # column-space kind -> ``_stencil`` of that pair, rows in this space
+    _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def components(self) -> int:
@@ -82,22 +86,6 @@ class FeSpace:
     @property
     def dim(self) -> int:
         return self.components * len(self.free_nodes)
-
-    @cached_property
-    def _stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR pattern of a square assembly on this space, from the mesh alone.
-
-        Returns ``(keep, slot, indptr, indices)``: ``keep`` (T, d, d) marks
-        the local entries in a free row and column, and ``slot`` gives each
-        kept entry, in element order, its place in the CSR data.  Every pair
-        of dofs that share an element is in the pattern, whatever the values.
-        """
-        dofs = _dofs(self)
-        keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
-        keys, slot = np.unique((dofs[:, :, None] * self.dim + dofs[:, None, :])[keep],
-                               return_inverse=True)
-        indptr = np.searchsorted(keys, np.arange(self.dim + 1) * self.dim)
-        return keep, slot, indptr, keys % self.dim
 
 
 def _make_space(mesh: Mesh2D, kind: str) -> FeSpace:
@@ -228,61 +216,74 @@ def _dofs(space: FeSpace) -> np.ndarray:
                            for comp in range(space.components)], axis=1)
 
 
-def _scatter(local, rows, cols, shape) -> np.ndarray:
-    """Sum stacked local matrices (T, r, c) into a dense matrix of ``shape``.
+def _stencil(rows: FeSpace, cols: FeSpace) -> tuple[np.ndarray, ...]:
+    """CSR pattern of an assembly with rows in ``rows`` and columns in
+    ``cols`` (spaces on one mesh), from the mesh alone; kept on ``rows``.
 
-    ``rows`` (T, r) and ``cols`` (T, c) are dof tables; entries in a
-    constrained row or column are dropped.  ``np.bincount`` adds the
-    contributions to each global entry one at a time in element order.
+    Returns ``(keep, slot, indptr, indices)``: ``keep`` (T, r, c) marks the
+    local entries in a free row and column, and ``slot`` gives each kept
+    entry, in element order, its place in the CSR data.  Every pair of dofs
+    that share an element is in the pattern, whatever the values.
     """
-    keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
-    index = rows[:, :, None] * shape[1] + cols[:, None, :]
-    sums = np.bincount(index[keep], weights=local[keep], minlength=shape[0] * shape[1])
+    if cols.kind not in rows._stencils:
+        r, c = _dofs(rows), _dofs(cols)
+        keep = (r[:, :, None] >= 0) & (c[:, None, :] >= 0)
+        keys, slot = np.unique((r[:, :, None] * cols.dim + c[:, None, :])[keep],
+                               return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(rows.dim + 1) * cols.dim)
+        rows._stencils[cols.kind] = (keep, slot, indptr, keys % cols.dim)
+    return rows._stencils[cols.kind]
+
+
+def _stencil_sum(local, rows: FeSpace, cols: FeSpace) -> csr_array:
+    """Stacked local matrices (T, r, c) summed into the CSR of the stencil:
+    ``np.bincount`` adds the contributions to each entry one at a time in
+    element order; entries in a constrained row or column are dropped."""
+    keep, slot, indptr, indices = _stencil(rows, cols)
+    data = np.bincount(slot, weights=local[keep], minlength=len(indices))
     # with nothing kept (no free dofs) bincount returns integers
-    return sums.astype(float, copy=False).reshape(shape)
+    return csr_array((data.astype(float, copy=False), indices, indptr),
+                     shape=(rows.dim, cols.dim))
 
 
-def assemble_mass(space: FeSpace, coeff: float) -> np.ndarray:
+def assemble_mass(space: FeSpace, coeff: float) -> csr_array:
     """Mass matrix with constant coefficient; block-diagonal per component."""
     if coeff < 0:
         raise ValueError(f"mass coefficient must be >= 0, got {coeff}")
     # one copy of the scalar local mass per component block
     local = np.kron(np.eye(space.components),
                     element_mass(space.mesh.nodes[space.mesh.triangles], coeff))
-    dofs = _dofs(space)
-    return _scatter(local, dofs, dofs, (space.dim, space.dim))
+    return numkit.as_csr(_stencil_sum(local, space, space))
 
 
-def assemble_laplace(space: FeSpace, coeff: float) -> np.ndarray:
+def assemble_laplace(space: FeSpace, coeff: float) -> csr_array:
     """Scalar stiffness matrix with constant coefficient; SPD on the free dofs."""
     if space.kind != SCALAR_P1:
         raise ValueError("assemble_laplace expects a scalar space")
     if coeff <= 0:
         raise ValueError(f"diffusion coefficient must be > 0, got {coeff}")
-    dofs = _dofs(space)
     local = element_stiffness(space.mesh.nodes[space.mesh.triangles], coeff)
-    return _scatter(local, dofs, dofs, (space.dim, space.dim))
+    return numkit.as_csr(_stencil_sum(local, space, space))
 
 
-def assemble_elasticity(space: FeSpace, mu: float, lam: float) -> np.ndarray:
+def assemble_elasticity(space: FeSpace, mu: float, lam: float) -> csr_array:
     """Linear elastic stiffness; SPD on the free dofs."""
     if space.kind != VECTOR_P1:
         raise ValueError("assemble_elasticity expects a vector space")
     if mu <= 0 or lam < 0:
         raise ValueError("assemble_elasticity needs mu > 0 and lambda >= 0")
-    dofs = _dofs(space)
     local = element_elasticity(space.mesh.nodes[space.mesh.triangles], mu, lam)
-    return _scatter(local, dofs, dofs, (space.dim, space.dim))
+    return numkit.as_csr(_stencil_sum(local, space, space))
 
 
-def assemble_divergence_coupling(vspace: FeSpace, qspace: FeSpace, alpha: float) -> np.ndarray:
+def assemble_divergence_coupling(vspace: FeSpace, qspace: FeSpace, alpha: float) -> csr_array:
     """Coupling D with D[i, j] = alpha * int (div phi_j) psi_i (pressure rows)."""
     if vspace.kind != VECTOR_P1 or qspace.kind != SCALAR_P1:
         raise ValueError("divergence coupling needs a vector and a scalar space")
     if vspace.mesh is not qspace.mesh:
         raise ValueError("divergence coupling requires both spaces on the same mesh")
     local = element_divergence(vspace.mesh.nodes[vspace.mesh.triangles], alpha)
-    return _scatter(local, _dofs(qspace), _dofs(vspace), (qspace.dim, vspace.dim))
+    return numkit.as_csr(_stencil_sum(local, qspace, vspace))
 
 
 # hat function values (cols) at the midpoint of edge (q, q + 1) (rows)
@@ -302,7 +303,11 @@ def assemble_load(space: FeSpace, density) -> np.ndarray:
     wf = (triangle_area(coords) / 3.0)[:, None, None] * f.reshape(T, 3, space.components)
     # row q holds point q's contribution to every local dof (comp, a)
     local = (wf[..., None] * _MIDPOINT_VALUES[:, None, :]).reshape(T, 3, -1)
-    return _scatter(local, np.zeros((T, 3), dtype=int), _dofs(space), (1, space.dim))[0]
+    dofs = np.broadcast_to(_dofs(space)[:, None, :], local.shape)
+    keep = dofs >= 0
+    # one bincount in element order, point by point within an element
+    return np.bincount(dofs[keep], weights=local[keep],
+                       minlength=space.dim).astype(float, copy=False)
 
 
 def elementwise_divergence(vspace: FeSpace, u_free: np.ndarray) -> np.ndarray:
@@ -353,12 +358,8 @@ def assemble_nonlinear_permeability(qspace: FeSpace, vspace: FeSpace, u_free,
         raise BoundViolationError(
             f"permeability {kappa[t]:.3e} leaves the declared bounds {bounds}"
         )
-    keep, slot, indptr, indices = qspace._stencil
-    local = element_stiffness(qspace.mesh.nodes[qspace.mesh.triangles], kappa / nu)
-    # one bincount in element order, like ``_scatter``: the same sums, bit for bit
-    data = np.bincount(slot, weights=local[keep], minlength=len(indices))
-    return csr_array((data.astype(float, copy=False), indices, indptr),
-                     shape=(qspace.dim, qspace.dim))
+    return _stencil_sum(element_stiffness(qspace.mesh.nodes[qspace.mesh.triangles], kappa / nu),
+                        qspace, qspace)
 
 
 def write_mesh_text(mesh: Mesh2D, path) -> None:

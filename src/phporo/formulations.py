@@ -17,11 +17,12 @@ densities and G v is the assembled load.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse import csr_array, eye_array
+from scipy.sparse import block_diag, csr_array, eye_array, kron, vstack
+from scipy.sparse.linalg import eigsh
 
 from . import fem, numkit
 from .fem import FeSpace, Mesh2D, PoroMaterial
@@ -68,33 +69,45 @@ class NetworkCoupling:
         return numkit.symmetry_defect(self.exchange) <= numkit.default_tol(self.exchange)
 
 
+class OperatorBlocks(NamedTuple):
+    """The canonical CSR blocks (``numkit.as_csr``) of one operator bundle."""
+
+    mass_rho: csr_array      # rho-weighted displacement mass
+    stiff_elast: csr_array   # elastic stiffness
+    mass_storage: csr_array  # (1/biot_M)-weighted pressure mass, one network
+    stiff_flow: tuple        # per-network pressure stiffness
+    div_coupling: tuple      # per-network alpha-weighted divergence coupling
+    mass_p: csr_array        # unit-coefficient pressure mass
+    mass_u: csr_array        # unit-coefficient displacement mass
+
+
 @dataclass(frozen=True)
 class DiscreteOperators:
     """Assembled matrices of one poroelastic problem (m >= 1 networks).
 
-    ``mass_u`` / ``mass_p`` are the unit-coefficient mass matrices used as
-    input weights and as the discrete pressure-space embedding.
+    ``csr`` holds the blocks as ``fem`` assembles them; the attributes of the
+    same names are read-only dense views made on first read, which nothing in
+    the package reads.  ``mass_u`` / ``mass_p`` are the unit-coefficient mass
+    matrices used as input weights and as the pressure-space embedding.
     """
 
-    mass_rho: np.ndarray            # rho-weighted displacement mass
-    stiff_elast: np.ndarray         # elastic stiffness
-    mass_storage: np.ndarray        # (1/biot_M)-weighted pressure mass, one network
-    stiff_flow: tuple               # per-network pressure stiffness
-    div_coupling: tuple             # per-network alpha-weighted divergence coupling
-    mass_p: np.ndarray              # unit-coefficient pressure mass
-    mass_u: np.ndarray              # unit-coefficient displacement mass
-    networks: int
+    csr: OperatorBlocks
     vspace: FeSpace
     qspace: FeSpace
     materials: tuple
+    _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.networks != len(self.stiff_flow) or self.networks != len(self.div_coupling):
-            raise ValueError("per-network matrix lists must match the network count")
-        dp, du = self.qspace.dim, self.vspace.dim
-        for D in self.div_coupling:
-            if D.shape != (dp, du):
-                raise ValueError(f"coupling block must be {dp}x{du}, got {D.shape}")
+    mass_rho = numkit.DenseView()
+    stiff_elast = numkit.DenseView()
+    mass_storage = numkit.DenseView()
+    stiff_flow = numkit.DenseView()
+    div_coupling = numkit.DenseView()
+    mass_p = numkit.DenseView()
+    mass_u = numkit.DenseView()
+
+    @property
+    def networks(self) -> int:
+        return len(self.csr.stiff_flow)
 
     @property
     def dim_u(self) -> int:
@@ -112,14 +125,16 @@ def _assemble(mesh: Mesh2D, mats: tuple) -> DiscreteOperators:
     vsp = fem.vector_space(mesh)
     qsp = fem.scalar_space(mesh)
     return DiscreteOperators(
-        mass_rho=fem.assemble_mass(vsp, head.rho),
-        stiff_elast=fem.assemble_elasticity(vsp, head.mu, head.lam),
-        mass_storage=fem.assemble_mass(qsp, 1.0 / head.biot_M),
-        stiff_flow=tuple(fem.assemble_laplace(qsp, m.kappa / m.nu) for m in mats),
-        div_coupling=tuple(fem.assemble_divergence_coupling(vsp, qsp, m.alpha) for m in mats),
-        mass_p=fem.assemble_mass(qsp, 1.0),
-        mass_u=fem.assemble_mass(vsp, 1.0),
-        networks=len(mats),
+        OperatorBlocks(
+            mass_rho=fem.assemble_mass(vsp, head.rho),
+            stiff_elast=fem.assemble_elasticity(vsp, head.mu, head.lam),
+            mass_storage=fem.assemble_mass(qsp, 1.0 / head.biot_M),
+            stiff_flow=tuple(fem.assemble_laplace(qsp, m.kappa / m.nu) for m in mats),
+            div_coupling=tuple(fem.assemble_divergence_coupling(vsp, qsp, m.alpha)
+                               for m in mats),
+            mass_p=fem.assemble_mass(qsp, 1.0),
+            mass_u=fem.assemble_mass(vsp, 1.0),
+        ),
         vspace=vsp,
         qspace=qsp,
         materials=mats,
@@ -151,36 +166,29 @@ def assemble_network(mesh: Mesh2D, mats, coupling: NetworkCoupling) -> DiscreteO
 # Block helpers shared by the builders
 # ---------------------------------------------------------------------------
 
-def stacked_coupling(ops: DiscreteOperators) -> np.ndarray:
+def stacked_coupling(ops: DiscreteOperators) -> csr_array:
     """All divergence couplings stacked: (m * dim_p) x dim_u."""
-    return np.vstack(ops.div_coupling) if ops.networks else np.zeros((0, ops.dim_u))
+    return numkit.as_csr(vstack(ops.csr.div_coupling, format="csr"))
 
 
-def blocked_storage_mass(ops: DiscreteOperators) -> np.ndarray:
+def blocked_storage_mass(ops: DiscreteOperators) -> csr_array:
     """Storage-weighted pressure mass repeated per network."""
-    return np.kron(np.eye(ops.networks), ops.mass_storage)
+    return numkit.as_csr(kron(eye_array(ops.networks), ops.csr.mass_storage, format="csr"))
 
 
-def blocked_unit_mass(ops: DiscreteOperators) -> np.ndarray:
+def blocked_unit_mass(ops: DiscreteOperators) -> csr_array:
     """Unit pressure mass repeated per network (input weight for the g ports)."""
-    return np.kron(np.eye(ops.networks), ops.mass_p)
+    return numkit.as_csr(kron(eye_array(ops.networks), ops.csr.mass_p, format="csr"))
 
 
-def kbar_matrix(ops: DiscreteOperators, coupling: NetworkCoupling | None = None) -> np.ndarray:
+def kbar_matrix(ops: DiscreteOperators, coupling: NetworkCoupling | None = None) -> csr_array:
     """Coupled flow operator: blockdiag of the K_i plus B kron the unit mass."""
-    K = numkit.block_diag(*ops.stiff_flow)
+    K = block_diag(ops.csr.stiff_flow, format="csr")
     if coupling is not None:
         if coupling.size != ops.networks:
             raise ValueError("coupling dimension does not match the operator bundle")
-        K = K + np.kron(coupling.exchange, ops.mass_p)
-    return K
-
-
-def _per_network(ops: DiscreteOperators, block: np.ndarray, row: int, col: int) -> list:
-    """``numkit.block_csr`` triples of ``block`` repeated down the diagonal,
-    once per network, starting at (row, col)."""
-    dp = ops.dim_p
-    return [(row + i * dp, col + i * dp, block) for i in range(ops.networks)]
+        K = K + kron(coupling.exchange, ops.csr.mass_p, format="csr")
+    return numkit.as_csr(K)
 
 
 def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None,
@@ -189,14 +197,14 @@ def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None
     du, mdp = ops.dim_u, ops.networks * ops.dim_p
     n = 2 * du + mdp
     ksym, kskew = numkit.sym_skew_split(kbar_matrix(ops, coupling))
-    dbar, c_uu = numkit.as_csr(stacked_coupling(ops)), numkit.as_csr(c_uu)
+    dbar, c_uu = stacked_coupling(ops), numkit.as_csr(c_uu)
     E = numkit.block_csr((n, n), [(0, 0, mass_rho), (du, du, e_uu),
-                                  *_per_network(ops, ops.mass_storage, 2 * du, 2 * du)])
+                                  (2 * du, 2 * du, blocked_storage_mass(ops))])
     J = numkit.block_csr((n, n), [(0, du, -c_uu), (du, 0, c_uu), (0, 2 * du, dbar.T),
                                   (2 * du, 0, -dbar), (2 * du, 2 * du, -kskew)])
     R = numkit.block_csr((n, n), [(2 * du, 2 * du, ksym)])
-    G = numkit.block_csr((n, du + mdp), [(0, 0, ops.mass_u),
-                                         *_per_network(ops, ops.mass_p, 2 * du, du)])
+    G = numkit.block_csr((n, du + mdp), [(0, 0, ops.csr.mass_u),
+                                         (2 * du, du, blocked_unit_mass(ops))])
     return PhDae(
         E, J, R, G,
         state_blocks=(("w", du), ("u", du), ("p", mdp)),
@@ -212,15 +220,16 @@ def build_full_first_order(ops: DiscreteOperators) -> PhDae:
     """First-order system with state (w, u, p); E = diag(mass_rho, K_A, M)."""
     if ops.networks != 1:
         raise ValueError("the two-field builder needs a single network; see build_network_ph")
-    return _first_order_system(ops, None, ops.mass_rho, ops.stiff_elast, ops.stiff_elast)
+    ka = ops.csr.stiff_elast
+    return _first_order_system(ops, None, ops.csr.mass_rho, ka, ka)
 
 
 def build_quasi_static(ops: DiscreteOperators, coupling: NetworkCoupling | None = None) -> PhDae:
     """First-order layout with the velocity mass forced to zero (singular E)."""
     if coupling is not None:
         _require_elliptic(ops, coupling)
-    return _first_order_system(ops, coupling, csr_array(ops.mass_rho.shape),
-                               ops.stiff_elast, ops.stiff_elast)
+    ka = ops.csr.stiff_elast
+    return _first_order_system(ops, coupling, csr_array(ka.shape), ka, ka)
 
 
 def build_sqrt_formulation(ops: DiscreteOperators) -> PhDae:
@@ -231,8 +240,8 @@ def build_sqrt_formulation(ops: DiscreteOperators) -> PhDae:
     """
     if ops.networks != 1:
         raise ValueError("the square-root builder needs a single network")
-    S = numkit.sqrtm_spd(ops.stiff_elast)
-    return _first_order_system(ops, None, ops.mass_rho, eye_array(ops.dim_u), S)
+    S = numkit.sqrtm_spd(ops.csr.stiff_elast)  # dense by nature
+    return _first_order_system(ops, None, ops.csr.mass_rho, eye_array(ops.dim_u), S)
 
 
 def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | None = None) -> PhDae:
@@ -243,10 +252,8 @@ def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | Non
     the left-hand side, so it must also be positive definite.
     """
     if coupling is not None and not coupling.is_symmetric:
-        raise StructureError(
-            "the auxiliary-variable form needs symmetric exchange rates"
-        )
-    kbar = numkit.as_csr(kbar_matrix(ops, coupling))
+        raise StructureError("the auxiliary-variable form needs symmetric exchange rates")
+    kbar = kbar_matrix(ops, coupling)
     defect = numkit.symmetry_defect(kbar)
     if defect > numkit.default_tol(kbar):
         raise StructureError(
@@ -258,14 +265,13 @@ def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | Non
         raise StructureError("the flow operator must be positive definite")
     du, mdp = ops.dim_u, ops.networks * ops.dim_p
     n = du + 2 * mdp
-    dbar = numkit.as_csr(stacked_coupling(ops))
+    dbar = stacked_coupling(ops)
     E = numkit.block_csr((n, n), [(du + mdp, du + mdp, kbar)])
     J = numkit.block_csr((n, n), [(0, du, dbar.T), (du, 0, -dbar),
                                   (du, du + mdp, kbar), (du + mdp, du, -kbar)])
-    R = numkit.block_csr((n, n), [(0, 0, ops.stiff_elast),
-                                  *_per_network(ops, ops.mass_storage, du, du)])
-    G = numkit.block_csr((n, du + mdp), [(0, 0, ops.mass_u),
-                                         *_per_network(ops, ops.mass_p, du + mdp, du)])
+    R = numkit.block_csr((n, n), [(0, 0, ops.csr.stiff_elast), (du, du, blocked_storage_mass(ops))])
+    G = numkit.block_csr((n, du + mdp), [(0, 0, ops.csr.mass_u),
+                                         (du + mdp, du, blocked_unit_mass(ops))])
     return PhDae(
         E, J, R, G,
         state_blocks=(("u", du), ("p", mdp), ("q", mdp)),
@@ -277,9 +283,9 @@ def alternative_qs_initialization(ops: DiscreteOperators, p0, f0,
                                   coupling: NetworkCoupling | None = None):
     """Consistent (u0, q0) for the auxiliary-variable form given p0 and the load."""
     p0 = np.asarray(p0, dtype=float)
-    u0 = numkit.solve(ops.stiff_elast, stacked_coupling(ops).T @ p0 + np.asarray(f0, float))
-    kbar = kbar_matrix(ops, coupling)
-    q0 = numkit.solve(kbar, stacked_coupling(ops) @ u0 + blocked_storage_mass(ops) @ p0)
+    dbar = stacked_coupling(ops)
+    u0 = numkit.solve(ops.csr.stiff_elast, dbar.T @ p0 + np.asarray(f0, float))
+    q0 = numkit.solve(kbar_matrix(ops, coupling), dbar @ u0 + blocked_storage_mass(ops) @ p0)
     return u0, q0
 
 
@@ -295,20 +301,20 @@ class ParabolicReduction:
     load, so callers must provide it explicitly.
     """
 
-    mass: np.ndarray      # storage mass plus the elastic Schur complement
-    stiff: np.ndarray     # coupled flow operator
-    ops: DiscreteOperators
+    mass: np.ndarray      # storage mass plus the elastic Schur complement (dense)
+    stiff: csr_array      # coupled flow operator
+    dbar: csr_array       # ``stacked_coupling`` of the bundle, built once
     f: object             # t -> displacement load
     fdot: object          # t -> its time derivative
     g: object             # t -> pressure load
     elastic: numkit.Factorization  # K_A, factored once for every later solve
 
     def g_tilde(self, t: float) -> np.ndarray:
-        correction = stacked_coupling(self.ops) @ self.elastic.solve(self.fdot(t))
+        correction = self.dbar @ self.elastic.solve(self.fdot(t))
         return np.asarray(self.g(t), dtype=float) - correction
 
     def recover_displacement(self, p, t: float) -> np.ndarray:
-        rhs = stacked_coupling(self.ops).T @ np.asarray(p, float) + np.asarray(self.f(t), float)
+        rhs = self.dbar.T @ np.asarray(p, float) + np.asarray(self.f(t), float)
         return self.elastic.solve(rhs)
 
     def as_phdae(self) -> PhDae:
@@ -323,12 +329,14 @@ class ParabolicReduction:
 
 def schur_reduce_parabolic(ops: DiscreteOperators, f, fdot, g,
                            coupling: NetworkCoupling | None = None) -> ParabolicReduction:
-    """Eliminate the displacement through the invertible elastic operator."""
+    """Eliminate the displacement through the invertible elastic operator;
+    the reduced mass is dense, formed from the dense coupling."""
     dbar = stacked_coupling(ops)
-    elastic = numkit.Factorization(ops.stiff_elast)
-    mass = blocked_storage_mass(ops) + dbar @ elastic.solve(dbar.T)
+    elastic = numkit.Factorization(ops.csr.stiff_elast)
+    dense = dbar.toarray()
+    mass = blocked_storage_mass(ops).toarray() + dense @ elastic.solve(dense.T)
     mass = 0.5 * (mass + mass.T)
-    return ParabolicReduction(mass, kbar_matrix(ops, coupling), ops, f, fdot, g, elastic)
+    return ParabolicReduction(mass, kbar_matrix(ops, coupling), dbar, f, fdot, g, elastic)
 
 
 # ---------------------------------------------------------------------------
@@ -355,30 +363,46 @@ class EllipticityReport:
         return asdict(self)
 
 
+def _lowest_eigenvalue(A: csr_array, B: csr_array | None = None) -> float:
+    """Smallest eigenvalue of A x = lambda B x for symmetric positive definite
+    A and B (B = I if None), by shift-invert Lanczos about 0 (``eigsh``) from
+    a fixed start vector; ``eigsh`` needs two unknowns, one is a quotient."""
+    if A.shape[0] == 1:
+        return float(A.diagonal()[0] / (1.0 if B is None else B.diagonal()[0]))
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, A.shape[0])
+    return float(eigsh(A.tocsc(), k=1, M=None if B is None else B.tocsc(), sigma=0.0,
+                       which="LM", v0=v0, return_eigenvectors=False)[0])
+
+
 def check_network_ellipticity(ops: DiscreteOperators,
                               coupling: NetworkCoupling) -> EllipticityReport:
     """Report sym-part definiteness of the coupled flow operator.
 
-    The sufficient small-exchange-rate bound max |beta_ij| < c / (2 m C^2)
-    uses discrete estimates: c from the flow blocks against the H1 Gram and
-    C^2 from the unit mass against the same Gram.
+    ``elliptic`` comes from ``psd_certificate`` of the flow operator, or from
+    its dense spectrum where that does not certify.  The sufficient bound
+    max |beta_ij| < c / (2 m C^2) uses c, the smallest eigenvalue of the flow
+    blocks against the H1 Gram M + L, and C^2, the largest of (M, M + L), which
+    is 1 / (1 + the smallest of (L, M)): M x = lambda (M + L) x is
+    L x = ((1 - lambda) / lambda) M x.  Each is one ``_lowest_eigenvalue``.
     """
     kbar = kbar_matrix(ops, coupling)
-    sym = 0.5 * (kbar + kbar.T)
-    tol = numkit.default_tol(sym)
-    if sym.size == 0:
+    if kbar.shape[0] == 0:
         return EllipticityReport(np.inf, True, np.inf, 0.0, 0.0, np.inf, True)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    gram = ops.mass_p + fem.assemble_laplace(ops.qspace, 1.0)
-    c = min(float(eigh(K, gram, eigvals_only=True)[0]) for K in ops.stiff_flow)
-    embed_sq = float(eigh(ops.mass_p, gram, eigvals_only=True)[-1])
+    zero_rows = numkit.psd_certificate(kbar)
+    report = numkit.certified_report(kbar, zero_rows)
+    min_eig = report.min_eigenvalue
+    if min_eig is None:  # certified: e_Z spans the kernel, the rest is definite
+        min_eig = 0.0 if zero_rows.size else _lowest_eigenvalue(numkit.sym_skew_split(kbar)[0])
+    mass, laplace = ops.csr.mass_p, fem.assemble_laplace(ops.qspace, 1.0)
+    c = min(_lowest_eigenvalue(K, mass + laplace) for K in ops.csr.stiff_flow)
+    embed_sq = 1.0 / (1.0 + _lowest_eigenvalue(laplace, mass))
     B = coupling.exchange
     off = np.abs(B - np.diag(np.diag(B)))
     c_beta = float(np.max(off)) if off.size else 0.0
-    bound = c / (2.0 * ops.networks * embed_sq) if embed_sq > 0 else np.inf
+    bound = c / (2.0 * ops.networks * embed_sq)
     return EllipticityReport(
         min_sym_eigenvalue=min_eig,
-        elliptic=min_eig > tol,
+        elliptic=report.verdict == POSITIVE_DEFINITE,
         ellipticity_constant=c,
         embedding_constant_sq=embed_sq,
         max_offdiag_rate=c_beta,
@@ -402,4 +426,5 @@ def build_network_ph(ops: DiscreteOperators, coupling: NetworkCoupling) -> PhDae
     the symmetric part in R.  Rejects couplings whose symmetric part is
     indefinite."""
     _require_elliptic(ops, coupling)
-    return _first_order_system(ops, coupling, ops.mass_rho, ops.stiff_elast, ops.stiff_elast)
+    ka = ops.csr.stiff_elast
+    return _first_order_system(ops, coupling, ops.csr.mass_rho, ka, ka)

@@ -94,25 +94,25 @@ def feedback(sys: PhDae, law: FeedbackLaw) -> PhDae:
 
 def _hyperbolic_subsystem(ops: DiscreteOperators) -> PhDae:
     """Elastic body with velocity state: E = diag(mass_rho, K_A), lossless."""
-    du = ops.dim_u
-    ka = numkit.as_csr(ops.stiff_elast)
+    du, blocks = ops.dim_u, ops.csr
+    ka = blocks.stiff_elast
     shape = (2 * du, 2 * du)
     return PhDae(
-        numkit.block_csr(shape, [(0, 0, ops.mass_rho), (du, du, ka)]),
+        numkit.block_csr(shape, [(0, 0, blocks.mass_rho), (du, du, ka)]),
         numkit.block_csr(shape, [(0, du, -ka), (du, 0, ka)]),
         csr_array(shape),
-        numkit.block_csr(shape, [(0, 0, ops.mass_u), (0, du, eye_array(du))]),
+        numkit.block_csr(shape, [(0, 0, blocks.mass_u), (0, du, eye_array(du))]),
         state_blocks=(("w", du), ("u", du)), input_blocks=(("f", du), (COUPLING_PORT, du)),
     )
 
 
 def _parabolic_subsystem(ops: DiscreteOperators, network: int) -> PhDae:
     """Single pressure network: storage mass against its flow stiffness."""
-    dp = ops.dim_p
+    dp, blocks = ops.dim_p, ops.csr
     label = "p" if ops.networks == 1 else f"p{network + 1}"
     return PhDae(
-        ops.mass_storage, csr_array((dp, dp)), ops.stiff_flow[network],
-        numkit.block_csr((dp, 2 * dp), [(0, 0, ops.mass_p), (0, dp, eye_array(dp))]),
+        blocks.mass_storage, csr_array((dp, dp)), blocks.stiff_flow[network],
+        numkit.block_csr((dp, 2 * dp), [(0, 0, blocks.mass_p), (0, dp, eye_array(dp))]),
         state_blocks=((label, dp),), input_blocks=(("g", dp), (COUPLING_PORT, dp)),
     )
 
@@ -121,8 +121,8 @@ def _elliptic_subsystem(ops: DiscreteOperators) -> PhDae:
     """Static elastic body: purely resistive, zero stored energy."""
     du = ops.dim_u
     return PhDae(
-        csr_array((du, du)), csr_array((du, du)), ops.stiff_elast,
-        numkit.block_csr((du, 2 * du), [(0, 0, ops.mass_u), (0, du, eye_array(du))]),
+        csr_array((du, du)), csr_array((du, du)), ops.csr.stiff_elast,
+        numkit.block_csr((du, 2 * du), [(0, 0, ops.csr.mass_u), (0, du, eye_array(du))]),
         state_blocks=(("u", du),), input_blocks=(("f", du), (COUPLING_PORT, du)),
     )
 
@@ -130,14 +130,14 @@ def _elliptic_subsystem(ops: DiscreteOperators) -> PhDae:
 def _flux_potential_subsystem(ops: DiscreteOperators) -> PhDae:
     """Pressure/auxiliary pair (p, q) with energy carried by the flow operator;
     the coupling port acts on the p rows, the driven port on the q rows."""
-    dp = ops.dim_p
-    kk = numkit.as_csr(ops.stiff_flow[0])
+    dp, blocks = ops.dim_p, ops.csr
+    kk = blocks.stiff_flow[0]
     shape = (2 * dp, 2 * dp)
     return PhDae(
         numkit.block_csr(shape, [(dp, dp, kk)]),
         numkit.block_csr(shape, [(0, dp, kk), (dp, 0, -kk)]),
-        numkit.block_csr(shape, [(0, 0, ops.mass_storage)]),
-        numkit.block_csr(shape, [(0, 0, eye_array(dp)), (dp, dp, ops.mass_p)]),
+        numkit.block_csr(shape, [(0, 0, blocks.mass_storage)]),
+        numkit.block_csr(shape, [(0, 0, eye_array(dp)), (dp, dp, blocks.mass_p)]),
         state_blocks=(("p", dp), ("q", dp)), input_blocks=((COUPLING_PORT, dp), ("g", dp)),
     )
 
@@ -154,8 +154,8 @@ def _close_coupling_ports(ops: DiscreteOperators, exchange: np.ndarray, sys: PhD
     not its parts, so that the parts are freed before the loop is closed."""
     ports = np.flatnonzero(_coupling_mask(sys))
     u, p = ports[: ops.dim_u], ports[ops.dim_u :]
-    dbar = numkit.as_csr(stacked_coupling(ops)).tocoo()
-    exch = kron(numkit.as_csr(-exchange), numkit.as_csr(ops.mass_p), format="coo")
+    dbar = stacked_coupling(ops).tocoo()
+    exch = kron(numkit.as_csr(-exchange), ops.csr.mass_p, format="coo")
     rows = np.concatenate([u[dbar.col], p[dbar.row], p[exch.row]])
     cols = np.concatenate([p[dbar.row], u[dbar.col], p[exch.col]])
     data = np.concatenate([dbar.data, -dbar.data, exch.data])
@@ -180,7 +180,8 @@ def couple_alt_qs(ops: DiscreteOperators) -> PhDae:
     auxiliary-variable builder exactly."""
     if ops.networks != 1:
         raise ValueError("the auxiliary-variable coupling needs a single network")
-    if numkit.symmetry_defect(ops.stiff_flow[0]) > numkit.default_tol(ops.stiff_flow[0]):
+    flow = ops.csr.stiff_flow[0]
+    if numkit.symmetry_defect(flow) > numkit.default_tol(flow):
         raise StructureError("the auxiliary-variable coupling needs a symmetric flow operator")
     return _close_coupling_ports(
         ops, np.zeros((1, 1)), aggregate(_elliptic_subsystem(ops), _flux_potential_subsystem(ops)))

@@ -12,6 +12,7 @@ take another one, and every other decision uses a fixed relative cut.
 
 Definiteness is decided by ``psd_certificate`` (one sparse LDL^T) where it
 certifies, and by the dense spectrum of ``psd_check`` everywhere else.
+``DenseView`` gives a CSR store its read-only dense views.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import block_diag  # noqa: F401  (re-exported)
-from scipy.sparse import csc_array, csr_array, issparse
+from scipy.sparse import coo_array, csc_array, csr_array, issparse
 from scipy.sparse.linalg import splu
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -76,40 +77,39 @@ def as_csr(M) -> csr_array:
     return A
 
 
-def _entries(B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the nonzeros of a dense or sparse block."""
-    if not issparse(B):
-        B = as_matrix(B)
-        rows, cols = np.nonzero(B)
-        return rows, cols, B[rows, cols]
-    if B.format in ("csr", "csc"):
-        major = np.repeat(np.arange(B.indptr.size - 1), np.diff(B.indptr))
-        return (major, B.indices, B.data) if B.format == "csr" else (B.indices, major, B.data)
-    B = B.tocoo()
-    return B.row, B.col, B.data
+def dense_view(M):
+    """Read-only dense copy of a sparse matrix; of a tuple, a tuple of copies."""
+    if isinstance(M, tuple):
+        return tuple(map(dense_view, M))
+    A = M.toarray()
+    A.setflags(write=False)
+    return A
 
 
-def _csr_from_sorted(rows, cols, vals, shape) -> csr_array:
-    """``as_csr`` of coordinates sorted row-major, with the zero values left out."""
-    kept = vals != 0.0
-    rows, cols, vals = rows[kept], cols[kept], vals[kept]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
-    return as_csr(csr_array((vals, cols, indptr), shape=shape))
+class DenseView:
+    """Class attribute that reads as the ``dense_view`` of ``csr.<name>`` of
+    its instance, made the first time it is read and kept in ``_dense``."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        if self.name not in obj._dense:
+            obj._dense[self.name] = dense_view(getattr(obj.csr, self.name))
+        return obj._dense[self.name]
 
 
 def block_csr(shape, blocks) -> csr_array:
     """Canonical CSR of a ``shape`` matrix made of ``(row, col, block)``
     triples, each dense or sparse block placed with its first entry at
     (row, col); overlapping blocks add up."""
-    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for row, col, B in blocks:
-        r, c, v = _entries(B)
-        rows.append(r + row)
-        cols.append(c + col)
-        vals.append(v)
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    order = np.argsort(rows * shape[1] + cols)
-    return _csr_from_sorted(rows[order], cols[order], vals[order], shape)
+    parts = [(coo_array(B if issparse(B) else as_matrix(B)), row, col) for row, col, B in blocks]
+    rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [B.row + r for B, r, _ in parts])
+    cols = np.concatenate([np.zeros(0, dtype=np.int64)] + [B.col + c for B, _, c in parts])
+    vals = np.concatenate([np.zeros(0)] + [B.data for B, _, _ in parts])
+    return as_csr(csr_array((vals, (rows, cols)), shape=shape))
 
 
 def max_abs(M) -> float:
@@ -127,39 +127,23 @@ def _require_square(M: np.ndarray, op: str) -> None:
         raise ValueError(f"{op} requires a square matrix, got shape {M.shape}")
 
 
-def _with_transpose(A: csr_array):
-    """Rows, columns, a and at on the union of the patterns of the square
-    canonical CSR A and of A^T, row-major: a_k = A[r_k, c_k] and
-    at_k = A[c_k, r_k], zero where not stored."""
-    n = A.shape[0]
-    T = A.T.tocsr()  # canonical, as the transpose is built row by row
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    if np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices):
-        return rows, A.indices, A.data, T.data  # a symmetric pattern
-    keys = rows * n + A.indices
-    tkeys = np.repeat(np.arange(n), np.diff(T.indptr)) * n + T.indices
-    union = np.sort(np.concatenate([keys, tkeys]), kind="stable")
-    union = union[np.concatenate([union[:1] == union[:1], union[1:] != union[:-1]])]
-    a, at = np.zeros(union.size), np.zeros(union.size)
-    a[np.searchsorted(union, keys)] = A.data
-    at[np.searchsorted(union, tkeys)] = T.data
-    return union // n, union % n, a, at
+def _square(M, op: str) -> csr_array:
+    """``as_csr`` of M, which must be square."""
+    A = as_csr(M)
+    _require_square(A, op)
+    return A
 
 
 def symmetry_defect(M) -> float:
     """Largest entry of |M - M^T|."""
-    A = as_csr(M)
-    _require_square(A, "symmetry_defect")
-    _, _, a, at = _with_transpose(A)
-    return float(np.max(np.abs(a - at), initial=0.0))
+    A = _square(M, "symmetry_defect")
+    return max_abs(A - A.T)
 
 
 def skew_defect(M) -> float:
     """Largest entry of |M + M^T| (includes the doubled diagonal)."""
-    A = as_csr(M)
-    _require_square(A, "skew_defect")
-    _, _, a, at = _with_transpose(A)
-    return float(np.max(np.abs(a + at), initial=0.0))
+    A = _square(M, "skew_defect")
+    return max_abs(A + A.T)
 
 
 def is_symmetric(M, tol: float | None = None) -> bool:
@@ -174,11 +158,8 @@ def is_skew(M, tol: float | None = None) -> bool:
 
 def sym_skew_split(M) -> tuple[csr_array, csr_array]:
     """Split M into (symmetric, skew-symmetric) CSR parts that sum back to M."""
-    A = as_csr(M)
-    _require_square(A, "sym_skew_split")
-    rows, cols, a, at = _with_transpose(A)
-    return (_csr_from_sorted(rows, cols, 0.5 * (a + at), A.shape),
-            _csr_from_sorted(rows, cols, 0.5 * (a - at), A.shape))
+    A = _square(M, "sym_skew_split")
+    return as_csr(0.5 * (A + A.T)), as_csr(0.5 * (A - A.T))
 
 
 @dataclass(frozen=True)
@@ -245,8 +226,7 @@ def psd_certificate(M) -> np.ndarray | None:
     the kernels of M and M^T.  None means "not certified" (indefinite,
     singular on the block, or too ill-conditioned): ask ``psd_check``.
     """
-    A = as_csr(M)
-    _require_square(A, "psd_certificate")
+    A = _square(M, "psd_certificate")
     rows = np.diff(A.indptr) > 0
     cols = np.zeros(A.shape[1], dtype=bool)
     cols[A.indices] = True
@@ -255,17 +235,16 @@ def psd_certificate(M) -> np.ndarray | None:
     keep = np.flatnonzero(rows)
     if keep.size:
         # every stored entry lies in the block on the kept rows and columns
-        r, c, a, at = _with_transpose(A)
-        diag = np.zeros(A.shape[0])
-        on = r == c
-        diag[r[on]] = a[on]
+        S = as_csr(A + A.T)  # b_ij + b_ji, exactly symmetric
+        diag = 0.5 * S.diagonal()
         if not np.all(diag[keep] > 0.0):
             return None
         scale = np.zeros(A.shape[0])
         scale[keep] = 1.0 / np.sqrt(diag[keep])
         # H = ((0.5 s_i) (b_ij + b_ji)) s_j entry by entry, symmetric in its
         # pattern, so its row-major arrays are its CSC arrays too
-        data = (a + at) * (0.5 * scale)[c] * scale[r]
+        r, c = np.repeat(np.arange(A.shape[0]), np.diff(S.indptr)), S.indices
+        data = S.data * (0.5 * scale)[c] * scale[r]
         nz = data != 0.0
         block = np.cumsum(rows) - 1  # index in the block of each kept row
         indptr = np.concatenate([[0], np.cumsum(np.bincount(block[r[nz]], minlength=keep.size))])

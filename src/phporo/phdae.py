@@ -51,23 +51,6 @@ class SystemMatrices(NamedTuple):
     G: csr_array
 
 
-def _dense_view(M: csr_array) -> np.ndarray:
-    """Read-only dense copy of a stored matrix."""
-    A = M.toarray()
-    A.setflags(write=False)
-    return A
-
-
-def _view(name: str) -> property:
-    def read(self) -> np.ndarray:
-        if name not in self._dense:
-            self._dense[name] = _dense_view(getattr(self.csr, name))
-        return self._dense[name]
-
-    return property(read, doc=f"Read-only dense {name}, made from ``csr.{name}`` "
-                              f"the first time it is read.")
-
-
 class PhDae:
     """Immutable quadruple (E, J, R, G) with optional state/input block labels.
 
@@ -87,10 +70,10 @@ class PhDae:
     ``certificate``).
     """
 
-    E = _view("E")
-    J = _view("J")
-    R = _view("R")
-    G = _view("G")
+    E = numkit.DenseView()
+    J = numkit.DenseView()
+    R = numkit.DenseView()
+    G = numkit.DenseView()
 
     def __init__(self, E, J, R, G, state_blocks=None, input_blocks=None,
                  validate: bool = True):

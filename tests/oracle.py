@@ -4,12 +4,16 @@ Everything here is computed the slow way on purpose: hat functions come from
 solving the 3x3 vertex interpolation system, integrals use the 3-point
 edge-midpoint quadrature evaluated numerically, and element energies are
 contracted from explicit 2x2 strain tensors.  No code is shared with
-phporo.fem beyond the mesh and dof layout conventions.  The dense rank,
-kernel and index classification at the end is the oracle of the sparse
-index rule in phporo.dae_analysis.
+phporo.fem beyond the mesh and dof layout conventions.  ``dense_scatter``
+is the dense assembly phporo.fem replaced by its CSR stencil sum, kept as
+the bit-for-bit reference of the operator blocks.  The dense ellipticity
+constants are the oracle of phporo.formulations.check_network_ellipticity,
+and the dense rank, kernel and index classification at the end is the
+oracle of the sparse index rule in phporo.dae_analysis.
 """
 
 import numpy as np
+from scipy.linalg import eigh
 
 from phporo.dae_analysis import INDEX_AT_LEAST_2, IndexReport
 from phporo.numkit import as_matrix
@@ -111,6 +115,20 @@ def local_divergence(coords, alpha=1.0):
 # ---------------------------------------------------------------------------
 # Global assembly against a FeSpace (shares only the dof layout convention)
 # ---------------------------------------------------------------------------
+
+def dense_scatter(local, rows, cols, shape):
+    """Sum stacked local matrices (T, r, c) into a dense matrix of ``shape``.
+
+    ``rows`` (T, r) and ``cols`` (T, c) are dof tables; entries in a
+    constrained row or column are dropped.  ``np.bincount`` adds the
+    contributions to each global entry one at a time in element order.
+    """
+    keep = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+    index = rows[:, :, None] * shape[1] + cols[:, None, :]
+    sums = np.bincount(index[keep], weights=local[keep], minlength=shape[0] * shape[1])
+    # with nothing kept (no free dofs) bincount returns integers
+    return sums.astype(float, copy=False).reshape(shape)
+
 
 def assemble_mass(space, coeff=1.0):
     A = np.zeros((space.dim, space.dim))
@@ -248,6 +266,18 @@ def _flow_operator(ops, exchange=None):
     return K if exchange is None else K + np.kron(exchange, ops.mass_p)
 
 
+def dense_ellipticity(ops, exchange):
+    """(min_sym_eigenvalue, ellipticity_constant, embedding_constant_sq) of
+    the flow operator from dense spectra: the smallest eigenvalue of its
+    symmetric part, the smallest of (K_i, M + L) over the networks and the
+    largest of (M, M + L), with L this module's unit Laplacian."""
+    kbar = _flow_operator(ops, exchange)
+    gram = ops.mass_p + assemble_laplace(ops.qspace, 1.0)
+    c = min(float(eigh(K, gram, eigvals_only=True)[0]) for K in ops.stiff_flow)
+    embed_sq = float(eigh(ops.mass_p, gram, eigvals_only=True)[-1])
+    return float(np.linalg.eigvalsh(0.5 * (kbar + kbar.T))[0]), c, embed_sq
+
+
 def _first_order(ops, exchange, mass_rho, e_uu, c_uu):
     du, mdp = ops.dim_u, ops.networks * ops.dim_p
     kbar = _flow_operator(ops, exchange)
@@ -302,7 +332,7 @@ def dense_system(tag, ops, exchange=None, sqrt=None, reduction=None):
     if tag == "alt_qs":
         return _alternative_qs(ops, exchange)
     if tag == "schur_parabolic":
-        K = reduction.stiff
+        K = reduction.stiff.toarray()
         mdp = reduction.mass.shape[0]
         return reduction.mass, -0.5 * (K - K.T), 0.5 * (K + K.T), np.eye(mdp)
     raise ValueError(tag)

@@ -168,7 +168,7 @@ class TestNegativeCases:
         ops, B = make_network_ops(3, m=2)
         sys = formulations.build_network_ph(ops, B)
         big = formulations.kbar_matrix(ops, random_coupling(np.random.default_rng(0), 2,
-                                                             scale=1e6))
+                                                             scale=1e6)).toarray()
         R = sys.R.copy()
         R[2 * ops.dim_u :, 2 * ops.dim_u :] = 0.5 * (big + big.T)
         broken = fresh(sys, R=R, layout=layout)
@@ -208,7 +208,8 @@ class TestNegativeCases:
         # kernel, and no zero row
         mesh = fem.build_unit_square_mesh(n)
         every = np.arange(len(mesh.nodes))
-        laplace = fem.assemble_laplace(fem.FeSpace(fem.SCALAR_P1, mesh, every, every), 1.0)
+        laplace = fem.assemble_laplace(fem.FeSpace(fem.SCALAR_P1, mesh, every, every),
+                                       1.0).toarray()
         assert numkit.psd_certificate(layout(laplace)) is None
         assert numkit.psd_check(layout(laplace)).verdict == numkit.POSITIVE_SEMIDEFINITE
 

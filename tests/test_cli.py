@@ -362,6 +362,42 @@ class TestTolerance:
         }
 
 
+class TestDenseRowsCap:
+    """sqrt forms the dense root S of K_A (2 (n - 1)^2 rows) and
+    schur_parabolic the dense reduced mass (m (n - 1)^2 rows)."""
+
+    CASES = [("sqrt", 1, 46), ("schur_parabolic", 1, 65), ("schur_parabolic", 2, 46)]
+
+    @staticmethod
+    def doc(formulation, m, mesh_n):
+        if m == 1:
+            return scenario_doc(mesh_n=mesh_n, formulation=formulation,
+                                materials=[material_doc(rho=0.0)])
+        return network_doc(m=m, mesh_n=mesh_n, formulation=formulation)
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("operators built")
+
+        monkeypatch.setattr(cli, "build_operators", refuse)
+
+    @pytest.mark.parametrize("formulation, m, below", CASES)
+    def test_check_above_the_cap_exits_2_before_building(self, formulation, m, below,
+                                                         nothing_built, tmp_path, capsys):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(self.doc(formulation, m, below + 1)))
+        assert cli.main(["check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"DENSE_ROWS_CAP = {cli.DENSE_ROWS_CAP}" in err
+
+    @pytest.mark.parametrize("formulation, m, below", CASES)
+    def test_just_below_the_cap_parses(self, formulation, m, below, nothing_built):
+        rows = (2 if formulation == "sqrt" else m) * (below - 1) ** 2
+        assert rows <= cli.DENSE_ROWS_CAP
+        assert parse_scenario(self.doc(formulation, m, below)).mesh_n == below
+
+
 class TestMain:
     def test_exit_code_zero_on_success(self, tmp_path, capsys):
         cfg = tmp_path / "scn.json"

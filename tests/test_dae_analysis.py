@@ -191,7 +191,7 @@ class TestHiddenConstraint:
         # matrix K_A + D^T M^-1 D
         ops, coupling = ((make_ops(3, rho=0.0), None) if networks == 1
                          else make_network_ops(3, m=2, symmetric=False))
-        dbar = formulations.stacked_coupling(ops)
+        dbar = formulations.stacked_coupling(ops).toarray()
         mbar = formulations.blocked_storage_mass(ops)
         rng = np.random.default_rng(11)
         w, fdot = rng.standard_normal((2, ops.dim_u))

@@ -5,6 +5,7 @@ from phporo import dae_analysis, formulations, numkit, phdae, timeint
 from phporo.formulations import NetworkCoupling
 from phporo.numkit import StructureError
 
+import oracle
 from conftest import (
     consistent_state,
     linear_data,
@@ -248,14 +249,14 @@ class TestNetworkAssembly:
     def test_zero_coupling_block_diagonal(self):
         ops, _ = make_network_ops(2, m=2)
         B0 = NetworkCoupling(np.zeros((2, 2)))
-        kbar = formulations.kbar_matrix(ops, B0)
+        kbar = formulations.kbar_matrix(ops, B0).toarray()
         assert np.array_equal(kbar, numkit.block_diag(*ops.stiff_flow))
 
     def test_symmetric_pair_block_structure(self):
         ops, _ = make_network_ops(2, m=2)
         beta = 0.125  # power of two so the kron products are exact
         B = NetworkCoupling(np.array([[-beta, beta], [beta, -beta]]))
-        kbar = formulations.kbar_matrix(ops, B)
+        kbar = formulations.kbar_matrix(ops, B).toarray()
         dp = ops.dim_p
         assert np.array_equal(kbar[:dp, dp:], beta * ops.mass_p)
         assert np.array_equal(kbar[dp:, :dp], beta * ops.mass_p)
@@ -315,6 +316,22 @@ class TestNetworkEllipticity:
             formulations.build_network_ph(ops, Bbig)
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+def test_ellipticity_constants_agree_with_dense_spectra(n, m, symmetric):
+    ops, B = make_network_ops(n, m=m, symmetric=symmetric, seed=n)
+    oversized = random_coupling(np.random.default_rng(n), m, scale=1e6, symmetric=symmetric)
+    for coupling, elliptic in ((B, True), (oversized, False)):
+        report = formulations.check_network_ellipticity(ops, coupling)
+        got = (report.min_sym_eigenvalue, report.ellipticity_constant,
+               report.embedding_constant_sq)
+        for value, want in zip(got, oracle.dense_ellipticity(ops, coupling.exchange)):
+            assert abs(value - want) <= 1e-10 * abs(want)
+        assert report.elliptic is elliptic
+        assert (report.min_sym_eigenvalue > 0) is elliptic
+
+
 class TestNetworkPh:
     def test_single_network_reduces_to_two_field(self, ops2):
         net = formulations.build_network_ph(ops2, NetworkCoupling(np.zeros((1, 1))))
@@ -327,7 +344,7 @@ class TestNetworkPh:
         sys = formulations.build_network_ph(ops, B)
         p = sys.state_slice("p")
         assert not sys.J[p, p].any()
-        assert np.allclose(sys.R[p, p], formulations.kbar_matrix(ops, B), atol=1e-14)
+        assert np.allclose(sys.R[p, p], formulations.kbar_matrix(ops, B).toarray(), atol=1e-14)
 
     def test_nonsymmetric_coupling_splits(self):
         ops, B = make_network_ops(2, m=2, symmetric=False)

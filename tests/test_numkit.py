@@ -74,7 +74,7 @@ class TestPsdCheck:
         # 1x1 matrix [4.0], so the only eigenvalue is 4.0
         mesh = fem.build_unit_square_mesh(2)
         space = fem.scalar_space(mesh)
-        K = fem.assemble_laplace(space, 1.0)
+        K = fem.assemble_laplace(space, 1.0).toarray()
         assert np.allclose(K, oracle.assemble_laplace(space, 1.0), atol=1e-14)
         rep = numkit.psd_check(K)
         assert rep.verdict == POSITIVE_DEFINITE

@@ -1,7 +1,8 @@
-"""The sparse systems and the sparse theta-method core against dense
+"""The sparse operator blocks, systems and theta-method core against dense
 references at n <= 4.
 
-Every builder and coupled route stores the CSR of the dense quadruple that
+The operator blocks are the canonical CSR of ``oracle.dense_scatter``, and
+every builder and coupled route stores the CSR of the dense quadruple that
 ``oracle`` assembles from the same operators.  The stepping reference is the
 dense algorithm the core replaced: dense step matrices,
 ``scipy.linalg.lu_factor`` once per distinct step size (or per step when a
@@ -11,7 +12,7 @@ frozen R is supplied) and dense products for the update and the ledger.
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import coo_array, csc_array, csr_array
 
 from phporo import cli, fem, formulations, interconnect, numkit, phdae, timeint
 from phporo.phdae import PhDae
@@ -75,13 +76,67 @@ def test_stored_csr_is_the_csr_of_the_dense_reference(case, n):
         assert np.array_equal(getattr(sys, name), dense), (case, name)
 
 
+def bundle_reference(ops):
+    """The dense scatter of every block of the bundle, from fem's element kernels."""
+    mesh = ops.vspace.mesh
+    coords = mesh.nodes[mesh.triangles]
+    v, q = fem._dofs(ops.vspace), fem._dofs(ops.qspace)
+    uu, pp, pu = (v, v, (ops.dim_u,) * 2), (q, q, (ops.dim_p,) * 2), (q, v, (ops.dim_p, ops.dim_u))
+    head, mats = ops.materials[0], ops.materials
+
+    def mass(coeff, table):
+        local = fem.element_mass(coords, coeff)
+        return oracle.dense_scatter(local if table is pp else np.kron(np.eye(2), local), *table)
+
+    return {
+        "mass_rho": mass(head.rho, uu),
+        "stiff_elast": oracle.dense_scatter(fem.element_elasticity(coords, head.mu, head.lam),
+                                            *uu),
+        "mass_storage": mass(1.0 / head.biot_M, pp),
+        "stiff_flow": tuple(oracle.dense_scatter(fem.element_stiffness(coords, m.kappa / m.nu),
+                                                 *pp) for m in mats),
+        "div_coupling": tuple(oracle.dense_scatter(fem.element_divergence(coords, m.alpha), *pu)
+                              for m in mats),
+        "mass_p": mass(1.0, pp),
+        "mass_u": mass(1.0, uu),
+    }
+
+
+@pytest.mark.parametrize("networks", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operator_blocks_are_the_canonical_csr_of_the_dense_scatter(n, networks):
+    ops = make_ops(n) if networks == 1 else make_network_ops(n, m=networks, rho=0.5)[0]
+    assert len(ops.csr.stiff_flow) == len(ops.csr.div_coupling) == networks
+    for name, dense in bundle_reference(ops).items():
+        got = getattr(ops.csr, name)
+        for M, want in zip(got, dense) if isinstance(got, tuple) else [(got, dense)]:
+            ref = csr_array(want)
+            assert M.format == "csr" and M.shape == want.shape, name
+            assert np.array_equal(M.indptr, ref.indptr), name
+            assert np.array_equal(M.indices, ref.indices), name
+            assert np.array_equal(M.data, ref.data) and np.all(M.data), name
+            assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
+            assert np.array_equal(M.toarray(), want), name
+        view = getattr(ops, name)
+        for A in view if isinstance(view, tuple) else [view]:
+            assert not A.flags.writeable
+
+
 @pytest.fixture
 def no_dense_views(monkeypatch):
-    """Make building a dense view of a system matrix fail."""
+    """Make building a dense view of a system matrix or an operator block fail."""
     def refuse(M):
-        raise AssertionError("dense view of a system matrix")
+        raise AssertionError("dense view of a system matrix or an operator block")
 
-    monkeypatch.setattr(phdae, "_dense_view", refuse)
+    monkeypatch.setattr(numkit, "dense_view", refuse)
+
+
+def test_the_guard_covers_system_and_operator_views(no_dense_views):
+    ops = make_ops(2)
+    for read in (lambda: ops.stiff_elast, lambda: ops.div_coupling,
+                 lambda: formulations.build_full_first_order(ops).E):
+        with pytest.raises(AssertionError, match="dense view"):
+            read()
 
 
 CHECKED = {
@@ -324,14 +379,19 @@ def test_frozen_R_whose_pattern_changes_matches_dense_reference(ops3, monkeypatc
     assert_agrees(base, traj, ref)
 
 
-def test_nonlinear_run_needs_no_dense_scatter(ops3, monkeypatch):
-    v, f, fdot, g = linear_data(ops3, seed=17)
-    z0 = consistent_state(ops3, np.full(ops3.dim_p, 0.2), f, fdot, g)
+def test_nonlinear_run_needs_no_dense_matrix(monkeypatch):
+    ops = make_ops(3)
+    v, f, fdot, g = linear_data(ops, seed=17)
+    z0 = consistent_state(ops, np.full(ops.dim_p, 0.2), f, fdot, g)
+    stencil = fem._stencil(ops.qspace, ops.qspace)  # made by the bundle's assembly
 
-    def dense_scatter(*args):
-        raise AssertionError("dense scatter on the nonlinear step path")
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix on the nonlinear step path")
 
-    monkeypatch.setattr(fem, "_scatter", dense_scatter)
-    traj = timeint.integrate_nonlinear_kappa(ops3, lambda xi: 1.0 + xi * xi, z0, v,
+    for owner, name in ((numkit, "dense_view"), (numkit, "as_matrix"),
+                        (csr_array, "toarray"), (csc_array, "toarray")):
+        monkeypatch.setattr(owner, name, refuse)
+    traj = timeint.integrate_nonlinear_kappa(ops, lambda xi: 1.0 + xi * xi, z0, v,
                                              np.linspace(0.0, 1.0, 11))
     assert traj.balance_residuals().max() <= 1e-12 * max(1.0, np.abs(traj.hamiltonian).max())
+    assert fem._stencil(ops.qspace, ops.qspace) is stencil  # no new stencil per step
