@@ -35,8 +35,8 @@ class ScenarioError(ValueError):
 _NUMERICAL_ERRORS = (StructureError, SingularMatrixError, InconsistentStateError,
                      BoundViolationError)
 
-# Rows of the one dense square matrix a sqrt run (the root S of K_A) or a
-# schur_parabolic run (the reduced mass) forms; 4096 rows are 134 MB.
+# Rows of the one dense matrix a sqrt (root S of K_A) or schur_parabolic (reduced mass) run
+# forms; `check` just below the cap peaks at 2012 MB (sqrt, n = 46), 1518 MB (schur, n = 65).
 DENSE_ROWS_CAP = 4096
 
 

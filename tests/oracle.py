@@ -7,9 +7,10 @@ contracted from explicit 2x2 strain tensors.  No code is shared with
 phporo.fem beyond the mesh and dof layout conventions.  ``dense_scatter``
 is the dense assembly phporo.fem replaced by its CSR stencil sum, kept as
 the bit-for-bit reference of the operator blocks.  The dense ellipticity
-constants are the oracle of phporo.formulations.check_network_ellipticity,
-and the dense rank, kernel and index classification at the end is the
-oracle of the sparse index rule in phporo.dae_analysis.
+constants are the oracle of phporo.formulations.check_network_ellipticity.
+The dense Schur solve of the consistent initialization and the dense rank,
+kernel and index classification at the end are the oracles of the sparse
+initialization and index rule in phporo.dae_analysis.
 """
 
 import numpy as np
@@ -376,6 +377,30 @@ def dense_coupled(tag, ops, exchange=None):
                            + [2 * du + 2 * dp * i + dp + np.arange(dp)
                               for i in range(ops.networks)])
     return _coupled([hyperbolic, *networks], ops, exchange, ports)
+
+
+# ---------------------------------------------------------------------------
+# Dense consistent initialization (the oracle of dae_analysis)
+# ---------------------------------------------------------------------------
+# The formula dae_analysis.consistent_initialization replaced by its sparse
+# quasi-definite solve: the Schur matrix formed densely and solved by LAPACK.
+
+def dense_schur_system(ops, p0, fdot0, g0, coupling=None):
+    """Dense Schur matrix S = K_A + D-bar^T M-bar^-1 D-bar of the hidden
+    constraint and its right-hand side fdot0 - D-bar^T M-bar^-1 (K-bar p0 - g0)."""
+    dbar = np.vstack(ops.div_coupling)
+    mbar = np.kron(np.eye(ops.networks), ops.mass_storage)
+    kbar = _flow_operator(ops, None if coupling is None else coupling.exchange)
+    schur = ops.stiff_elast + dbar.T @ np.linalg.solve(mbar, dbar)
+    return schur, fdot0 - dbar.T @ np.linalg.solve(mbar, kbar @ p0 - g0)
+
+
+def dense_consistent_initialization(ops, p0, f0, fdot0, g0, coupling=None):
+    """(w0, u0) from dense solves of the Schur system and of
+    K_A u0 = D-bar^T p0 + f0."""
+    schur, rhs_w = dense_schur_system(ops, p0, fdot0, g0, coupling)
+    rhs_u = np.vstack(ops.div_coupling).T @ p0 + f0
+    return np.linalg.solve(schur, rhs_w), np.linalg.solve(ops.stiff_elast, rhs_u)
 
 
 # ---------------------------------------------------------------------------

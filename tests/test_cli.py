@@ -420,9 +420,13 @@ class TestMain:
         cfg.write_text(json.dumps(network_doc(scale=1e6, mesh_n=3)))
         assert cli.main(["check", "--config", str(cfg)]) == 1
 
-    def test_simulate_writes_requested_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc", [
+        scenario_doc(),
+        scenario_doc(mesh_n=1, formulation="quasi_static", materials=[material_doc(rho=0.0)]),
+    ], ids=["full", "quasi_static_without_free_dofs"])
+    def test_simulate_writes_requested_file(self, tmp_path, capsys, doc):
         cfg = tmp_path / "scn.json"
-        cfg.write_text(json.dumps(scenario_doc()))
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "run.csv"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()

@@ -166,6 +166,33 @@ class TestConsistentInitialization:
             assert resid < 1e-9
 
 
+@pytest.mark.parametrize("biot_M", [1.0, 1e8, 1e12, 1e14])
+@pytest.mark.parametrize("networks, symmetric",
+                         [(1, True), (2, True), (2, False), (3, True), (3, False)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_initialization_agrees_with_the_dense_schur_solve(n, networks, symmetric, biot_M):
+    if networks == 1:
+        ops, coupling = make_ops(n, rho=0.0, biot_M=biot_M), None
+    else:
+        ops, coupling = make_network_ops(n, m=networks, symmetric=symmetric, biot_M=biot_M)
+    v, f, fdot, g = linear_data(ops, seed=n)
+    p0 = np.random.default_rng(networks).uniform(-1.0, 1.0, networks * ops.dim_p)
+    data = (ops, p0, f(0.0), fdot(0.0), g(0.0), coupling)
+    w0, u0 = dae_analysis.consistent_initialization(*data)
+    if n == 1:  # every node is on the boundary: no free dofs
+        assert w0.shape == u0.shape == (0,)
+        return
+    inf = np.inf
+    ref_w, ref_u = oracle.dense_consistent_initialization(*data)
+    assert np.linalg.norm(u0 - ref_u, inf) <= 1e-12 * np.linalg.norm(ref_u, inf)
+    # normwise backward error on the Schur system, with the exact dense norm
+    schur, rhs_w = oracle.dense_schur_system(ops, p0, fdot(0.0), g(0.0), coupling)
+    scale = np.linalg.norm(schur, inf) * np.linalg.norm(w0, inf) + np.linalg.norm(rhs_w, inf)
+    assert np.linalg.norm(schur @ w0 - rhs_w, inf) <= 1e-12 * scale
+    if biot_M <= 1e4:  # S is ill conditioned like biot_M, so only there do solutions agree
+        assert np.linalg.norm(w0 - ref_w, inf) <= 1e-10 * np.linalg.norm(ref_w, inf)
+
+
 class TestHiddenConstraint:
     def test_zero_everything(self, ops3_qs):
         assert dae_analysis.hidden_constraint_residual(
@@ -250,5 +277,25 @@ class TestInitializationResidualCheck:
         p0 = np.linspace(-1.0, 1.0, ops3_qs.dim_p)
         real = numkit.solve
         monkeypatch.setattr(numkit, "solve", lambda M, b: real(M, b) * (1.0 + 1e-6))
+        with pytest.raises(numkit.SingularMatrixError, match="did not converge"):
+            dae_analysis.consistent_initialization(ops3_qs, p0, f(0.0), fdot(0.0), g(0.0))
+
+    def test_offset_schur_solve_still_raises(self, ops3_qs, monkeypatch):
+        # a constant offset on every LDL^T solve survives refinement: each
+        # correction step adds it again
+        v, f, fdot, g = linear_data(ops3_qs, seed=2)
+        p0 = np.linspace(-1.0, 1.0, ops3_qs.dim_p)
+        real = numkit.lu_factor
+
+        class Offset:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return self.lu.solve(b) + 1e-6
+
+        monkeypatch.setattr(numkit, "lu_factor", lambda A, symmetric=False, **kwargs:
+                            Offset(real(A, symmetric=True)) if symmetric
+                            else real(A, **kwargs))
         with pytest.raises(numkit.SingularMatrixError, match="did not converge"):
             dae_analysis.consistent_initialization(ops3_qs, p0, f(0.0), fdot(0.0), g(0.0))

@@ -169,6 +169,20 @@ def test_simulate_reads_no_dense_view(case, no_dense_views, tmp_path):
     assert code == 0 and summary["max_power_balance_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("case", ["full", "quasi_static", "network"])
+def test_simulate_forms_no_dense_matrix(case, monkeypatch, tmp_path):
+    # parsed first: NetworkCoupling reads its m x m exchange matrix through as_matrix
+    scn = cli.parse_scenario(CHECKED[case]())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix on the simulate path")
+
+    for owner, name in ((numkit, "dense_view"), (csr_array, "toarray"), (csc_array, "toarray")):
+        monkeypatch.setattr(owner, name, refuse)
+    summary, code = cli.cmd_simulate(scn, str(tmp_path / "t.csv"))
+    assert code == 0 and summary["max_power_balance_residual"] <= 1e-10
+
+
 def test_export_and_load_read_no_dense_view(no_dense_views, tmp_path):
     scn = cli.parse_scenario(CHECKED["full"]())
     report, code = cli.cmd_export(scn, str(tmp_path / "export"))
