@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -392,3 +393,98 @@ class TestKeptOrder:
         for order in (np.arange(len(M)), np.arange(len(M))[::-1]):
             with pytest.raises(SingularMatrixError, match=prefix):
                 numkit.Factorization(csr_array(M), "step matrix", order=order)
+
+
+class TestRefine:
+    """``Factorization.refine``: iterative refinement with the factor of a
+    nearby matrix, given in the factor's column order."""
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        calls = []
+        real = numkit.Factorization.solve
+
+        def counting(self, b):
+            calls.append(b)
+            return real(self, b)
+
+        monkeypatch.setattr(numkit.Factorization, "solve", counting)
+        return calls
+
+    def matrix(self, n=40):
+        # nonsymmetric with a small diagonal, so the factor pivots off it
+        rng = np.random.default_rng(24)
+        M = np.where(rng.uniform(size=(n, n)) < 0.1, rng.standard_normal((n, n)), 0.0)
+        M[np.diag_indices(n)] = 1e-3 + np.abs(M.sum(axis=1))
+        return csc_array(M), rng.standard_normal(n)
+
+    def factors(self, A):
+        """A fresh factor of A and one made in a kept column order."""
+        fresh = numkit.Factorization(A)
+        reversed_order = np.arange(A.shape[0])[::-1]
+        kept = numkit.Factorization(A[:, reversed_order], order=reversed_order)
+        return fresh, kept
+
+    @staticmethod
+    def backward_error(M, x, b):
+        scale = np.abs(M).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+        return np.abs(b - M @ x).max() / scale
+
+    def test_the_factored_matrix_takes_one_solve(self, solves):
+        A, b = self.matrix()
+        for lu in self.factors(A):
+            expected = lu.solve(b)
+            solves.clear()
+            x = lu.refine(A[:, lu.order], b)
+            assert len(solves) == 1
+            assert np.array_equal(x, expected)
+
+    def test_a_nearby_matrix_meets_the_target(self, solves):
+        A, b = self.matrix()
+        near = A.copy()
+        near.data *= 1.0 + 1e-4 * np.random.default_rng(25).standard_normal(near.data.size)
+        for lu in self.factors(A):
+            solves.clear()
+            x = lu.refine(near[:, lu.order], b)
+            assert 1 < len(solves) <= numkit.REFINE_SOLVES
+            assert self.backward_error(near, x, b) <= numkit.REFINE_TARGET
+            assert self.backward_error(near, lu.solve(b), b) > numkit.REFINE_TARGET
+
+    def test_a_far_or_singular_matrix_gives_none(self, solves):
+        A, b = self.matrix()
+        far = A.copy()
+        far.data = np.random.default_rng(26).standard_normal(far.data.size)
+        rank_one = csc_array(np.outer(np.arange(1.0, 41.0), np.ones(40)))
+        zero_row = A.copy()
+        zero_row.data[zero_row.indices == 7] = 0.0  # a zero row, still stored
+        zero_col = A.copy()
+        zero_col.data[zero_col.indptr[3]:zero_col.indptr[4]] = 0.0
+        fresh, _ = self.factors(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M in (far, rank_one, zero_row, zero_col):
+                solves.clear()
+                assert fresh.refine(M[:, fresh.order], b) is None
+                assert len(solves) <= numkit.REFINE_SOLVES
+        # a consistent right-hand side does not hide the zero row
+        consistent = zero_row @ np.ones(40)
+        assert fresh.refine(zero_row[:, fresh.order], consistent) is None
+
+    def test_no_budget_gives_none(self, monkeypatch, solves):
+        A, b = self.matrix()
+        fresh, _ = self.factors(A)
+        monkeypatch.setattr(numkit, "REFINE_SOLVES", 0)
+        assert fresh.refine(A[:, fresh.order], b) is None
+        assert solves == []
+
+    def test_size_mismatch_and_non_finite_entries_raise(self):
+        A, b = self.matrix()
+        fresh, _ = self.factors(A)
+        with pytest.raises(ValueError, match="refine needs"):
+            fresh.refine(A[:39, :39], b[:39])
+        with pytest.raises(ValueError, match="refine needs"):
+            fresh.refine(A, b[:39])
+        bad = A.copy()
+        bad.data[5] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            fresh.refine(bad, b)

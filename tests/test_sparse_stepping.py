@@ -313,6 +313,19 @@ def test_nonlinear_kappa_matches_dense_reference(ops3):
     assert not np.allclose(frozen_R(traj.states[-1])[p, p], base.R[p, p])
 
 
+def test_nonlinear_kappa_run_is_reproducible(ops3):
+    # the kappa and data of test_nonlinear_kappa_matches_dense_reference
+    kappa = lambda xi: (1.0 + 4.0 * xi * xi) / (2.0 + 4.0 * xi * xi)  # noqa: E731
+    v, f, fdot, g = linear_data(ops3, seed=12)
+    p0 = np.random.default_rng(13).uniform(-0.5, 0.5, ops3.dim_p)
+    z0 = consistent_state(ops3, p0, f, fdot, g)
+    grid = np.linspace(0.0, 1.0, 41)
+    first, second = (timeint.integrate_nonlinear_kappa(ops3, kappa, z0, v, grid, bounds=(0.5, 1.0))
+                     for _ in range(2))
+    for name in ("states", "hamiltonian", "dissipated", "supplied"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+
+
 def colamd_every_step(ops, kappa, z0, v, t, bounds):
     """The frozen-R midpoint run as it was before step matrices kept a
     pattern: R from the nonzeros of the dense block, sparse sums, and a fresh
@@ -339,15 +352,21 @@ def colamd_every_step(ops, kappa, z0, v, t, bounds):
 
 
 @pytest.mark.parametrize("n", [3, 5])
-def test_nonlinear_kappa_matches_fresh_colamd_run_bitwise(n):
+def test_nonlinear_kappa_matches_fresh_colamd_run_bitwise(n, monkeypatch):
     ops = make_ops(n)
     kappa = lambda xi: (1.0 + 4.0 * xi * xi) / (2.0 + 4.0 * xi * xi)  # noqa: E731
     v, f, fdot, g = linear_data(ops, seed=14)
     p0 = np.random.default_rng(15).uniform(-0.5, 0.5, ops.dim_p)
     z0 = consistent_state(ops, p0, f, fdot, g)
     grid = np.linspace(0.0, 1.0, 31)
+    ref = colamd_every_step(ops, kappa, z0, v, grid, (0.5, 1.0))
+    # with the last factor reused the run agrees to 1e-12
     traj = timeint.integrate_nonlinear_kappa(ops, kappa, z0, v, grid, bounds=(0.5, 1.0))
-    states, H, diss, supp = colamd_every_step(ops, kappa, z0, v, grid, (0.5, 1.0))
+    assert_agrees(formulations.build_full_first_order(ops), traj, ref)
+    # without reuse every step is factored, bit for bit as a fresh COLAMD LU
+    monkeypatch.setattr(numkit, "REFINE_SOLVES", 0)
+    traj = timeint.integrate_nonlinear_kappa(ops, kappa, z0, v, grid, bounds=(0.5, 1.0))
+    states, H, diss, supp = ref
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.hamiltonian, H)
     assert np.array_equal(traj.dissipated, diss)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from phporo import formulations, timeint
 from phporo import numkit
@@ -283,6 +284,46 @@ class TestFactorizationCount:
         lu_calls.clear()
         timeint.integrate_nonlinear_kappa(ops2, lambda xi: 1.0 + 0.1 * xi * xi, z0, v,
                                           np.linspace(0.0, 1.0, 21))
-        assert len(lu_calls) == 20
+        # a slowly varying kappa: most steps reuse the last factor
+        assert 1 <= len(lu_calls) < 20
         # one pattern: only the first step orders the columns
         assert sum(not kwargs.get("natural") for kwargs in lu_calls) == 1
+
+
+class TestFactorReuse:
+    """Checks that hold when a frozen-R step is solved with the last factor."""
+
+    @staticmethod
+    def run(R_at_step, monkeypatch):
+        # E = diag(1, 0): the second row is algebraic, and its step matrix
+        # entry is h/2 times R[1, 1]; R keeps its pattern on every step
+        sys = PhDae(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.eye(2), np.zeros((2, 0)))
+        made, steps = [], []
+
+        class Counting(numkit.Factorization):
+            def __init__(self, *args, **kwargs):
+                made.append(len(steps))
+                super().__init__(*args, **kwargs)
+
+        def frozen_R(z):
+            steps.append(z)
+            return csr_array((R_at_step(len(steps) - 1), [0, 1], [0, 1, 2]), shape=(2, 2))
+
+        monkeypatch.setattr(timeint, "Factorization", Counting)
+        grid = np.linspace(0.0, 1.0, 11)
+        return made, lambda: timeint._theta_run(sys, np.array([1.0, 0.0]), None, grid, 0.5,
+                                                frozen_R)
+
+    def test_singular_step_after_reuse_raises_with_its_step(self, monkeypatch):
+        made, run = self.run(lambda k: [1.0, 0.0 if k == 5 else 1.0], monkeypatch)
+        # the zero row carries a zero right-hand side, which refinement alone
+        # would solve
+        with pytest.raises(SingularMatrixError, match="^step 5: step matrix numerically singular"):
+            run()
+        assert made == [1, 6]  # steps 1-4 reused the first factor
+
+    def test_non_finite_entry_on_a_reuse_step_raises(self, monkeypatch):
+        made, run = self.run(lambda k: [1.0, np.nan if k == 3 else 1.0], monkeypatch)
+        with pytest.raises(ValueError, match="non-finite"):
+            run()
+        assert made == [1]  # raised by the reuse step, not by a new factorization
