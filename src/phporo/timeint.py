@@ -86,15 +86,134 @@ class Trajectory:
         return bool(np.all(h[1:] <= h[:-1] + slack))
 
     def to_csv(self, path) -> None:
-        """Columns: time, H, dissipated_cum, supplied_cum, state entries."""
+        """Columns: time, H, dissipated_cum, supplied_cum, state entries.
+
+        Each value is CPython's ``repr``, the shortest decimal that reads back
+        to it, computed in numpy 8192 values at a time by the Schubfach algorithm
+        (R. Giulietti, "The Schubfach way to render doubles", 2020)."""
         header = ["time", "H", "dissipated_cum", "supplied_cum"]
         header += [f"z{i}" for i in range(self.states.shape[1])]
         table = np.column_stack([self.times, self.hamiltonian, self.dissipated_cumulative(),
                                  self.supplied_cumulative(), self.states])
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in table:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
+        values = table.ravel().astype(float, copy=False)
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for start in range(0, values.size, _CSV_BLOCK):
+                fh.write(_csv_text(values[start:start + _CSV_BLOCK], start, table.shape[1]))
+
+
+# -- the values of a trajectory CSV: repr, computed in numpy -----------------
+# Strings are packed into uint64 words, byte j in bits 8j..8j+7.  As repr,
+# x = 0.d1...dn 10^decpt is positional for -4 < decpt <= 16, else d1.d2...dne+XX.
+
+_CSV_BLOCK = 8192  # values formatted at a time
+
+
+def _pack(*columns) -> np.ndarray:
+    """The words of the strings whose byte j is columns[j]."""
+    return sum(np.asarray(b, dtype=np.uint64) << np.uint64(8 * j) for j, b in enumerate(columns))
+
+
+# g = floor(10^-k 2^(125 - floor(-k log2 10))) + 1 for k = -324..292, as the 32-bit
+# halves of g1 and g0, g = g1 2^63 + g0, and g1; (e 913124641741) >> 38 = floor(e log2 10).
+_G = [(10 ** max(-k, 0) << max(125 - f, 0)) // (10 ** max(k, 0) << max(f - 125, 0)) + 1
+      for k, f in zip(range(-324, 293), (np.arange(324, -293, -1) * 913124641741 >> 38).tolist())]
+_G = np.array([[g >> 95, g >> 63 & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF, g & 0xFFFFFFFF, g >> 63]
+               for g in _G], dtype=np.uint64).T
+_POW10 = np.uint64(10) ** np.arange(18, dtype=np.uint64)
+_ASCII4 = _pack(*(np.arange(10000) // [[1000], [100], [10], [1]] % 10 + 48))  # the 4 digits of i
+_BELOW = np.clip(np.arange(19) - 8 * np.arange(3)[:, None], 0, 8).astype(np.uint64)
+_BELOW = (np.uint64(1) << 8 * _BELOW) - 1  # [w, p]: the bytes of word w before byte p
+_AFTER, _DOT = ~_BELOW[:, 1:], (_BELOW[:, :-1] ^ _BELOW[:, 1:]) & 0x2E2E2E2E2E2E2E2E  # after p, "."
+# By decpt + 330: the byte of the point among the digits; (+ 661 n) how many bytes of
+# digits and point to write; (+ 661 sign bit) "-0.000" before them; the exponent after.
+_DECPT, _N = np.arange(-330, 331), np.arange(18)[:, None]
+_POSITIONAL, _EXP = (_DECPT > -4) & (_DECPT < 17), abs(_DECPT - 1)
+_POINT = np.where(_POSITIONAL, np.where(_DECPT > 0, _DECPT, 17), 1)
+_KEEP = np.where(_POSITIONAL, np.where(_DECPT < 1, _N, np.maximum(_N + 1, _DECPT + 2)),
+                 _N + (_N > 1)).ravel()
+_HEAD = _pack([[0], [45]], *[[48], [46], [48], [48], [48]]
+              * (_POSITIONAL & (_DECPT < [[1], [1], [0], [-1], [-2]]))).ravel()
+_TAIL = np.where(_POSITIONAL, 0, _pack(0, 101, np.where(_DECPT < 1, 45, 43),
+                 (_EXP >= 100) * (_EXP // 100 + 48), _EXP // 10 % 10 + 48, _EXP % 10 + 48))
+
+
+def _mul_hi(a1, a0, b1, b0):
+    """High words of the products (a1 2^32 + a0)(b1 2^32 + b0)."""
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _round_to_odd(g, cp):
+    """floor(g cp / 2^127), odd when the bits below are not zero (rop)."""
+    b1, b0 = cp >> 32, cp & 0xFFFFFFFF
+    low = (g[4] * cp >> 1) + _mul_hi(g[2], g[3], b1, b0)
+    return (_mul_hi(g[0], g[1], b1, b0) + (low >> 63)) | ((low << 1) != 0)
+
+
+def _shortest(x):
+    """(d, e), d without trailing zeros: d 10^e is the decimal repr gives each
+    positive normal double x (shortest in its rounding interval, then closest, then even d)."""
+    bits = x.view(np.uint64)
+    c = bits & np.uint64(2**52 - 1) | np.uint64(2**52)
+    q = (bits >> 52).astype(np.int64) - 1075  # x = c 2^q
+    irregular = (c == 2**52) & (q > -1074)  # the lower neighbour of x is closer
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
+    g = _G.take(k + 324, axis=1)
+    # x and the ends of its rounding interval, times 4 10^-k, rounded to odd;
+    # the ends belong to the interval when c is even
+    cb = c << 2
+    vb, vbl, vbr = (_round_to_odd(g, v << h) for v in (cb, cb - 2 + irregular, cb + 2))
+    lo, hi = vbl + (c & 1), vbr - (c & 1)
+    s = vb >> 2
+    s10 = s // 10
+    upin, wpin = lo <= s10 * 40, s10 * 40 + 40 <= hi
+    uin, win = lo <= s << 2, (s << 2) + 4 <= hi
+    # s + 1 when only it is inside, or both are and it is closer, or as close and even
+    up = win & (~uin | (vb + (s & 1) > (s << 2) + 2))
+    short = upin != wpin  # exactly one multiple of 10 in the interval
+    d, e = np.where(short, s10 + wpin, s + up), k + short
+    for p in (8, 4, 2, 1):
+        cut = d // 10**p
+        zeros = cut * 10**p == d
+        d, e = np.where(zeros, cut, d), e + zeros * p
+    return d, e
+
+
+def _csv_text(x: np.ndarray, start: int, columns: int) -> np.ndarray:
+    """The CSV text of x, entries start.. of a table with this many columns:
+    each value's repr, then a comma, or a newline after the last column."""
+    bits = x.view(np.uint64)
+    normal = (bits >> 52 & 0x7FF) - 1 < 2046  # exponent field 1..2046
+    d, e = np.zeros(x.size, dtype=np.uint64), np.zeros(x.size, dtype=np.int64)
+    if normal.any():  # else all zeros, subnormals, infinities or nans
+        d[normal], e[normal] = _shortest(np.abs(x[normal]))
+    n = np.maximum(np.searchsorted(_POW10, d, side="right"), 1)
+    decpt = e + n + 330
+    # bytes 0-7, 8-15 and 16 of the digits of d as a string of 17
+    D = d * _POW10.take(17 - n)
+    hi, lo = D // 10**9, D - D // 10**9 * 10**9
+    h4, l5, l1 = hi // 10**4, lo // 10**5, lo // 10
+    digits = (_ASCII4.take(h4) | _ASCII4.take(hi - h4 * 10**4) << 32,
+              _ASCII4.take(l5) | _ASCII4.take(l1 - l5 * 10**4) << 32, lo - l1 * 10 + 48)
+    moved = (digits[0] << 8, digits[1] << 8 | digits[0] >> 56, digits[2] << 8 | digits[1] >> 56)
+    # the point goes in at byte `point`, the digits after it move up one
+    point, keep = _POINT.take(decpt), _KEEP.take(n * 661 + decpt)
+    field = [(digits[w] & _BELOW[w].take(point) | moved[w] & _AFTER[w].take(point)
+              | _DOT[w].take(point)) & _BELOW[w].take(keep) for w in range(3)]
+    # each value in 32 bytes, the bytes not written zero
+    sep = np.full(x.size, ord(",") << 48, dtype=np.uint64)
+    sep[(columns - 1 - start) % columns::columns] = ord("\n") << 48
+    rows = np.stack([field[0] << 48 | _HEAD.take((bits >> 63).astype(np.intp) * 661 + decpt),
+                     field[0] >> 16 | field[1] << 48, field[1] >> 16 | field[2] << 48,
+                     _TAIL.take(decpt) | sep], axis=1)
+    text = rows.view(np.uint8)
+    for i in np.flatnonzero(~normal & (bits << 1 != 0)):  # subnormal, inf, nan
+        text[i, :30] = np.frombuffer(repr(float(x[i])).encode().ljust(30, b"\0"), dtype=np.uint8)
+    text = text.ravel()
+    return text[text != 0]
 
 
 def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray) -> None:

@@ -10,7 +10,9 @@ the bit-for-bit reference of the operator blocks.  The dense ellipticity
 constants are the oracle of phporo.formulations.check_network_ellipticity.
 The dense Schur solve of the consistent initialization and the dense rank,
 kernel and index classification at the end are the oracles of the sparse
-initialization and index rule in phporo.dae_analysis.
+initialization and index rule in phporo.dae_analysis.  ``trajectory_csv``
+writes a trajectory one ``repr`` per value, the byte-for-byte reference of
+the vectorized formatter behind phporo.timeint.Trajectory.to_csv.
 """
 
 import numpy as np
@@ -469,3 +471,17 @@ def consistent_start_residual(sys, z0, v0):
         return None
     rhs = (sys.J - sys.R) @ z0 + sys.G @ v0
     return float(np.linalg.norm(W.T @ rhs)), 1e-8 * (1.0 + float(np.max(np.abs(rhs))))
+
+
+def csv_text(table) -> bytes:
+    """Rows of comma-separated ``repr`` of each value, newline-terminated."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(table).tolist()).encode()
+
+
+def trajectory_csv(traj) -> bytes:
+    """The CSV file of a trajectory: header, then one row per time point."""
+    header = ["time", "H", "dissipated_cum", "supplied_cum"]
+    header += [f"z{i}" for i in range(traj.states.shape[1])]
+    table = np.column_stack([traj.times, traj.hamiltonian, traj.dissipated_cumulative(),
+                             traj.supplied_cumulative(), traj.states])
+    return (",".join(header) + "\n").encode() + csv_text(table)

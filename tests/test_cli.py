@@ -11,6 +11,8 @@ import phporo
 from phporo import cli, numkit, phdae, timeint
 from phporo.cli import Scenario, ScenarioError, SourceTerm, parse_scenario
 
+import oracle
+
 
 def material_doc(rho=1.0, alpha=1.0, kappa=1.0, nu=1.0):
     return {"rho": rho, "mu": 1.0, "lam": 1.0, "alpha": alpha,
@@ -179,6 +181,25 @@ class TestSimulate:
         cli.cmd_simulate(parse_scenario(doc), str(a))
         cli.cmd_simulate(parse_scenario(doc), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("doc_fn", [
+        lambda: scenario_doc(mesh_n=3),
+        lambda: scenario_doc(mesh_n=3, integrator="euler", source_f=[], source_g=[]),
+        lambda: scenario_doc(mesh_n=3, formulation="quasi_static",
+                             materials=[material_doc(rho=0.0)],
+                             source_f=[{"c": 0.4, "ax": 0, "ay": 0, "component": 0,
+                                        "time": "const"}]),
+        lambda: network_doc(mesh_n=3),
+        lambda: scenario_doc(mesh_n=3, formulation="schur_parabolic",
+                             materials=[material_doc(rho=0.0)]),
+    ], ids=["full_midpoint", "full_euler", "quasi_static", "network", "schur_parabolic"])
+    def test_csv_bytes_match_the_repr_oracle(self, tmp_path, doc_fn):
+        scn = parse_scenario(doc_fn())
+        out = tmp_path / "t.csv"
+        _, code = cli.cmd_simulate(scn, str(out))
+        assert code == 0
+        _, traj = cli._run(scn, cli.build_operators(scn))
+        assert out.read_bytes() == oracle.trajectory_csv(traj)
 
     def test_brain_network_is_monotone(self, tmp_path):
         doc = network_doc(m=4, rho=0.0)

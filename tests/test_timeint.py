@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -8,6 +10,7 @@ from phporo.numkit import SingularMatrixError
 from phporo.phdae import InconsistentStateError, PhDae
 from phporo.timeint import Trajectory, integrate_euler, integrate_midpoint
 
+import oracle
 from conftest import consistent_state, linear_data, make_ops
 
 
@@ -227,6 +230,109 @@ class TestTrajectory:
         self.make_trajectory().to_csv(a)
         self.make_trajectory().to_csv(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def first_difference(got: bytes, want: bytes):
+    """None if two CSV texts are equal, else their first differing values."""
+    if got == want:
+        return None
+    pairs = zip(got.replace(b"\n", b",").split(b","), want.replace(b"\n", b",").split(b","))
+    return next(((a, b) for a, b in pairs if a != b), (got[-40:], want[-40:]))
+
+
+def csv_against_oracle(tmp_path, states):
+    """The CSV of a trajectory with these states (and zero ledgers) and the
+    oracle's bytes for it."""
+    states = np.asarray(states, dtype=float)
+    T = len(states)
+    traj = Trajectory(np.arange(T, dtype=float), states, np.zeros(T), np.zeros(T - 1),
+                      np.zeros(T - 1))
+    path = tmp_path / "t.csv"
+    traj.to_csv(path)
+    return path.read_bytes(), oracle.trajectory_csv(traj)
+
+
+def as_rows(values, columns=8):
+    """values as a (-1, columns) table, padded with 1.0."""
+    values = np.asarray(values, dtype=float).ravel()
+    return np.concatenate([values, np.ones(-values.size % columns)]).reshape(-1, columns)
+
+
+def neighbours(values):
+    with np.errstate(over="ignore"):
+        return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+
+
+POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
+EDGE_VALUES = {
+    "powers_of_two": np.concatenate([POWERS_OF_TWO, -POWERS_OF_TWO, neighbours(POWERS_OF_TWO)]),
+    "subnormals": np.concatenate([[5e-324, 1e-323, 2.2250738585072009e-308, -5e-324],
+                                  np.random.default_rng(1).integers(1, 2**52, 2000).view(float)]),
+    "specials": np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0]),
+    "powers_of_ten": neighbours(np.array([float(f"1e{k}") for k in range(-323, 309)])),
+    "switch_points": neighbours(np.array([1e16, 9999999999999998.0, 1e-4, 1e-5, -1e16, -1e-5])),
+    "three_digit_exponents": np.concatenate([
+        [1e100, 1e-100, 1.7976931348623157e308, 2.2250738585072014e-308, -1.5e-200],
+        np.random.default_rng(2).uniform(1, 10, 2080)
+        * 10.0 ** np.r_[-307:-99, 100:308].repeat(5)]),
+    "integers": np.concatenate([[2.0**53, 2.0**53 - 1, 2.0**53 + 2, 1.0, 10.0, 123456789.0],
+                                np.random.default_rng(3).integers(0, 2**53, 5000).astype(float),
+                                np.arange(-1000.0, 1000.0)]),
+    "trailing_zeros": np.concatenate([
+        [1200.0, 1.5e20, 123000000.0, 0.5, 0.0012, 7e22, 1e23, 5e-7],
+        np.random.default_rng(4).integers(1, 1000, 5040) * 10.0 ** np.arange(-40, 40).repeat(63)]),
+}
+
+
+class TestCsvFormat:
+    """Trajectory.to_csv writes the bytes of the one-repr-per-value oracle."""
+
+    def test_repr_style_is_short(self):
+        # the formatter reproduces the shortest round-trip repr
+        assert sys.float_repr_style == "short"
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(20).integers(0, 2**64, (1000, 1000), dtype=np.uint64,
+                                                  endpoint=False)
+        assert np.unique(bits >> 52 & 0x7FF).size == 2048  # every exponent
+        assert np.unique(bits >> 63).size == 2  # both signs
+        assert first_difference(*csv_against_oracle(tmp_path, bits.view(float))) is None
+
+    @pytest.mark.parametrize("kind", sorted(EDGE_VALUES))
+    def test_edge_values(self, tmp_path, kind):
+        assert first_difference(*csv_against_oracle(tmp_path, as_rows(EDGE_VALUES[kind]))) is None
+
+    @pytest.mark.parametrize("rows, columns", [(1, 0), (1, 9000), (3000, 7), (50, 0)])
+    def test_table_shapes(self, tmp_path, rows, columns):
+        # one row wider than a block, rows across several blocks, no state columns
+        states = np.random.default_rng(rows).standard_normal((rows, columns))
+        assert first_difference(*csv_against_oracle(tmp_path, states)) is None
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 3.25, -1e-300, np.nan])
+    def test_one_by_one_table(self, value):
+        text = timeint._csv_text(np.array([value]), 0, 1).tobytes()
+        assert text == oracle.csv_text([[value]])
+
+    def test_zero_table_never_reaches_the_repr_fallback(self, tmp_path, monkeypatch):
+        def no_repr(value):
+            raise AssertionError(f"repr fallback reached for {value!r}")
+
+        states = np.where(np.random.default_rng(5).random((40, 300)) < 0.5, 0.0, -0.0)
+        monkeypatch.setattr(timeint, "repr", no_repr, raising=False)
+        got, want = csv_against_oracle(tmp_path, states)
+        assert got == want
+
+    def test_only_non_normal_values_reach_the_repr_fallback(self, tmp_path, monkeypatch):
+        seen = []
+
+        def counting_repr(value):
+            seen.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(timeint, "repr", counting_repr, raising=False)
+        got, want = csv_against_oracle(tmp_path, as_rows([0.0, 1.0, np.inf, 5e-324, -0.0, 2.5]))
+        assert got == want
+        assert seen == [np.inf, 5e-324]
 
 
 class TestFactorizationCount:
