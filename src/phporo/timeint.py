@@ -11,8 +11,10 @@ baseline; it introduces artificial dissipation and keeps the same ledger
 convention without the exact identity.  Both are the theta method
 (theta = 1/2 and theta = 1) of one stepping loop.  The loop works on the
 system's stored CSR of E, J, R and G: step matrices are sparse sums,
-factored once per distinct step size by ``numkit``'s sparse LU, and every
-product in a step is a sparse matrix-vector product.  The nonlinear
+factored once per distinct step size by ``numkit``'s sparse LU, and a step
+is one sparse mat-vec and one solve.  The input is sampled and the ledger
+booked per block of steps, bit-identical to per-step products; an input
+callable sees the per-step sample times in block order.  The nonlinear
 permeability run supplies a new R of one fixed pattern on every step: both
 step matrices then live on one CSR pattern, the union of those of
 E - theta h J, E + (1 - theta) h J and R, made again only when h or R's
@@ -89,24 +91,27 @@ class Trajectory:
         """Columns: time, H, dissipated_cum, supplied_cum, state entries.
 
         Each value is CPython's ``repr``, the shortest decimal that reads back
-        to it, computed in numpy 8192 values at a time by the Schubfach algorithm
-        (R. Giulietti, "The Schubfach way to render doubles", 2020)."""
+        to it, computed in numpy by the Schubfach algorithm (R. Giulietti, "The
+        Schubfach way to render doubles", 2020) on blocks of whole rows, about
+        8192 values each, built from the states and ledger columns."""
         header = ["time", "H", "dissipated_cum", "supplied_cum"]
         header += [f"z{i}" for i in range(self.states.shape[1])]
-        table = np.column_stack([self.times, self.hamiltonian, self.dissipated_cumulative(),
-                                 self.supplied_cumulative(), self.states])
-        values = table.ravel().astype(float, copy=False)
+        ledger = (self.times, self.hamiltonian, self.dissipated_cumulative(),
+                  self.supplied_cumulative())
+        rows = max(1, _CSV_BLOCK // len(header))  # whole rows, so no table copy is made
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
-            for start in range(0, values.size, _CSV_BLOCK):
-                fh.write(_csv_text(values[start:start + _CSV_BLOCK], start, table.shape[1]))
+            for start in range(0, len(self.times), rows):
+                block = np.column_stack([c[start:start + rows] for c in ledger]
+                                        + [self.states[start:start + rows]])
+                fh.write(_csv_text(block.ravel().astype(float, copy=False), 0, len(header)))
 
 
 # -- the values of a trajectory CSV: repr, computed in numpy -----------------
 # Strings are packed into uint64 words, byte j in bits 8j..8j+7.  As repr,
 # x = 0.d1...dn 10^decpt is positional for -4 < decpt <= 16, else d1.d2...dne+XX.
 
-_CSV_BLOCK = 8192  # values formatted at a time
+_CSV_BLOCK = 8192  # values formatted at a time, or one row when that is longer
 
 
 def _pack(*columns) -> np.ndarray:
@@ -326,19 +331,36 @@ class _FrozenRSteps:
         return self._lu.solve(rhs)
 
 
+_BLOCK_VALUES = 16384  # state and input values per block of steps sampled and booked at once
+
+
+def _samples(v, times: np.ndarray, width: int) -> np.ndarray:
+    """The input at each of the times, one row each."""
+    return np.array([np.asarray(v(s), dtype=float) for s in times]).reshape(len(times), width)
+
+
+def _products(M, X: np.ndarray) -> np.ndarray:
+    """M x for every row x of X, as C-contiguous rows from one sparse product:
+    their dots with ``np.vecdot`` round as ``float(x @ (M @ x))`` would."""
+    return np.ascontiguousarray((M @ np.ascontiguousarray(X.T)).T)
+
+
 def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Trajectory:
     """Theta method for E z' = (J - R) z + G v with the midpoint ledger.
 
     Each step solves (E - theta h J + theta h R) z_new =
     (E + (1 - theta) h J - (1 - theta) h R) z + h G v with v sampled at
-    t_k + theta h.  The step matrices are formed from the stored CSR and
-    factored once per distinct step size.  ``frozen_R(z)``,
-    if given, returns the CSR dissipation matrix for the step that starts at
-    z; it is then used for that step's matrices and ledger.  Those are
-    written on every step into one pattern (``_FrozenRSteps``, made anew when
-    the step size or R's pattern changes) and solved by refinement with the
-    last step's factor, or factored without a new ordering when that fails;
-    one factor is held at a time.
+    t_k + theta h: one mat-vec and one solve with the step matrices formed
+    from the stored CSR, factored once per distinct step size.  Per block of
+    ``_BLOCK_VALUES // (state_dim + input_dim)`` steps the input is sampled
+    and G v formed before the steps, and H and the ledger booked after them,
+    each by one sparse product (``_products``).  ``frozen_R(z)``, if given,
+    returns the CSR dissipation matrix for the step that starts at z, used
+    for that step's matrices and its dissipated entry, booked in the step;
+    they are written into one pattern (``_FrozenRSteps``, made anew when h
+    or R's pattern changes) and solved by refinement with the last step's
+    factor, or factored without a new ordering when that fails; one factor
+    is held at a time.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.state_dim,):
@@ -353,38 +375,41 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     steps = _snapped_steps(t)
     states = np.empty((len(t), sys.state_dim))
     states[0] = z0
-    H = np.empty(len(t))
-    H[0] = 0.5 * float(z0 @ (E @ z0))
-    diss = np.empty(len(steps))
-    supp = np.empty(len(steps))
+    H, diss, supp = np.empty(len(t)), np.empty(len(steps)), np.empty(len(steps))
     step_matrices: dict[float, tuple] = {}  # h -> (factored step matrix, explicit matrix)
     frozen = None  # _FrozenRSteps of the last step
-    z = z0
-    for k, h in enumerate(steps.tolist()):
-        a, b = theta * h, (1.0 - theta) * h
-        Gv = G @ np.asarray(v(t[k] + 0.5 * h), dtype=float)
-        Gv_step = Gv if theta == 0.5 else G @ np.asarray(v(t[k] + theta * h), dtype=float)
-        try:
-            if frozen_R is None:
-                if h not in step_matrices:
-                    step_matrices[h] = (Factorization(E - a * J + a * R, "step matrix"),
-                                        E + b * J - b * R)
-                lu, explicit = step_matrices[h]
-                z_new = lu.solve(explicit @ z + h * Gv_step)
-            else:
-                R = frozen_R(z)
-                if frozen is None or not frozen.holds(R, a):
-                    frozen = _FrozenRSteps(E, J, R, a, b)  # drops the old factor
-                z_new = frozen.step(R, z, h * Gv_step)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"step {k}: {exc}") from exc
-        # midpoint-quadrature ledger for every theta
-        zm = 0.5 * (z + z_new)
-        diss[k] = h * float(zm @ (R @ zm))
-        supp[k] = h * float(zm @ Gv)
-        z = z_new
-        states[k + 1] = z
-        H[k + 1] = 0.5 * float(z @ (E @ z))
+    block = max(1, _BLOCK_VALUES // max(1, sys.state_dim + sys.input_dim))
+    for start in range(0, len(steps) or 1, block):
+        hs = steps[start:start + block]
+        rows = slice(start, start + len(hs))
+        Gv = _products(G, _samples(v, t[rows] + 0.5 * hs, sys.input_dim))
+        forcing = hs[:, None] * (Gv if theta == 0.5 else
+                                 _products(G, _samples(v, t[rows] + theta * hs, sys.input_dim)))
+        for k, h in enumerate(hs.tolist(), start):
+            a, b, z = theta * h, (1.0 - theta) * h, states[k]
+            try:
+                if frozen_R is None:
+                    if h not in step_matrices:
+                        step_matrices[h] = (Factorization(E - a * J + a * R, "step matrix"),
+                                            E + b * J - b * R)
+                    lu, explicit = step_matrices[h]
+                    states[k + 1] = lu.solve(explicit @ z + forcing[k - start])
+                else:
+                    R_k = frozen_R(z)
+                    if frozen is None or not frozen.holds(R_k, a):
+                        frozen = _FrozenRSteps(E, J, R_k, a, b)  # drops the old factor
+                    states[k + 1] = frozen.step(R_k, z, forcing[k - start])
+                    zm = 0.5 * (z + states[k + 1])
+                    diss[k] = h * float(zm @ (R_k @ zm))  # R_k is this step's alone
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(f"step {k}: {exc}") from exc
+        # the block's ledger, with the midpoint quadrature for every theta
+        Z = states[start:rows.stop + 1]
+        H[start:rows.stop + 1] = 0.5 * np.vecdot(Z, _products(E, Z))
+        zm = 0.5 * (Z[:-1] + Z[1:])
+        if frozen_R is None:
+            diss[rows] = hs * np.vecdot(zm, _products(R, zm))
+        supp[rows] = hs * np.vecdot(zm, Gv)
     return Trajectory(t, states, H, diss, supp)
 
 

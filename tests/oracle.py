@@ -13,13 +13,17 @@ kernel and index classification at the end are the oracles of the sparse
 initialization and index rule in phporo.dae_analysis.  ``trajectory_csv``
 writes a trajectory one ``repr`` per value, the byte-for-byte reference of
 the vectorized formatter behind phporo.timeint.Trajectory.to_csv.
+``stepwise_theta_run`` is the theta-method loop of phporo.timeint with the
+input sampled and the ledger booked one step at a time by one-vector
+products, the bit-for-bit reference of its blocked bookkeeping.
 """
 
 import numpy as np
 from scipy.linalg import eigh
 
+from phporo import timeint
 from phporo.dae_analysis import INDEX_AT_LEAST_2, IndexReport
-from phporo.numkit import as_matrix
+from phporo.numkit import Factorization, SingularMatrixError, as_matrix
 
 # barycentric coordinates of the edge midpoints (quadrature of order 2)
 EDGE_MIDPOINTS = np.array([
@@ -485,3 +489,46 @@ def trajectory_csv(traj) -> bytes:
     table = np.column_stack([traj.times, traj.hamiltonian, traj.dissipated_cumulative(),
                              traj.supplied_cumulative(), traj.states])
     return (",".join(header) + "\n").encode() + csv_text(table)
+
+
+def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None):
+    """``timeint._theta_run`` one step at a time: per step it samples the
+    input, forms G v, solves, and books zm^T R zm, zm^T G v and z^T E z with
+    one-vector sparse products.  Returns (states, H, dissipated, supplied)."""
+    z0 = np.asarray(z0, dtype=float)
+    t = np.asarray(t_grid, dtype=float)
+    v = input if input is not None else (lambda t, zero=np.zeros(sys.input_dim): zero)
+    timeint._check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float))
+    E, J, R, G = sys.csr
+    steps = timeint._snapped_steps(t)
+    states = np.empty((len(t), sys.state_dim))
+    states[0] = z0
+    H = np.empty(len(t))
+    H[0] = 0.5 * float(z0 @ (E @ z0))
+    diss, supp = np.empty(len(steps)), np.empty(len(steps))
+    step_matrices, frozen, z = {}, None, z0
+    for k, h in enumerate(steps.tolist()):
+        a, b = theta * h, (1.0 - theta) * h
+        Gv = G @ np.asarray(v(t[k] + 0.5 * h), dtype=float)
+        Gv_step = Gv if theta == 0.5 else G @ np.asarray(v(t[k] + theta * h), dtype=float)
+        try:
+            if frozen_R is None:
+                if h not in step_matrices:
+                    step_matrices[h] = (Factorization(E - a * J + a * R, "step matrix"),
+                                        E + b * J - b * R)
+                lu, explicit = step_matrices[h]
+                z_new = lu.solve(explicit @ z + h * Gv_step)
+            else:
+                R = frozen_R(z)
+                if frozen is None or not frozen.holds(R, a):
+                    frozen = timeint._FrozenRSteps(E, J, R, a, b)
+                z_new = frozen.step(R, z, h * Gv_step)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"step {k}: {exc}") from exc
+        zm = 0.5 * (z + z_new)
+        diss[k] = h * float(zm @ (R @ zm))
+        supp[k] = h * float(zm @ Gv)
+        z = z_new
+        states[k + 1] = z
+        H[k + 1] = 0.5 * float(z @ (E @ z))
+    return states, H, diss, supp

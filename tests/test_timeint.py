@@ -433,3 +433,23 @@ class TestFactorReuse:
         with pytest.raises(ValueError, match="non-finite"):
             run()
         assert made == [1]  # raised by the reuse step, not by a new factorization
+
+
+@pytest.mark.parametrize("rows, columns", [(3000, 7), (4, 9000)])
+def test_csv_is_formatted_in_blocks_of_whole_rows(tmp_path, monkeypatch, rows, columns):
+    # no copy of the whole table: each block holds whole rows, at most one
+    # row more than fits in _CSV_BLOCK values
+    sizes = []
+    real = timeint._csv_text
+
+    def recording(x, start, width):
+        sizes.append(x.size)
+        return real(x, start, width)
+
+    monkeypatch.setattr(timeint, "_csv_text", recording)
+    states = np.random.default_rng(columns).standard_normal((rows, columns))
+    got, want = csv_against_oracle(tmp_path, states)
+    assert got == want
+    width = columns + 4
+    assert sum(sizes) == rows * width
+    assert all(size % width == 0 and size <= max(timeint._CSV_BLOCK, width) for size in sizes)
