@@ -17,12 +17,14 @@ entry in element order, into the CSR of the mesh stencil of the (row space,
 column space) pair, so results are bit-reproducible from run to run.  The
 linear operators are canonical CSR (``numkit.as_csr``: the stencil's exact
 zeros dropped); the nonlinear permeability block, reassembled on every time
-step, keeps the whole stencil, so its pattern is the same on every call.
+step, keeps the whole stencil, so its pattern is the same on every call, and
+reads the element geometry kept on the space (``FeSpace._elements``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -86,6 +88,14 @@ class FeSpace:
     @property
     def dim(self) -> int:
         return self.components * len(self.free_nodes)
+
+    @cached_property
+    def _elements(self) -> tuple[np.ndarray, ...]:
+        """``(_dofs, p1_gradients, triangle_area, grad_i . grad_j)`` of every
+        element, made on first use: the per-step kernels read them here."""
+        coords = self.mesh.nodes[self.mesh.triangles]
+        g = p1_gradients(coords)
+        return _dofs(self), g, triangle_area(coords), g @ g.swapaxes(-1, -2)
 
 
 def _make_space(mesh: Mesh2D, kind: str) -> FeSpace:
@@ -317,8 +327,8 @@ def elementwise_divergence(vspace: FeSpace, u_free: np.ndarray) -> np.ndarray:
     u = np.asarray(u_free, dtype=float)
     if u.shape != (vspace.dim,):
         raise ValueError(f"displacement vector must have length {vspace.dim}")
-    g = p1_gradients(vspace.mesh.nodes[vspace.mesh.triangles])
-    u = np.append(u, 0.0)[_dofs(vspace)]  # constrained dofs (-1) read the appended zero
+    dofs, g, _, _ = vspace._elements
+    u = np.append(u, 0.0)[dofs]  # constrained dofs (-1) read the appended zero
     div = np.zeros(len(g))
     for a in range(3):  # summing in local-node order keeps the rounding fixed
         div += u[:, a] * g[:, a, 0] + u[:, 3 + a] * g[:, a, 1]
@@ -333,7 +343,8 @@ def assemble_nonlinear_permeability(qspace: FeSpace, vspace: FeSpace, u_free,
     The result is CSR on the structural P1 stencil of the free dofs, explicit
     zeros included, so its ``indptr`` and ``indices`` are the same on every
     call; its data are the element contributions summed in element order,
-    so ``toarray()`` is bit for bit the dense assembly.
+    so ``toarray()`` is bit for bit the dense assembly.  The element areas and
+    grad_i . grad_j come from ``qspace._elements``, computed once per space.
 
     ``kappa_fn`` is called once per element with that element's dilatation.
     A value outside (0, inf) or outside the caller-supplied bounds raises
@@ -358,8 +369,9 @@ def assemble_nonlinear_permeability(qspace: FeSpace, vspace: FeSpace, u_free,
         raise BoundViolationError(
             f"permeability {kappa[t]:.3e} leaves the declared bounds {bounds}"
         )
-    return _stencil_sum(element_stiffness(qspace.mesh.nodes[qspace.mesh.triangles], kappa / nu),
-                        qspace, qspace)
+    _, _, area, gg = qspace._elements
+    # the operations of element_stiffness(coords, kappa / nu), in its order
+    return _stencil_sum((kappa / nu * area)[:, None, None] * gg, qspace, qspace)
 
 
 def write_mesh_text(mesh: Mesh2D, path) -> None:

@@ -314,6 +314,15 @@ REFINE_TARGET = 1e-15
 REFINE_SOLVES = 16
 
 
+def _abs_sums(M) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of |M| for a CSC matrix M, each added up in data
+    order from M.data, as ``abs(M) @ ones`` adds them, explicit zeros too."""
+    magnitude, n = np.abs(M.data), M.shape[1]
+    columns = np.repeat(np.arange(n), np.diff(M.indptr))
+    return (np.bincount(M.indices, weights=magnitude, minlength=M.shape[0]),
+            np.bincount(columns, weights=magnitude, minlength=n))
+
+
 class Factorization:
     """Sparse LU factorization of a square dense or sparse matrix.
 
@@ -388,8 +397,10 @@ class Factorization:
         backward error, falling on at the rate of the last solve, would miss
         the target at the last one, and for an M with an exactly zero row or
         column (whose singularity a consistent b can hide from the
-        residual).  Non-finite entries of M raise ``ValueError``, as in the
-        constructor.
+        residual).  ||M|| and the zero row and column test take the sums of
+        |M| from M.data (``_abs_sums``), so the matrix is not copied; each
+        iterate costs one ``solve`` and one mat-vec with M.  Non-finite
+        entries of M raise ``ValueError``, as in the constructor.
         """
         rhs = np.asarray(b, dtype=float)
         if M.shape != (self.size, self.size) or rhs.shape != (self.size,):
@@ -399,9 +410,8 @@ class Factorization:
             raise ValueError("matrix contains non-finite entries")
         if self.size == 0:
             return np.zeros(0)
-        magnitude, ones = abs(M), np.ones(self.size)
-        row_sums = magnitude @ ones
-        if not (np.all(row_sums) and np.all(ones @ magnitude)):
+        row_sums, column_sums = _abs_sums(M if M.format == "csc" else csc_array(M))
+        if not (np.all(row_sums) and np.all(column_sums)):
             return None  # exactly singular
         scale_M, scale_b = float(np.max(row_sums)), float(np.max(np.abs(rhs)))
         x, resid, last = None, rhs, None

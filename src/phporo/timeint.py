@@ -93,7 +93,8 @@ class Trajectory:
         Each value is CPython's ``repr``, the shortest decimal that reads back
         to it, computed in numpy by the Schubfach algorithm (R. Giulietti, "The
         Schubfach way to render doubles", 2020) on blocks of whole rows, about
-        8192 values each, built from the states and ledger columns."""
+        8192 values each, built from the states and ledger columns; a row
+        wider than that is formatted in pieces of at most 8192 values."""
         header = ["time", "H", "dissipated_cum", "supplied_cum"]
         header += [f"z{i}" for i in range(self.states.shape[1])]
         ledger = (self.times, self.hamiltonian, self.dissipated_cumulative(),
@@ -104,14 +105,16 @@ class Trajectory:
             for start in range(0, len(self.times), rows):
                 block = np.column_stack([c[start:start + rows] for c in ledger]
                                         + [self.states[start:start + rows]])
-                fh.write(_csv_text(block.ravel().astype(float, copy=False), 0, len(header)))
+                block = block.ravel().astype(float, copy=False)
+                for piece in range(0, block.size, _CSV_BLOCK):  # one piece unless a row is wider
+                    fh.write(_csv_text(block[piece:piece + _CSV_BLOCK], piece, len(header)))
 
 
 # -- the values of a trajectory CSV: repr, computed in numpy -----------------
 # Strings are packed into uint64 words, byte j in bits 8j..8j+7.  As repr,
 # x = 0.d1...dn 10^decpt is positional for -4 < decpt <= 16, else d1.d2...dne+XX.
 
-_CSV_BLOCK = 8192  # values formatted at a time, or one row when that is longer
+_CSV_BLOCK = 8192  # values formatted at a time
 
 
 def _pack(*columns) -> np.ndarray:
@@ -267,10 +270,11 @@ class _FrozenRSteps:
 
     The pattern is the union of those of E - a J, E + b J and the first R
     (a = theta h, b = (1 - theta) h).  ``step`` takes an R of that same
-    pattern and writes E - a J + a R and E + b J - b R as data arrays on it,
-    entry by entry as the sparse sums would: the explicit matrix as CSR, the
-    implicit one as CSC with its columns in the order of the last
-    factorization.  The step is solved by refinement with the last factor
+    pattern and writes E - a J + a R and E + b J - b R, entry by entry as the
+    sparse sums would, into the data arrays of containers made once per
+    pattern and column order: the explicit matrix's CSR and the implicit
+    one's CSC, its columns in the order of the last factorization.  The step
+    is solved by refinement with the last factor
     (``Factorization.refine``); only when that fails is the step matrix
     factored, without a new ordering once the pattern has one.
     """
@@ -285,6 +289,8 @@ class _FrozenRSteps:
         slots = [np.searchsorted(keys, _entry_keys(M)) for M in (implicit, explicit, R)]
         self._implicit = self._on_pattern(slots[0], implicit.data)
         self._explicit = self._on_pattern(slots[1], explicit.data)
+        self._explicit_csr = csr_array((self._explicit.copy(), self._indices, self._indptr),
+                                       shape=self._shape)
         self._R_slots = slots[2]
         self._R_pattern = (R.indptr, R.indices)
         self._a, self._b = a, b
@@ -296,16 +302,17 @@ class _FrozenRSteps:
         return np.bincount(slots, weights=values, minlength=self._indices.size)
 
     def _lay_out(self, order) -> None:
-        """CSC layout of the pattern with column order[j] as column j:
+        """CSC container of the pattern with column order[j] as column j:
         ``_csc_slots`` maps its entries to the slots of the CSR pattern."""
         rows = np.repeat(np.arange(self._shape[0]), np.diff(self._indptr))
         column = np.empty_like(order)
         column[order] = np.arange(order.size)
         cols = column[self._indices]
         self._csc_slots = np.lexsort((rows, cols))
-        self._csc_indices = rows[self._csc_slots].astype(np.intc)
-        counts = np.bincount(cols, minlength=order.size)
-        self._csc_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=order.size))])
+        self._implicit_csc = csc_array((self._implicit[self._csc_slots],
+                                        rows[self._csc_slots].astype(np.intc),
+                                        indptr.astype(np.intc)), shape=self._shape)
 
     def holds(self, R, a: float) -> bool:
         """True if the steps were made for this a and R has the pattern of
@@ -315,10 +322,9 @@ class _FrozenRSteps:
     def step(self, R, z: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         """The new state of the step from z with this R and the forcing h G v."""
         r = self._on_pattern(self._R_slots, R.data)
-        implicit = csc_array(((self._implicit + self._a * r)[self._csc_slots],
-                              self._csc_indices, self._csc_indptr), shape=self._shape)
-        explicit = csr_array((self._explicit - self._b * r, self._indices, self._indptr),
-                             shape=self._shape)
+        implicit, explicit = self._implicit_csc, self._explicit_csr
+        np.take(self._implicit + self._a * r, self._csc_slots, out=implicit.data)
+        np.subtract(self._explicit, self._b * r, out=explicit.data)
         rhs = explicit @ z + forcing
         z_new = None if self._lu is None else self._lu.refine(implicit, rhs)
         if z_new is not None:
@@ -438,14 +444,16 @@ def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None, 
     nu = ops.materials[0].nu
     u_slice = base.state_slice("u")
     p_slice = base.state_slice("p")
+    embedded = []  # R's indptr and indices: the block's, fixed for the run, made once
 
     def frozen_R(z):
         block = fem.assemble_nonlinear_permeability(
             ops.qspace, ops.vspace, z[u_slice], kappa_fn, nu, bounds=bounds
         )
-        # the block's rows and columns are the p rows and columns of R
-        indptr = np.pad(block.indptr, (p_slice.start, base.state_dim - p_slice.stop), mode="edge")
-        return csr_array((block.data, block.indices + p_slice.start, indptr),
-                         shape=base.csr.R.shape)
+        if not embedded:  # the block's rows and columns are the p rows and columns of R
+            embedded[:] = (block.indices + p_slice.start,
+                           np.pad(block.indptr, (p_slice.start, base.state_dim - p_slice.stop),
+                                  mode="edge"))
+        return csr_array((block.data, *embedded), shape=base.csr.R.shape)
 
     return _theta_run(base, z0, input, t_grid, 0.5, frozen_R)

@@ -432,6 +432,33 @@ class TestBatchedKernels:
             assert np.array_equal(first, second)
 
 
+class TestElementGeometryCache:
+    """Each space keeps the element geometry of its own mesh."""
+
+    def test_kernels_match_fresh_assembly_on_several_spaces(self):
+        rng = np.random.default_rng(40)
+        # the jittered mesh has the n = 3 mesh's elements at other coordinates
+        meshes = [fem.build_unit_square_mesh(2), fem.build_unit_square_mesh(3),
+                  TestPermeabilityCsr.jittered(3, rng)]
+        spaces = [(fem.scalar_space(mesh), fem.vector_space(mesh)) for mesh in meshes]
+        kappa = lambda xi: 1.0 + 0.3 * np.sin(5.0 * xi)  # noqa: E731
+        for _ in range(2):  # the second pass reads the geometry the first kept
+            for mesh, (qsp, vsp) in zip(meshes, spaces):
+                coords = mesh.nodes[mesh.triangles]
+                u = rng.standard_normal(vsp.dim)
+                nfree = len(vsp.free_nodes)
+                dil = np.zeros(len(coords))
+                for t, tri in enumerate(mesh.triangles):
+                    g = fem.p1_gradients(coords[t])
+                    for a, dof in enumerate(vsp.node_to_free[tri]):
+                        if dof >= 0:
+                            dil[t] += u[dof] * g[a, 0] + u[dof + nfree] * g[a, 1]
+                assert np.array_equal(fem.elementwise_divergence(vsp, u), dil)
+                local = fem.element_stiffness(coords, np.array([kappa(d) for d in dil]) / 1.3)
+                A = fem.assemble_nonlinear_permeability(qsp, vsp, u, kappa, nu=1.3)
+                assert np.array_equal(A.toarray(), _loop_assemble(qsp, qsp, local))
+
+
 class TestFirstViolatingElement:
     def _setup(self, mesh3):
         rng = np.random.default_rng(12)

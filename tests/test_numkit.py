@@ -470,6 +470,31 @@ class TestRefine:
         consistent = zero_row @ np.ones(40)
         assert fresh.refine(zero_row[:, fresh.order], consistent) is None
 
+    def test_sums_of_abs_match_the_sparse_products(self):
+        # magnitudes over 16 decades, so that the sums' rounding depends on
+        # their order, and stored zeros, which the sums must step over
+        A, _ = self.matrix()
+        M = A.copy()
+        M.data *= 10.0 ** np.random.default_rng(27).uniform(-8.0, 8.0, M.data.size)
+        M.data[::5] = 0.0
+        assert M.nnz > np.count_nonzero(M.data)
+        rows, columns = numkit._abs_sums(M)
+        ones = np.ones(40)
+        assert np.array_equal(rows, abs(M) @ ones)
+        assert np.array_equal(columns, ones @ abs(M))
+
+    @pytest.mark.parametrize("position", [0, 17, -1])
+    def test_an_empty_column_gives_none(self, solves, position):
+        # the column stores nothing at all, also when it is the last one
+        A, b = self.matrix()
+        fresh, _ = self.factors(A)
+        dense = A.toarray()
+        dense[:, fresh.order[position]] = 0.0
+        M = csc_array(dense)[:, fresh.order]
+        assert np.diff(M.indptr)[position] == 0
+        assert fresh.refine(M, b) is None
+        assert solves == []
+
     def test_no_budget_gives_none(self, monkeypatch, solves):
         A, b = self.matrix()
         fresh, _ = self.factors(A)

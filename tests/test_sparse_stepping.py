@@ -9,6 +9,8 @@ dense algorithm the core replaced: dense step matrices,
 frozen R is supplied) and dense products for the update and the ledger.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -428,3 +430,48 @@ def test_nonlinear_run_needs_no_dense_matrix(monkeypatch):
                                              np.linspace(0.0, 1.0, 11))
     assert traj.balance_residuals().max() <= 1e-12 * max(1.0, np.abs(traj.hamiltonian).max())
     assert fem._stencil(ops.qspace, ops.qspace) is stencil  # no new stencil per step
+
+
+def test_longer_nonlinear_run_recomputes_no_run_constant(monkeypatch):
+    # element geometry is computed once per space, and a step writes into
+    # step-matrix containers made before it, so 20 steps make no more of
+    # either than 5 do
+    counts, in_step = Counter(), []
+
+    def count(owner, name, only_in_step=False):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            if in_step or not only_in_step:
+                counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    count(fem, "p1_gradients")
+    count(fem, "triangle_area")
+    count(timeint, "csc_array", only_in_step=True)
+    count(timeint, "csr_array", only_in_step=True)
+    real_step = timeint._FrozenRSteps.step
+
+    def step(self, *args):
+        in_step.append(self)
+        try:
+            return real_step(self, *args)
+        finally:
+            in_step.pop()
+    monkeypatch.setattr(timeint._FrozenRSteps, "step", step)
+    kappa = lambda xi: (1.0 + 4.0 * xi * xi) / (2.0 + 4.0 * xi * xi)  # noqa: E731
+
+    def run(steps):
+        ops = make_ops(3)
+        v, f, fdot, g = linear_data(ops, seed=18)
+        z0 = consistent_state(ops, np.full(ops.dim_p, 0.3), f, fdot, g)
+        counts.clear()
+        traj = timeint.integrate_nonlinear_kappa(ops, kappa, z0, v,
+                                                 np.linspace(0.0, 0.05 * steps, steps + 1))
+        assert len(traj.times) == steps + 1
+        return dict(counts)
+
+    short = run(5)
+    assert short["p1_gradients"] > 0 and short["triangle_area"] > 0
+    assert short == run(20)

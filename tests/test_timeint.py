@@ -437,8 +437,9 @@ class TestFactorReuse:
 
 @pytest.mark.parametrize("rows, columns", [(3000, 7), (4, 9000)])
 def test_csv_is_formatted_in_blocks_of_whole_rows(tmp_path, monkeypatch, rows, columns):
-    # no copy of the whole table: each block holds whole rows, at most one
-    # row more than fits in _CSV_BLOCK values
+    # no copy of the whole table: each block holds whole rows and at most
+    # _CSV_BLOCK values; a row wider than that goes in pieces of at most
+    # _CSV_BLOCK values
     sizes = []
     real = timeint._csv_text
 
@@ -452,4 +453,26 @@ def test_csv_is_formatted_in_blocks_of_whole_rows(tmp_path, monkeypatch, rows, c
     assert got == want
     width = columns + 4
     assert sum(sizes) == rows * width
-    assert all(size % width == 0 and size <= max(timeint._CSV_BLOCK, width) for size in sizes)
+    assert all(size <= timeint._CSV_BLOCK for size in sizes)
+    if width <= timeint._CSV_BLOCK:
+        assert all(size % width == 0 for size in sizes)
+    else:
+        assert len(sizes) == rows * -(-width // timeint._CSV_BLOCK)
+
+
+def test_csv_rows_wider_than_a_block_go_in_pieces(tmp_path, monkeypatch):
+    # a 3 x 20 table in blocks of 7 values: each row in pieces of 7, 7 and
+    # 6 values, whose separators follow from their offsets in the row
+    calls = []
+    real = timeint._csv_text
+
+    def recording(x, start, width):
+        calls.append((x.size, start, width))
+        return real(x, start, width)
+
+    monkeypatch.setattr(timeint, "_CSV_BLOCK", 7)
+    monkeypatch.setattr(timeint, "_csv_text", recording)
+    states = np.random.default_rng(21).standard_normal((3, 16))
+    got, want = csv_against_oracle(tmp_path, states)
+    assert got == want
+    assert calls == [(7, 0, 20), (7, 7, 20), (6, 14, 20)] * 3
