@@ -4,7 +4,9 @@ Scenarios are flat JSON documents (see README for the schema).  Source
 densities are sums of separable terms c * x^ax * y^ay * T(omega t) with
 T in {const, sin, cos}, so their time derivatives are available in closed
 form wherever the machinery needs them (Schur reduction, consistent
-initialization).
+initialization).  Every signal made from them is a
+``formulations.SeparableSignal``, which the stepper samples once per block
+of steps.
 
 Exit codes: 0 all checks pass, 1 numerical or structural failure,
 2 configuration error.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys as _sys
 from dataclasses import dataclass
@@ -70,12 +71,13 @@ class SourceTerm:
         """Spatial factor c * x^ax * y^ay; x and y may be arrays."""
         return self.c * x**self.ax * y**self.ay
 
-    def time_factor(self, t: float) -> float:
+    def time_factor(self, t):
+        """T(omega t); t may be an array of times."""
         if self.time == "sin":
-            return math.sin(self.omega * t)
+            return np.sin(self.omega * t)
         if self.time == "cos":
-            return math.cos(self.omega * t)
-        return 1.0
+            return np.cos(self.omega * t)
+        return np.ones_like(t, dtype=float)
 
     def value(self, x: float, y: float, t: float) -> float:
         return self.spatial(x, y) * self.time_factor(t)
@@ -289,16 +291,10 @@ def _spatial_parts(space, blocks, size: int, offset: int = 0) -> list:
     return parts
 
 
-def _separable_signal(parts, size: int):
-    """t -> sum of time_factor(t) * vector over the (term, vector) parts."""
-
-    def signal(t: float) -> np.ndarray:
-        out = np.zeros(size)
-        for term, vec in parts:
-            out += term.time_factor(t) * vec
-        return out
-
-    return signal
+def _separable_signal(parts, size: int) -> formulations.SeparableSignal:
+    """The sum of time_factor(t) * vector over the (term, vector) parts."""
+    vectors = np.array([vec for _, vec in parts]).reshape(len(parts), size)
+    return formulations.SeparableSignal(tuple(term.time_factor for term, _ in parts), vectors)
 
 
 def _by_component(terms) -> tuple:
@@ -433,7 +429,7 @@ def _run(scn: Scenario, ops: DiscreteOperators):
                  else timeint.integrate_euler)
     system = build_system(scn, ops)
     if isinstance(system, formulations.ParabolicReduction):
-        signal = system.g_tilde
+        signal = system.input_signal
         system = system.as_phdae()
     else:
         signal = input_signal(scn, ops, system)

@@ -12,7 +12,12 @@ then arrange them into pH quadruples:
 
 Inputs follow a nodal-density convention: the input matrix G carries the
 unit-coefficient mass matrices, so v holds nodal coefficients of the source
-densities and G v is the assembled load.
+densities and G v is the assembled load.  An input is any callable t -> v;
+a ``SeparableSignal``, sum_k tau_k(t) b_k with array-capable time factors,
+is also sampled at many times in one call, term by term, with the bits of
+its per-time values.  The Schur reduction turns separable loads f' and g
+into a separable reduced input g - D-bar K_A^-1 f', from one solve with all
+of f''s vectors; for any other loads it solves with K_A at every sample.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ class DiscreteOperators:
     same names are read-only dense views made on first read, which nothing in
     the package reads.  ``mass_u`` / ``mass_p`` are the unit-coefficient mass
     matrices used as input weights and as the pressure-space embedding.
+    ``build_full_first_order`` keeps its system in ``_systems``.
     """
 
     csr: OperatorBlocks
@@ -96,6 +102,7 @@ class DiscreteOperators:
     qspace: FeSpace
     materials: tuple
     _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     mass_rho = numkit.DenseView()
     stiff_elast = numkit.DenseView()
@@ -163,6 +170,44 @@ def assemble_network(mesh: Mesh2D, mats, coupling: NetworkCoupling) -> DiscreteO
 
 
 # ---------------------------------------------------------------------------
+# Separable input signals
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SeparableSignal:
+    """u(t) = sum_k factors[k](t) vectors[k], K >= 0 terms of width m.
+
+    Each factor maps an array of times to an array of values; ``vectors`` is
+    a read-only (K, m) table.  ``sample`` builds the (T, m) table of u at T
+    times by adding each term's products to a zero table in the order of the
+    terms; a call runs that code on one time, so a row of ``sample`` is the
+    call at its time, bit for bit.
+    """
+
+    factors: tuple
+    vectors: np.ndarray
+
+    def __post_init__(self):
+        V = np.array(self.vectors, dtype=float)
+        if V.ndim != 2 or V.shape[0] != len(self.factors):
+            raise ValueError(f"vectors must be a ({len(self.factors)}, m) table, got {V.shape}")
+        V.setflags(write=False)
+        object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "vectors", V)
+
+    def sample(self, times) -> np.ndarray:
+        """The (T, m) table of u at the T times, one row each."""
+        times = np.asarray(times, dtype=float)
+        table = np.zeros((times.size, self.vectors.shape[1]))
+        for factor, vector in zip(self.factors, self.vectors):
+            table += np.asarray(factor(times), dtype=float)[:, None] * vector
+        return table
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.sample(np.array([t], dtype=float))[0]
+
+
+# ---------------------------------------------------------------------------
 # Block helpers shared by the builders
 # ---------------------------------------------------------------------------
 
@@ -217,11 +262,16 @@ def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None
 # ---------------------------------------------------------------------------
 
 def build_full_first_order(ops: DiscreteOperators) -> PhDae:
-    """First-order system with state (w, u, p); E = diag(mass_rho, K_A, M)."""
+    """First-order system with state (w, u, p); E = diag(mass_rho, K_A, M).
+
+    The system is immutable and built once per bundle: every later call
+    returns the one kept on ``ops``."""
     if ops.networks != 1:
         raise ValueError("the two-field builder needs a single network; see build_network_ph")
-    ka = ops.csr.stiff_elast
-    return _first_order_system(ops, None, ops.csr.mass_rho, ka, ka)
+    if "full" not in ops._systems:
+        ka = ops.csr.stiff_elast
+        ops._systems["full"] = _first_order_system(ops, None, ops.csr.mass_rho, ka, ka)
+    return ops._systems["full"]
 
 
 def build_quasi_static(ops: DiscreteOperators, coupling: NetworkCoupling | None = None) -> PhDae:
@@ -297,8 +347,11 @@ def alternative_qs_initialization(ops: DiscreteOperators, p0, f0,
 class ParabolicReduction:
     """Reduced implicit ODE mass * p' + stiff * p = g_tilde(t) with recovery.
 
-    The adapted right-hand side needs the time derivative of the displacement
-    load, so callers must provide it explicitly.
+    The adapted right-hand side g_tilde = g - D-bar K_A^-1 f' needs the time
+    derivative of the displacement load, so callers must provide it
+    explicitly.  When f' and g are ``SeparableSignal``s, ``separable_input``
+    is g_tilde as one, and ``g_tilde`` calls it; else it is None and each
+    ``g_tilde`` solves with K_A.
     """
 
     mass: np.ndarray      # storage mass plus the elastic Schur complement (dense)
@@ -308,8 +361,16 @@ class ParabolicReduction:
     fdot: object          # t -> its time derivative
     g: object             # t -> pressure load
     elastic: numkit.Factorization  # K_A, factored once for every later solve
+    separable_input: SeparableSignal | None = None  # g_tilde, for separable fdot and g
+
+    @property
+    def input_signal(self):
+        """g_tilde as the stepper takes it: ``separable_input`` when there is one."""
+        return self.g_tilde if self.separable_input is None else self.separable_input
 
     def g_tilde(self, t: float) -> np.ndarray:
+        if self.separable_input is not None:
+            return self.separable_input(t)
         correction = self.dbar @ self.elastic.solve(self.fdot(t))
         return np.asarray(self.g(t), dtype=float) - correction
 
@@ -330,13 +391,21 @@ class ParabolicReduction:
 def schur_reduce_parabolic(ops: DiscreteOperators, f, fdot, g,
                            coupling: NetworkCoupling | None = None) -> ParabolicReduction:
     """Eliminate the displacement through the invertible elastic operator;
-    the reduced mass is dense, formed from the dense coupling."""
+    the reduced mass is dense, formed from the dense coupling.  Separable
+    fdot and g give a separable g_tilde: g's terms, then fdot's factors with
+    the vectors -D-bar K_A^-1 b_k, from one solve with all of fdot's b_k."""
     dbar = stacked_coupling(ops)
     elastic = numkit.Factorization(ops.csr.stiff_elast)
     dense = dbar.toarray()
     mass = blocked_storage_mass(ops).toarray() + dense @ elastic.solve(dense.T)
     mass = 0.5 * (mass + mass.T)
-    return ParabolicReduction(mass, kbar_matrix(ops, coupling), dbar, f, fdot, g, elastic)
+    separable = None
+    if isinstance(fdot, SeparableSignal) and isinstance(g, SeparableSignal):
+        correction = -(dbar @ elastic.solve(fdot.vectors.T)).T
+        separable = SeparableSignal(g.factors + fdot.factors,
+                                    np.concatenate([g.vectors, correction]))
+    return ParabolicReduction(mass, kbar_matrix(ops, coupling), dbar, f, fdot, g, elastic,
+                              separable)
 
 
 # ---------------------------------------------------------------------------

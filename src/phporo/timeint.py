@@ -13,8 +13,9 @@ convention without the exact identity.  Both are the theta method
 system's stored CSR of E, J, R and G: step matrices are sparse sums,
 factored once per distinct step size by ``numkit``'s sparse LU, and a step
 is one sparse mat-vec and one solve.  The input is sampled and the ledger
-booked per block of steps, bit-identical to per-step products; an input
-callable sees the per-step sample times in block order.  The nonlinear
+booked per block of steps, bit-identical to per-step products: a
+``SeparableSignal`` by one ``sample`` call per block, any other input
+callable by one call per sample time, in block order.  The nonlinear
 permeability run supplies a new R of one fixed pattern on every step: both
 step matrices then live on one CSR pattern, the union of those of
 E - theta h J, E + (1 - theta) h J and R, made again only when h or R's
@@ -46,7 +47,7 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 
 from . import fem
-from .formulations import DiscreteOperators, build_full_first_order
+from .formulations import DiscreteOperators, SeparableSignal, build_full_first_order
 from .dae_analysis import algebraic_rows
 from .numkit import Factorization, SingularMatrixError
 from .phdae import InconsistentStateError, PhDae, certificate
@@ -123,11 +124,12 @@ def _pack(*columns) -> np.ndarray:
 
 
 # g = floor(10^-k 2^(125 - floor(-k log2 10))) + 1 for k = -324..292, as the 32-bit
-# halves of g1 and g0, g = g1 2^63 + g0, and g1; (e 913124641741) >> 38 = floor(e log2 10).
+# halves of g1 and g0, g = g1 2^63 + g0, and g1, in five tables; (e 913124641741) >> 38
+# = floor(e log2 10).
 _G = [(10 ** max(-k, 0) << max(125 - f, 0)) // (10 ** max(k, 0) << max(f - 125, 0)) + 1
       for k, f in zip(range(-324, 293), (np.arange(324, -293, -1) * 913124641741 >> 38).tolist())]
-_G = np.array([[g >> 95, g >> 63 & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF, g & 0xFFFFFFFF, g >> 63]
-               for g in _G], dtype=np.uint64).T
+_G = tuple(np.array([[g >> 95, g >> 63 & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF, g & 0xFFFFFFFF,
+                      g >> 63] for g in _G], dtype=np.uint64).T.copy())
 _POW10 = np.uint64(10) ** np.arange(18, dtype=np.uint64)
 _ASCII4 = _pack(*(np.arange(10000) // [[1000], [100], [10], [1]] % 10 + 48))  # the 4 digits of i
 _BELOW = np.clip(np.arange(19) - 8 * np.arange(3)[:, None], 0, 8).astype(np.uint64)
@@ -169,7 +171,7 @@ def _shortest(x):
     irregular = (c == 2**52) & (q > -1074)  # the lower neighbour of x is closer
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
     h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
-    g = _G.take(k + 324, axis=1)
+    g = [table.take(k + 324) for table in _G]
     # x and the ends of its rounding interval, times 4 10^-k, rounded to odd;
     # the ends belong to the interval when c is even
     cb = c << 2
@@ -186,7 +188,8 @@ def _shortest(x):
     for p in (8, 4, 2, 1):
         cut = d // 10**p
         zeros = cut * 10**p == d
-        d, e = np.where(zeros, cut, d), e + zeros * p
+        if zeros.any():
+            d, e = np.where(zeros, cut, d), e + zeros * p
     return d, e
 
 
@@ -195,14 +198,19 @@ def _csv_text(x: np.ndarray, start: int, columns: int) -> np.ndarray:
     each value's repr, then a comma, or a newline after the last column."""
     bits = x.view(np.uint64)
     normal = (bits >> 52 & 0x7FF) - 1 < 2046  # exponent field 1..2046
-    d, e = np.zeros(x.size, dtype=np.uint64), np.zeros(x.size, dtype=np.int64)
-    if normal.any():  # else all zeros, subnormals, infinities or nans
-        d[normal], e[normal] = _shortest(np.abs(x[normal]))
+    all_normal = bool(normal.all())
+    if all_normal:
+        d, e = _shortest(np.abs(x))
+    else:
+        d, e = np.zeros(x.size, dtype=np.uint64), np.zeros(x.size, dtype=np.int64)
+        if normal.any():  # else all zeros, subnormals, infinities or nans
+            d[normal], e[normal] = _shortest(np.abs(x[normal]))
     n = np.maximum(np.searchsorted(_POW10, d, side="right"), 1)
     decpt = e + n + 330
     # bytes 0-7, 8-15 and 16 of the digits of d as a string of 17
     D = d * _POW10.take(17 - n)
-    hi, lo = D // 10**9, D - D // 10**9 * 10**9
+    hi = D // 10**9
+    lo = D - hi * 10**9
     h4, l5, l1 = hi // 10**4, lo // 10**5, lo // 10
     digits = (_ASCII4.take(h4) | _ASCII4.take(hi - h4 * 10**4) << 32,
               _ASCII4.take(l5) | _ASCII4.take(l1 - l5 * 10**4) << 32, lo - l1 * 10 + 48)
@@ -211,15 +219,20 @@ def _csv_text(x: np.ndarray, start: int, columns: int) -> np.ndarray:
     point, keep = _POINT.take(decpt), _KEEP.take(n * 661 + decpt)
     field = [(digits[w] & _BELOW[w].take(point) | moved[w] & _AFTER[w].take(point)
               | _DOT[w].take(point)) & _BELOW[w].take(keep) for w in range(3)]
-    # each value in 32 bytes, the bytes not written zero
+    # each value in the 32 bytes of its four words, the bytes not written zero
     sep = np.full(x.size, ord(",") << 48, dtype=np.uint64)
     sep[(columns - 1 - start) % columns::columns] = ord("\n") << 48
-    rows = np.stack([field[0] << 48 | _HEAD.take((bits >> 63).astype(np.intp) * 661 + decpt),
-                     field[0] >> 16 | field[1] << 48, field[1] >> 16 | field[2] << 48,
-                     _TAIL.take(decpt) | sep], axis=1)
-    text = rows.view(np.uint8)
-    for i in np.flatnonzero(~normal & (bits << 1 != 0)):  # subnormal, inf, nan
-        text[i, :30] = np.frombuffer(repr(float(x[i])).encode().ljust(30, b"\0"), dtype=np.uint8)
+    words = np.empty((x.size, 4), dtype=np.uint64)
+    np.bitwise_or(field[0] << 48, _HEAD.take((bits >> 63).astype(np.intp) * 661 + decpt),
+                  out=words[:, 0])
+    np.bitwise_or(field[0] >> 16, field[1] << 48, out=words[:, 1])
+    np.bitwise_or(field[1] >> 16, field[2] << 48, out=words[:, 2])
+    np.bitwise_or(_TAIL.take(decpt), sep, out=words[:, 3])
+    text = words.view(np.uint8)
+    if not all_normal:
+        for i in np.flatnonzero(~normal & (bits << 1 != 0)):  # subnormal, inf, nan
+            text[i, :30] = np.frombuffer(repr(float(x[i])).encode().ljust(30, b"\0"),
+                                         dtype=np.uint8)
     text = text.ravel()
     return text[text != 0]
 
@@ -341,7 +354,10 @@ _BLOCK_VALUES = 16384  # state and input values per block of steps sampled and b
 
 
 def _samples(v, times: np.ndarray, width: int) -> np.ndarray:
-    """The input at each of the times, one row each."""
+    """The input at each of the times, one row each: one ``sample`` call of a
+    ``SeparableSignal``, one call per time of any other callable."""
+    if isinstance(v, SeparableSignal):
+        return v.sample(times)
     return np.array([np.asarray(v(s), dtype=float) for s in times]).reshape(len(times), width)
 
 
@@ -374,8 +390,8 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 1 or (len(t) > 1 and not np.all(np.diff(t) > 0)):
         raise ValueError("time grid must be 1-d and strictly increasing")
-    v = input if input is not None else (lambda t, zero=np.zeros(sys.input_dim): zero)
-    _check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float))
+    v = input if input is not None else SeparableSignal((), np.zeros((0, sys.input_dim)))
+    _check_consistent_start(sys, z0, _samples(v, t[:1], sys.input_dim)[0])
 
     E, J, R, G = sys.csr
     steps = _snapped_steps(t)

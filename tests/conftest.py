@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from phporo import dae_analysis, fem, formulations
+
+# Property tests draw the same bounded set of examples on every run.
+settings.register_profile("phporo", derandomize=True, max_examples=200, deadline=None,
+                          database=None)
+settings.load_profile("phporo")
 
 
 def make_material(rho=1.0, mu=1.0, lam=1.0, alpha=1.0, biot_M=1.0, kappa=1.0, nu=1.0):

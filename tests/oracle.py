@@ -16,7 +16,12 @@ the vectorized formatter behind phporo.timeint.Trajectory.to_csv.
 ``stepwise_theta_run`` is the theta-method loop of phporo.timeint with the
 input sampled and the ledger booked one step at a time by one-vector
 products, the bit-for-bit reference of its blocked bookkeeping.
+``separable_closure`` evaluates a sum of scenario source terms one time at a
+time with ``math``'s sin and cos, the bit-for-bit reference of
+phporo.formulations.SeparableSignal.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import eigh
@@ -532,3 +537,17 @@ def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None):
         states[k + 1] = z
         H[k + 1] = 0.5 * float(z @ (E @ z))
     return states, H, diss, supp
+
+
+def separable_closure(parts, size):
+    """t -> the sum of T(omega t) * vector over the (source term, vector)
+    parts, added one by one to a zero vector, T from ``math``."""
+    time_factor = {"const": lambda x: 1.0, "sin": math.sin, "cos": math.cos}
+
+    def signal(t):
+        out = np.zeros(size)
+        for term, vec in parts:
+            out += time_factor[term.time](term.omega * t) * vec
+        return out
+
+    return signal

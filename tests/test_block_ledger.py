@@ -27,13 +27,16 @@ SCENARIOS = {
 }
 
 
-def scenario_run(case, **overrides):
-    """(system, signal, z0, grid) of a scenario, as ``cli._run`` steps it."""
+def scenario_run(case, g_tilde=False, **overrides):
+    """(system, signal, z0, grid) of a scenario, as ``cli._run`` steps it; a
+    Schur reduction's signal is its ``SeparableSignal``, or with ``g_tilde``
+    its per-time method."""
     scn = cli.parse_scenario(SCENARIOS[case](**overrides))
     ops = cli.build_operators(scn)
     system = cli.build_system(scn, ops)
     if isinstance(system, formulations.ParabolicReduction):
-        signal, system = system.g_tilde, system.as_phdae()
+        signal = system.g_tilde if g_tilde else system.input_signal
+        system = system.as_phdae()
     else:
         signal = cli.input_signal(scn, ops, system)
     return system, signal, cli.initial_state(scn, ops, system), cli.time_grid(scn)
@@ -52,13 +55,15 @@ def assert_bitwise(traj, ref):
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0], ids=["midpoint", "euler"])
-@pytest.mark.parametrize("case", list(SCENARIOS))
-def test_blocked_run_matches_stepwise_oracle_bitwise(case, theta):
+@pytest.mark.parametrize("case, g_tilde", [(case, False) for case in SCENARIOS]
+                         + [("schur_parabolic", True)],
+                         ids=list(SCENARIOS) + ["schur_parabolic-g_tilde"])
+def test_blocked_run_matches_stepwise_oracle_bitwise(case, g_tilde, theta):
     system, signal, z0, _ = scenario_run(case)
     block = block_of(system)
     assert block > 2
     steps = 2 * block + 3  # two whole blocks and a partial one
-    system, signal, z0, grid = scenario_run(case, steps=steps, t_end=0.01 * steps)
+    system, signal, z0, grid = scenario_run(case, g_tilde, steps=steps, t_end=0.01 * steps)
     traj = timeint._theta_run(system, z0, signal, grid, theta)
     assert_bitwise(traj, oracle.stepwise_theta_run(system, z0, signal, grid, theta))
 

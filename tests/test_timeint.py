@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.sparse import csr_array
 
 from phporo import formulations, timeint
@@ -333,6 +334,30 @@ class TestCsvFormat:
         got, want = csv_against_oracle(tmp_path, as_rows([0.0, 1.0, np.inf, 5e-324, -0.0, 2.5]))
         assert got == want
         assert seen == [np.inf, 5e-324]
+
+
+
+# any double: hypothesis' floats (+-0, +-inf, nans, subnormals) and raw bit patterns
+ANY_DOUBLE = st.floats(width=64) | st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@st.composite
+def tables_and_pieces(draw):
+    """A table of any doubles and a piece size below, between and above its row width."""
+    rows, columns = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    values = draw(st.lists(ANY_DOUBLE, min_size=rows * columns, max_size=rows * columns))
+    piece = draw(st.integers(1, 2 * columns + 1) | st.just(timeint._CSV_BLOCK))
+    return np.array(values).reshape(rows, columns), piece
+
+
+@given(tables_and_pieces())
+def test_csv_text_is_the_repr_join_of_any_doubles(table_and_piece):
+    table, piece = table_and_piece
+    flat = table.ravel()
+    text = b"".join(timeint._csv_text(flat[i:i + piece], i, table.shape[1]).tobytes()
+                    for i in range(0, flat.size, piece))
+    assert text == oracle.csv_text(table)
 
 
 class TestFactorizationCount:
