@@ -3,7 +3,7 @@
 Modules
 -------
 numkit
-    Dense linear algebra with explicit structural checks and MatrixMarket IO.
+    Sparse linear algebra with explicit structural checks and MatrixMarket IO.
 fem
     P1 triangular finite elements on the unit square with Dirichlet elimination.
 phdae

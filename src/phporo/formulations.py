@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import block_diag, csr_array, eye_array, kron, vstack
-from scipy.sparse.linalg import eigsh
 
 from . import fem, numkit
 from .fem import FeSpace, Mesh2D, PoroMaterial
@@ -91,8 +90,8 @@ class DiscreteOperators:
     """Assembled matrices of one poroelastic problem (m >= 1 networks).
 
     ``csr`` holds the blocks as ``fem`` assembles them; the attributes of the
-    same names are read-only dense views made on first read, which nothing in
-    the package reads.  ``mass_u`` / ``mass_p`` are the unit-coefficient mass
+    same names are read-only dense views made on first read, for the tests
+    and their oracle.  ``mass_u`` / ``mass_p`` are the unit-coefficient mass
     matrices used as input weights and as the pressure-space embedding.
     ``build_full_first_order`` keeps its system in ``_systems``.
     """
@@ -303,16 +302,13 @@ def build_alternative_qs(ops: DiscreteOperators, coupling: NetworkCoupling | Non
     """
     if coupling is not None and not coupling.is_symmetric:
         raise StructureError("the auxiliary-variable form needs symmetric exchange rates")
-    kbar = kbar_matrix(ops, coupling)
-    defect = numkit.symmetry_defect(kbar)
-    if defect > numkit.default_tol(kbar):
-        raise StructureError(
-            f"the auxiliary-variable form needs a symmetric flow operator "
-            f"(asymmetry {defect:.3e}); nonsymmetric exchange rates are not supported"
-        )
-    kbar = numkit.as_csr(0.5 * (kbar + kbar.T))
-    if numkit.certified_report(kbar, numkit.psd_certificate(kbar)).verdict != POSITIVE_DEFINITE:
+    kbar, report = _flow_report(ops, coupling)
+    if report.max_asymmetry > numkit.default_tol(kbar):
+        raise StructureError(f"the auxiliary-variable form needs a symmetric flow operator "
+                             f"(asymmetry {report.max_asymmetry:.3e})")
+    if report.verdict != POSITIVE_DEFINITE:
         raise StructureError("the flow operator must be positive definite")
+    kbar = numkit.as_csr(0.5 * (kbar + kbar.T))
     du, mdp = ops.dim_u, ops.networks * ops.dim_p
     n = du + 2 * mdp
     dbar = stacked_coupling(ops)
@@ -434,13 +430,18 @@ class EllipticityReport:
 
 def _lowest_eigenvalue(A: csr_array, B: csr_array | None = None) -> float:
     """Smallest eigenvalue of A x = lambda B x for symmetric positive definite
-    A and B (B = I if None), by shift-invert Lanczos about 0 (``eigsh``) from
-    a fixed start vector; ``eigsh`` needs two unknowns, one is a quotient."""
+    A and B (B = I if None), by shift-invert Lanczos about 0 (``eigsh_one``);
+    ``eigsh`` needs two unknowns, one is a quotient."""
     if A.shape[0] == 1:
         return float(A.diagonal()[0] / (1.0 if B is None else B.diagonal()[0]))
-    v0 = np.random.default_rng(0).uniform(0.5, 1.5, A.shape[0])
-    return float(eigsh(A.tocsc(), k=1, M=None if B is None else B.tocsc(), sigma=0.0,
-                       which="LM", v0=v0, return_eigenvectors=False)[0])
+    return numkit.eigsh_one(A.tocsc(), M=None if B is None else B.tocsc(), sigma=0.0,
+                            which="LM")
+
+
+def _flow_report(ops: DiscreteOperators, coupling: NetworkCoupling | None):
+    """The coupled flow operator and its ``certified_report``."""
+    kbar = kbar_matrix(ops, coupling)
+    return kbar, numkit.certified_report(kbar, numkit.psd_certificate(kbar))
 
 
 def check_network_ellipticity(ops: DiscreteOperators,
@@ -448,20 +449,20 @@ def check_network_ellipticity(ops: DiscreteOperators,
     """Report sym-part definiteness of the coupled flow operator.
 
     ``elliptic`` comes from ``psd_certificate`` of the flow operator, or from
-    its dense spectrum where that does not certify.  The sufficient bound
-    max |beta_ij| < c / (2 m C^2) uses c, the smallest eigenvalue of the flow
-    blocks against the H1 Gram M + L, and C^2, the largest of (M, M + L), which
-    is 1 / (1 + the smallest of (L, M)): M x = lambda (M + L) x is
-    L x = ((1 - lambda) / lambda) M x.  Each is one ``_lowest_eigenvalue``.
+    the lowest eigenvalue of ``psd_check`` where that does not certify.  The
+    sufficient bound max |beta_ij| < c / (2 m C^2) uses c, the smallest
+    eigenvalue of the flow blocks against the H1 Gram M + L, and C^2, the
+    largest of (M, M + L), which is 1 / (1 + the smallest of (L, M)):
+    M x = lambda (M + L) x is L x = ((1 - lambda) / lambda) M x.  Each is one
+    ``_lowest_eigenvalue``.
     """
-    kbar = kbar_matrix(ops, coupling)
+    kbar, report = _flow_report(ops, coupling)
     if kbar.shape[0] == 0:
         return EllipticityReport(np.inf, True, np.inf, 0.0, 0.0, np.inf, True)
-    zero_rows = numkit.psd_certificate(kbar)
-    report = numkit.certified_report(kbar, zero_rows)
     min_eig = report.min_eigenvalue
-    if min_eig is None:  # certified: e_Z spans the kernel, the rest is definite
-        min_eig = 0.0 if zero_rows.size else _lowest_eigenvalue(numkit.sym_skew_split(kbar)[0])
+    if min_eig is None:  # certified: a kernel spanned by e_Z (semidefinite), or definite
+        min_eig = (0.0 if report.verdict == numkit.POSITIVE_SEMIDEFINITE
+                   else _lowest_eigenvalue(numkit.sym_skew_split(kbar)[0]))
     mass, laplace = ops.csr.mass_p, fem.assemble_laplace(ops.qspace, 1.0)
     c = min(_lowest_eigenvalue(K, mass + laplace) for K in ops.csr.stiff_flow)
     embed_sq = 1.0 / (1.0 + _lowest_eigenvalue(laplace, mass))
@@ -481,13 +482,11 @@ def check_network_ellipticity(ops: DiscreteOperators,
 
 
 def _require_elliptic(ops: DiscreteOperators, coupling: NetworkCoupling) -> None:
-    kbar = kbar_matrix(ops, coupling)
-    report = numkit.certified_report(kbar, numkit.psd_certificate(kbar))
+    report = _flow_report(ops, coupling)[1]
     if not report.is_semidefinite:
-        raise StructureError(
-            f"symmetric part of the coupled flow operator is indefinite "
-            f"(min eigenvalue {report.min_eigenvalue:.3e}); exchange rates too large"
-        )
+        raise StructureError(f"symmetric part of the coupled flow operator is indefinite "
+                             f"(min eigenvalue {report.min_eigenvalue:.3e}); "
+                             "exchange rates too large")
 
 
 def build_network_ph(ops: DiscreteOperators, coupling: NetworkCoupling) -> PhDae:

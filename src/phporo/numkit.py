@@ -1,28 +1,29 @@
 """Linear algebra utilities with explicit structural checks.
 
 Every routine takes a dense array or a ``scipy.sparse`` matrix of float64.
-The structural ones (``default_tol``, the defects, ``sym_skew_split``,
-``psd_certificate``) work in O(nnz) on the canonical CSR of ``as_csr``, to
-which dense input is converted once; the spectral ones (``psd_check``,
-``sqrtm_spd``) densify sparse input.  ``Factorization``
-and ``psd_certificate`` factor through the sparse LU of ``lu_factor``.  No
-routine mutates its arguments.  Structural tolerances default to the
-scale-aware value ``1e-10 * (1 + max|entry|)``; only the reporting checks
-take another one, and every other decision uses a fixed relative cut.
+The structural and spectral ones work on the canonical CSR of ``as_csr``, to
+which dense input is converted once; only ``sqrtm_spd`` densifies.
+``Factorization`` and ``psd_certificate`` factor through the sparse LU of
+``lu_factor``.  No routine mutates its arguments.  Structural tolerances
+default to the scale-aware value ``1e-10 * (1 + max|entry|)``; only the
+reporting checks take another one, and every other decision uses a fixed
+relative cut.
 
 Definiteness is decided by ``psd_certificate`` (one sparse LDL^T) where it
-certifies, and by the dense spectrum of ``psd_check`` everywhere else.
+certifies, and everywhere else by ``psd_check`` from the lowest eigenvalue
+of the symmetric part, found by one Lanczos run (``lowest_eigenvalue``).
 ``DenseView`` gives a CSR store its read-only dense views.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from inspect import signature
 
 import numpy as np
 from scipy.linalg import block_diag  # noqa: F401  (re-exported)
-from scipy.sparse import coo_array, csc_array, csr_array, issparse
-from scipy.sparse.linalg import splu
+from scipy.sparse import coo_array, csc_array, csr_array, eye_array, issparse
+from scipy.sparse.linalg import ArpackError, eigsh, splu
 
 POSITIVE_DEFINITE = "positive_definite"
 POSITIVE_SEMIDEFINITE = "positive_semidefinite"
@@ -122,27 +123,22 @@ def default_tol(M) -> float:
     return 1e-10 * (1.0 + max_abs(M))
 
 
-def _require_square(M: np.ndarray, op: str) -> None:
+def _square(M, op: str):
+    """M, which must be square."""
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{op} requires a square matrix, got shape {M.shape}")
-
-
-def _square(M, op: str) -> csr_array:
-    """``as_csr`` of M, which must be square."""
-    A = as_csr(M)
-    _require_square(A, op)
-    return A
+    return M
 
 
 def symmetry_defect(M) -> float:
     """Largest entry of |M - M^T|."""
-    A = _square(M, "symmetry_defect")
+    A = _square(as_csr(M), "symmetry_defect")
     return max_abs(A - A.T)
 
 
 def skew_defect(M) -> float:
     """Largest entry of |M + M^T| (includes the doubled diagonal)."""
-    A = _square(M, "skew_defect")
+    A = _square(as_csr(M), "skew_defect")
     return max_abs(A + A.T)
 
 
@@ -158,7 +154,7 @@ def is_skew(M, tol: float | None = None) -> bool:
 
 def sym_skew_split(M) -> tuple[csr_array, csr_array]:
     """Split M into (symmetric, skew-symmetric) CSR parts that sum back to M."""
-    A = _square(M, "sym_skew_split")
+    A = _square(as_csr(M), "sym_skew_split")
     return as_csr(0.5 * (A + A.T)), as_csr(0.5 * (A - A.T))
 
 
@@ -166,23 +162,21 @@ def sym_skew_split(M) -> tuple[csr_array, csr_array]:
 class SpectralReport:
     """Definiteness report for a (nearly) symmetric matrix.
 
-    The eigenvalue fields are None when ``psd_certificate`` decided the
-    verdict, which then reads positive definite for a matrix without zero
-    rows and positive semidefinite otherwise.
+    ``min_eigenvalue`` is None when ``psd_certificate`` decided the verdict,
+    which then reads positive definite for a matrix without zero rows and
+    positive semidefinite otherwise.
     """
 
     min_eigenvalue: float | None
-    max_eigenvalue: float | None
     max_asymmetry: float
     verdict: str
 
     @classmethod
-    def from_extremes(cls, lo: float, hi: float, asymmetry: float,
-                      tol: float) -> "SpectralReport":
-        """Report for a symmetrized spectrum in [lo, hi], judged at tol."""
+    def from_lowest(cls, lo: float, asymmetry: float, tol: float) -> "SpectralReport":
+        """Report for a symmetrized spectrum whose lowest value is lo, judged at tol."""
         verdict = (POSITIVE_DEFINITE if lo > tol
                    else POSITIVE_SEMIDEFINITE if lo >= -tol else INDEFINITE)
-        return cls(lo, hi, asymmetry, verdict)
+        return cls(lo, asymmetry, verdict)
 
     @property
     def is_semidefinite(self) -> bool:
@@ -192,27 +186,45 @@ class SpectralReport:
         return asdict(self)
 
 
-def psd_check(M, tol: float | None = None, require_symmetric: bool = True) -> SpectralReport:
-    """Classify the symmetrized part of M as PD / PSD / indefinite.
+# a run stopped on an invariant subspace restarts from a vector drawn from rng
+_SEEDED = {"rng": 0} if "rng" in signature(eigsh).parameters else {}
 
-    Eigenvalues are taken from 0.5*(M + M^T).  With ``require_symmetric``
-    (the default) an asymmetry beyond tol raises ``StructureError`` so that
-    callers must symmetrize explicitly; reporting callers can disable the
-    check and read ``max_asymmetry`` from the result instead.
-    """
-    A = as_matrix(M)
-    _require_square(A, "psd_check")
-    if tol is None:
-        tol = default_tol(M)
-    defect = symmetry_defect(M)
+
+def eigsh_one(A, **options) -> float:
+    """The eigenvalue of a symmetric matrix or pencil (n >= 2) that one
+    Lanczos run, ``eigsh`` with k = 1 and ``options``, finds from fixed
+    vectors; ARPACK errors and no convergence raise ``StructureError``."""
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, A.shape[0])
+    try:
+        return float(eigsh(A, k=1, v0=v0, return_eigenvectors=False, **_SEEDED, **options)[0])
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise StructureError(f"definiteness undecided: {exc}") from exc
+
+
+def lowest_eigenvalue(S: csr_array) -> float:
+    """Lowest eigenvalue of the symmetric CSR S, to about eps * sigma:
+    ``eigsh_one`` of S + sigma I (``which="SA"``) less sigma, twice the
+    largest row sum of |S|.  ARPACK moves its start vector into the range of
+    the operator, which misses the kernel of a singular S; S + sigma I has
+    none.  S without stored entries reads 0 (0 x 0: inf), 1 x 1 its entry."""
+    if S.nnz == 0 or S.shape[0] == 1:
+        return float(np.min(S.diagonal(), initial=np.inf))
+    sigma = 2.0 * float(np.max(abs(S) @ np.ones(S.shape[0])))
+    return eigsh_one(S + sigma * eye_array(S.shape[0], format="csr"), which="SA") - sigma
+
+
+def psd_check(M, tol: float | None = None, require_symmetric: bool = True) -> SpectralReport:
+    """Classify the symmetrized part of M as PD / PSD / indefinite by the
+    ``lowest_eigenvalue`` of the CSR of 0.5*(M + M^T).  With
+    ``require_symmetric`` (the default) an asymmetry beyond tol raises
+    ``StructureError``, so callers must symmetrize explicitly; reporting
+    callers disable the check and read ``max_asymmetry`` instead."""
+    A = _square(as_csr(M), "psd_check")
+    tol = default_tol(A) if tol is None else tol
+    defect = symmetry_defect(A)
     if require_symmetric and defect > tol:
-        raise StructureError(
-            f"matrix asymmetry {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    if A.size == 0:
-        return SpectralReport(np.inf, -np.inf, 0.0, POSITIVE_DEFINITE)
-    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
-    return SpectralReport.from_extremes(float(eigs[0]), float(eigs[-1]), defect, tol)
+        raise StructureError(f"matrix asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
+    return SpectralReport.from_lowest(lowest_eigenvalue(as_csr(0.5 * (A + A.T))), defect, tol)
 
 
 def psd_certificate(M) -> np.ndarray | None:
@@ -226,7 +238,7 @@ def psd_certificate(M) -> np.ndarray | None:
     the kernels of M and M^T.  None means "not certified" (indefinite,
     singular on the block, or too ill-conditioned): ask ``psd_check``.
     """
-    A = _square(M, "psd_certificate")
+    A = _square(as_csr(M), "psd_certificate")
     rows = np.diff(A.indptr) > 0
     cols = np.zeros(A.shape[1], dtype=bool)
     cols[A.indices] = True
@@ -262,12 +274,12 @@ def psd_certificate(M) -> np.ndarray | None:
 
 
 def certified_report(M, zero_rows: np.ndarray | None, tol: float | None = None) -> SpectralReport:
-    """Report of M given ``zero_rows = psd_certificate(M)``: without
-    eigenvalues if certified, else ``psd_check(M, tol, require_symmetric=False)``."""
+    """Report of M given ``zero_rows = psd_certificate(M)``: without an
+    eigenvalue if certified, else ``psd_check(M, tol, require_symmetric=False)``."""
     if zero_rows is None:
         return psd_check(M, tol, require_symmetric=False)
     verdict = POSITIVE_SEMIDEFINITE if zero_rows.size else POSITIVE_DEFINITE
-    return SpectralReport(None, None, symmetry_defect(M), verdict)
+    return SpectralReport(None, symmetry_defect(M), verdict)
 
 
 def sqrtm_spd(M) -> np.ndarray:
@@ -276,20 +288,17 @@ def sqrtm_spd(M) -> np.ndarray:
     Requires M symmetric positive definite within tol = ``default_tol(M)``,
     judged on its eigenvalues; S is symmetric with ||S @ S - M|| <= tol ||M||.
     """
-    A = as_matrix(M)
-    _require_square(A, "sqrtm_spd")
+    A = _square(as_matrix(M), "sqrtm_spd")
     if A.size == 0:
         return A.copy()
     tol, defect = default_tol(A), symmetry_defect(A)
     if defect > tol:
         raise StructureError(f"matrix asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
     w, V = np.linalg.eigh(0.5 * (A + A.T))
-    report = SpectralReport.from_extremes(float(w[0]), float(w[-1]), defect, tol)
+    report = SpectralReport.from_lowest(float(w[0]), defect, tol)
     if report.verdict != POSITIVE_DEFINITE:
-        raise StructureError(
-            f"sqrtm_spd needs a positive definite matrix, got {report.verdict} "
-            f"(min eigenvalue {report.min_eigenvalue:.3e})"
-        )
+        raise StructureError(f"sqrtm_spd needs a positive definite matrix, got {report.verdict} "
+                             f"(min eigenvalue {report.min_eigenvalue:.3e})")
     S = (V * np.sqrt(w)) @ V.T
     return 0.5 * (S + S.T)
 
@@ -355,7 +364,7 @@ class Factorization:
             A = csc_array(M if issparse(M) else as_matrix(M), dtype=float)
         if not np.all(np.isfinite(A.data)):
             raise ValueError("matrix contains non-finite entries")
-        _require_square(A, "factorization")
+        _square(A, "factorization")
         self.size = A.shape[0]
         self.order = order
         self._lu = None

@@ -58,8 +58,7 @@ class PhDae:
     input; a canonical CSR input is kept without a copy, its arrays made
     read-only), and everything in the package works on those.  ``E``,
     ``J``, ``R`` and ``G`` are read-only dense views, made the first time
-    they are read; inside the package only the dense path for an
-    uncertified matrix reads them.
+    they are read; only the tests and their dense oracle read them.
 
     Structure is validated eagerly at default tolerances.  ``validate=False``
     defers that: to compositions whose parts were validated when built
@@ -167,22 +166,15 @@ def certificate(sys: PhDae, name: str) -> np.ndarray | None:
     return sys._certificates[name]
 
 
-def _certified(sys: PhDae, name: str) -> tuple:
-    """E or R with its ``certificate``: the CSR when certified, the dense
-    view for the spectrum otherwise."""
-    zero_rows = certificate(sys, name)
-    return getattr(sys if zero_rows is None else sys.csr, name), zero_rows
-
-
 def validate_structure(sys: PhDae, tol: float | None = None) -> StructureReport:
     """Check E, R symmetric PSD and J skew; never raises on a bad system.
 
-    E and R are PSD by their ``certificate`` (reported without eigenvalues)
-    or else by their spectra at ``tol`` (default 1e-10 scale-relative per
-    matrix), which also bounds their asymmetry.  The skew check runs at
-    1e-12 scale-relative.  The dissipation matrix diag(R, 0) is reported
-    alongside.  The report is kept on the system and returned again when the
-    tolerance matches.
+    E and R are PSD by their ``certificate`` (reported without an eigenvalue)
+    or else by the lowest eigenvalue of ``numkit.psd_check`` at ``tol``
+    (default 1e-10 scale-relative per matrix), which also bounds their
+    asymmetry.  The skew check runs at 1e-12 scale-relative.  The
+    dissipation matrix diag(R, 0) is reported alongside.  The report is kept
+    on the system and returned again when the tolerance matches.
     """
     if sys._structure is not None and sys._structure[0] == tol:
         return sys._structure[1]
@@ -190,18 +182,17 @@ def validate_structure(sys: PhDae, tol: float | None = None) -> StructureReport:
     psd_tol_e = tol if tol is not None else numkit.default_tol(E)
     psd_tol_r = tol if tol is not None else numkit.default_tol(R)
     skew_tol = tol if tol is not None else 1e-12 * (1.0 + numkit.max_abs(J))
-    e_rep = numkit.certified_report(*_certified(sys, "E"), psd_tol_e)
-    r_rep = numkit.certified_report(*_certified(sys, "R"), psd_tol_r)
+    e_rep = numkit.certified_report(E, certificate(sys, "E"), psd_tol_e)
+    r_rep = numkit.certified_report(R, certificate(sys, "R"), psd_tol_r)
     j_def = numkit.skew_defect(J)
     # diag(R, 0_m) has the spectrum of R and m zeros
     if not sys.input_dim:
         w_rep = r_rep
     elif r_rep.min_eigenvalue is None:
-        w_rep = SpectralReport(None, None, r_rep.max_asymmetry, numkit.POSITIVE_SEMIDEFINITE)
+        w_rep = SpectralReport(None, r_rep.max_asymmetry, numkit.POSITIVE_SEMIDEFINITE)
     else:
-        w_rep = SpectralReport.from_extremes(
-            min(r_rep.min_eigenvalue, 0.0), max(r_rep.max_eigenvalue, 0.0),
-            r_rep.max_asymmetry, psd_tol_r)
+        w_rep = SpectralReport.from_lowest(min(r_rep.min_eigenvalue, 0.0),
+                                           r_rep.max_asymmetry, psd_tol_r)
     verdict = (
         e_rep.is_semidefinite and e_rep.max_asymmetry <= psd_tol_e
         and r_rep.is_semidefinite and r_rep.max_asymmetry <= psd_tol_r

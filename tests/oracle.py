@@ -7,7 +7,9 @@ contracted from explicit 2x2 strain tensors.  No code is shared with
 phporo.fem beyond the mesh and dof layout conventions.  ``dense_scatter``
 is the dense assembly phporo.fem replaced by its CSR stencil sum, kept as
 the bit-for-bit reference of the operator blocks.  The dense ellipticity
-constants are the oracle of phporo.formulations.check_network_ellipticity.
+constants are the oracle of phporo.formulations.check_network_ellipticity,
+and ``dense_psd_check``, the full spectrum of the symmetric part, that of
+the one-Lanczos-run phporo.numkit.psd_check.
 The dense Schur solve of the consistent initialization and the dense rank,
 kernel and index classification at the end are the oracles of the sparse
 initialization and index rule in phporo.dae_analysis.  ``trajectory_csv``
@@ -28,6 +30,7 @@ from scipy.linalg import eigh
 
 from phporo import timeint
 from phporo.dae_analysis import INDEX_AT_LEAST_2, IndexReport
+from phporo import numkit
 from phporo.numkit import Factorization, SingularMatrixError, as_matrix
 
 # barycentric coordinates of the edge midpoints (quadrature of order 2)
@@ -288,6 +291,22 @@ def dense_ellipticity(ops, exchange):
     c = min(float(eigh(K, gram, eigvals_only=True)[0]) for K in ops.stiff_flow)
     embed_sq = float(eigh(ops.mass_p, gram, eigvals_only=True)[-1])
     return float(np.linalg.eigvalsh(0.5 * (kbar + kbar.T))[0]), c, embed_sq
+
+
+def dense_psd_check(M, tol=None, require_symmetric=True):
+    """``numkit.psd_check`` from the whole dense spectrum of 0.5*(M + M^T)."""
+    A = as_matrix(M)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"psd_check requires a square matrix, got shape {A.shape}")
+    if tol is None:
+        tol = numkit.default_tol(M)
+    defect = numkit.symmetry_defect(M)
+    if require_symmetric and defect > tol:
+        raise numkit.StructureError(f"matrix asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
+    if A.size == 0:
+        return numkit.SpectralReport(np.inf, 0.0, numkit.POSITIVE_DEFINITE)
+    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
+    return numkit.SpectralReport.from_lowest(float(eigs[0]), defect, tol)
 
 
 def _first_order(ops, exchange, mass_rho, e_uu, c_uu):

@@ -1,11 +1,11 @@
 """The sparse definiteness certificate against the dense spectrum it replaces.
 
 ``numkit.psd_certificate`` decides structure wherever it certifies a matrix,
-and the dense eigenvalue check stays as the path for everything else.  Every
-system is checked twice: as built, and against the dense verdicts, for
-which the structure report runs with the certificate forced to answer "not
-certified" and the index and start checks come from the SVD oracle in
-``oracle.py``.  The certificate and the structural measures take dense and
+and the Lanczos run of ``numkit.psd_check`` everywhere else.  Every system is
+checked twice: as built, and against the dense verdicts, for which the
+structure report runs with the certificate forced to answer "not certified"
+and ``psd_check`` replaced by ``oracle.dense_psd_check``, and the index and
+start checks come from the SVD oracle in ``oracle.py``.  The certificate and the structural measures take dense and
 CSR input alike, and the tests run on both.
 """
 
@@ -107,9 +107,11 @@ def outcomes(sys):
 
 def dense_outcomes(sys, monkeypatch):
     """The verdicts of ``outcomes`` from the dense code: the structure report
-    without the certificate, the index and start checks from the oracle."""
+    from the dense spectrum without the certificate, the index and start
+    checks from the oracle."""
     with monkeypatch.context() as patch:
         patch.setattr(numkit, "psd_certificate", lambda M: None)
+        patch.setattr(numkit, "psd_check", oracle.dense_psd_check)
         report = phdae.validate_structure(fresh(sys))
     return verdicts(report, oracle.classify_index_dense(sys.E, sys.J - sys.R),
                     [oracle_start_verdict(sys, z0) for z0 in start_states(sys)])
@@ -308,3 +310,73 @@ def test_certified_systems_need_no_dense_spectrum(monkeypatch):
                                         np.zeros(copy.input_dim))
     for E, A in pencils:
         assert dae_analysis.classify_index(E, A).label == "1"
+
+
+def oversized_flow(n, symmetric=True):
+    """The coupled flow operator with rates far above the small-rate bound."""
+    ops, _ = make_network_ops(n, m=2)
+    coupling = random_coupling(np.random.default_rng(n), 2, scale=1e6, symmetric=symmetric)
+    return [formulations.kbar_matrix(ops, coupling)]
+
+
+def rank_deficient_grams():
+    """The Gram matrices V^T V of ``test_gram_matrices_always_semidefinite``
+    whose V has fewer rows than columns."""
+    rng, out = np.random.default_rng(42), []
+    for _ in range(50):
+        n = rng.integers(1, 12)
+        V = rng.standard_normal((rng.integers(1, 12), n))
+        if V.shape[0] < n:
+            out.append(V.T @ V)
+    return out
+
+
+def full_laplacians():
+    """Laplacians without Dirichlet elimination: PSD, constants in the
+    kernel, no zero row."""
+    out = []
+    for n in (2, 4, 8):
+        mesh = fem.build_unit_square_mesh(n)
+        every = np.arange(len(mesh.nodes))
+        out.append(fem.assemble_laplace(fem.FeSpace(fem.SCALAR_P1, mesh, every, every), 1.0))
+    return out
+
+
+def indefinite_r():
+    sys = PhDae(np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1.0]), np.ones((2, 1)),
+                validate=False)
+    return [sys.csr.R, phdae.dissipation_matrix(sys)]
+
+
+def lost_dissipativity():
+    qs = built_systems(2)["quasi_static"]
+    ops, _ = make_network_ops(2, m=2)
+    network = interconnect.couple_network(ops, random_coupling(np.random.default_rng(6), 2))
+    return [interconnect.close_loop(sys, FeedbackLaw(np.eye(sys.input_dim))).csr.R
+            for sys in (qs, network)]
+
+
+PSD_CASES = {
+    **{f"oversized_flow_{n}": (lambda n=n: oversized_flow(n)) for n in (4, 8, 16, 32)},
+    "oversized_nonsymmetric_flow": lambda: oversized_flow(8, symmetric=False),
+    "indefinite_r": indefinite_r,
+    "feedback_that_loses_dissipativity": lost_dissipativity,
+    "rank_deficient_grams": rank_deficient_grams,
+    "laplacian_with_kernel": full_laplacians,
+    "zero_rows": lambda: [formulations.build_quasi_static(make_ops(4, rho=0.0)).csr.E,
+                          dae_analysis.nonaugmented_quasi_static_pencil(make_ops(3, rho=0.0))[0]],
+    "no_stored_entries": lambda: [np.zeros((3, 3)), csr_array((5, 5)), csr_array((1, 1))],
+}
+
+
+@pytest.mark.parametrize("case", list(PSD_CASES))
+def test_psd_check_agrees_with_the_dense_oracle(case):
+    for M in PSD_CASES[case]():
+        got = numkit.psd_check(M, require_symmetric=False)
+        want = oracle.dense_psd_check(M, require_symmetric=False)
+        assert (got.verdict, got.max_asymmetry) == (want.verdict, want.max_asymmetry), case
+        error = abs(got.min_eigenvalue - want.min_eigenvalue)
+        assert error <= max(1e-8 * abs(want.min_eigenvalue),
+                            1e-12 * (1.0 + numkit.max_abs(M))), case
+        if case.startswith(("oversized", "indefinite", "feedback")):
+            assert got.verdict == numkit.INDEFINITE, case

@@ -6,6 +6,8 @@ from types import FunctionType
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import phporo
 from phporo import cli, numkit, phdae, timeint
@@ -163,6 +165,49 @@ class TestCheck:
         assert code == 1
         assert not report["pass"]
         assert not report["ellipticity"]["elliptic"]
+
+    @staticmethod
+    def oversized_check(tmp_path):
+        cfg = tmp_path / "oversized.json"
+        cfg.write_text(json.dumps(network_doc(scale=1e6, mesh_n=8)))
+        return ["check", "--config", str(cfg)]
+
+    def test_oversized_exchange_rates_need_no_dense_spectrum(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigendecomposition")
+
+        for module in (np.linalg, scipy.linalg):
+            for name in ("eigh", "eigvalsh"):
+                monkeypatch.setattr(module, name, refuse)
+        assert cli.main(self.oversized_check(tmp_path)) == 1
+        ellipticity = json.loads(capsys.readouterr().out)["ellipticity"]
+        assert ellipticity["elliptic"] is False
+        assert -np.inf < ellipticity["min_sym_eigenvalue"] < 0.0
+
+    def test_oversized_exchange_rates_report_the_same_bytes(self, tmp_path, capsys):
+        outs = []
+        for _ in range(2):
+            assert cli.main(self.oversized_check(tmp_path)) == 1
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("error", [ArpackNoConvergence("ARPACK error -1: No convergence",
+                                                           np.zeros(0), np.zeros((0, 0))),
+                                       ArpackError(-9)], ids=["no_convergence", "error"])
+    @pytest.mark.parametrize("scale", [0.02, 1e6], ids=["certified", "oversized"])
+    def test_arpack_failure_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch,
+                                                   error, scale):
+        # the certified flow operator reaches ARPACK through the ellipticity
+        # constants, the oversized one through psd_check
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(numkit, "eigsh", fail)
+        cfg = tmp_path / "network.json"
+        cfg.write_text(json.dumps(network_doc(scale=scale, mesh_n=3)))
+        assert cli.main(["check", "--config", str(cfg)]) == 1
+        assert "numerical failure: definiteness undecided" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -377,7 +422,7 @@ class TestTolerance:
                 found |= {f"{info.name}.{qual}" for qual, fn in members if takes_tol(fn)}
         assert found == {
             "cli.Scenario",
-            "numkit.SpectralReport.from_extremes", "numkit.certified_report",
+            "numkit.SpectralReport.from_lowest", "numkit.certified_report",
             "numkit.is_skew", "numkit.is_symmetric", "numkit.psd_check",
             "phdae.power_balance_residual", "phdae.save_phdae", "phdae.validate_structure",
         }

@@ -95,6 +95,24 @@ class TestPsdCheck:
             V = rng.standard_normal((rng.integers(1, 12), n))
             assert numkit.psd_check(V.T @ V).is_semidefinite
 
+    def test_kernel_of_a_singular_matrix_is_seen(self):
+        # ARPACK starts in the range of its operator, which misses this kernel
+        M = csr_array(np.diag(np.concatenate([np.zeros(10), np.linspace(1.0, 5.0, 30)])))
+        rep = numkit.psd_check(M)
+        assert rep.verdict == POSITIVE_SEMIDEFINITE
+        assert rep.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("M, lowest", [(np.zeros((4, 4)), 0.0), (csr_array((3, 3)), 0.0),
+                                           (np.array([[-2.5]]), -2.5)])
+    def test_sizes_arpack_cannot_take(self, M, lowest):
+        assert numkit.psd_check(M).min_eigenvalue == lowest
+
+    def test_degenerate_spectrum_is_reproducible(self):
+        # Lanczos stops on an invariant subspace of each and restarts from a
+        # drawn vector, the same one on every call
+        for M in (np.eye(10), np.kron(np.eye(4), [[2.0, -1.0], [-1.0, 2.0]])):
+            assert len({numkit.psd_check(M).min_eigenvalue for _ in range(20)}) == 1
+
     def test_empty_matrix_is_definite(self):
         rep = numkit.psd_check(np.zeros((0, 0)))
         assert rep.verdict == POSITIVE_DEFINITE
@@ -322,6 +340,19 @@ class TestFactorization:
     def test_singular_matrices_raise(self, M):
         with pytest.raises(SingularMatrixError, match="^step matrix numerically singular"):
             numkit.Factorization(M, "step matrix")
+
+    def test_src_has_no_dense_spectrum_but_the_capped_root(self):
+        # definiteness is decided on the CSR; the one dense eigendecomposition
+        # is the square root of sqrtm_spd, whose size cli.DENSE_ROWS_CAP caps
+        found = []
+        for path in sorted(Path(numkit.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            for word in ("eigvalsh", "eigvals", "svd", "eigh("):
+                found += [path.name] * text.count(word)
+                found += [f"{path.name}:{fn.name}" for fn in ast.walk(ast.parse(text))
+                          if isinstance(fn, ast.FunctionDef)
+                          and word in ast.get_source_segment(text, fn)]
+        assert found == ["numkit.py", "numkit.py:sqrtm_spd"]
 
     def test_src_has_one_sparse_lu_call(self):
         # every factorization goes through numkit.lu_factor

@@ -197,13 +197,14 @@ def test_export_and_load_read_no_dense_view(no_dense_views, tmp_path):
                        (b.indptr, b.indices, b.data)))
 
 
-def test_uncertified_matrix_takes_the_dense_view():
+def test_uncertified_matrix_reads_no_dense_view(no_dense_views):
     sys = PhDae(np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1.0]), np.ones((2, 1)),
                 validate=False)
     assert phdae.certificate(sys, "R") is None
     report = phdae.validate_structure(sys)
     assert report.r_report.verdict == numkit.INDEFINITE
-    assert set(sys._dense) == {"R"}
+    assert report.r_report.min_eigenvalue == pytest.approx(-1.0, abs=1e-14)
+    assert not sys._dense
 
 
 def dense_theta_run(sys, z0, v, t, theta, frozen_R=None):
