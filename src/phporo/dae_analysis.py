@@ -52,12 +52,13 @@ class IndexReport:
 def classify_index(E, A) -> IndexReport:
     """Classify the differentiation index of E z' = A z + k.
 
-    ``algebraic_rows`` decides index 0 or 1 on the CSR of E and A.  Where it
-    does not (a certified E with a singular A[Z, Z]), the index is at least
-    2 if lambda E - A at a fixed lambda > 0 passes ``numkit.Factorization``,
-    else the pencil is singular (``SingularMatrixError``).  That lambda is
-    exact for pH pencils A = J - R: Re x^H (lambda E - J + R) x = 0 forces
-    E x = R x = J x = 0, a kernel common to the pencil at every lambda.
+    On the CSR of E and A, the rows Z of ``algebraic_rows`` give index 0
+    (no rows) or 1, unless E is certified and -A[Z, Z] is singular.  Then
+    the index is at least 2 if lambda E - A at a fixed lambda > 0 passes
+    ``numkit.Factorization``, else the pencil is singular
+    (``SingularMatrixError``).  That lambda is exact for pH pencils
+    A = J - R: Re x^H (lambda E - J + R) x = 0 forces E x = R x = J x = 0,
+    a kernel common to the pencil at every lambda.
     """
     E, A = numkit.as_csr(E), numkit.as_csr(A)
     if E.shape != A.shape or E.shape[0] != E.shape[1]:
@@ -83,40 +84,39 @@ def _nonsingular(M) -> bool:
     return True
 
 
-def algebraic_rows(E, A, zero_rows: np.ndarray | None) -> tuple[np.ndarray, bool]:
-    """Zero rows Z of the CSR E and whether L = [E[N, :]; -A[Z, :]] is
-    nonsingular, given ``zero_rows = psd_certificate(E)``.
-
-    A certified E has E[N, Z] = 0 and a definite E[N, N], so L is block
-    triangular and -A[Z, Z] decides.  Otherwise Z are the rows of E without
-    stored entries and L itself decides; a singular L leaves the index
-    undecided and raises ``SingularMatrixError``.  Either way e_Z spans the
-    left kernel of E: by the certificate, or as L is nonsingular.
+def algebraic_rows(E, A, zero_rows: np.ndarray | None) -> np.ndarray:
+    """Rows Z of the CSR E whose unit vectors span the left kernel of E,
+    given ``zero_rows = psd_certificate(E)``: the certificate's rows, or
+    else the rows of E without stored entries, once L = [E[N, :]; -A[Z, :]]
+    is nonsingular; a singular L leaves the index undecided and raises
+    ``SingularMatrixError``.
     """
     if zero_rows is not None:
-        return zero_rows, not zero_rows.size or _nonsingular(-A[np.ix_(zero_rows, zero_rows)])
+        return zero_rows
     on_z = np.diff(E.indptr) == 0
     # E has no entries on the rows Z, so subtracting A's rows there stacks L
     if not _nonsingular(E - diags_array(on_z.astype(float)) @ A):
         raise SingularMatrixError(
             "index undecided: E is not certified and [E[N, :]; -A[Z, :]] is singular"
         )
-    return np.flatnonzero(on_z), True
+    return np.flatnonzero(on_z)
 
 
 def _classify(E, A, zero_rows: np.ndarray | None) -> IndexReport:
-    """Index of the CSR pencil (E, A) given ``zero_rows = psd_certificate(E)``."""
-    zero_rows, decided = algebraic_rows(E, A, zero_rows)
+    """Index of the CSR pencil (E, A) given ``zero_rows = psd_certificate(E)``: a
+    certified E makes L block triangular (E[N, Z] = 0), so -A[Z, Z] decides it."""
+    certified = zero_rows is not None
+    zero_rows = algebraic_rows(E, A, zero_rows)
     rank = E.shape[0] - zero_rows.size
-    if decided:
-        return IndexReport(1 if zero_rows.size else 0, rank)
-    try:
-        numkit.Factorization(_REGULARITY_SHIFT * E - A)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"matrix pencil is singular at lambda = {_REGULARITY_SHIFT}"
-        ) from exc
-    return IndexReport(INDEX_AT_LEAST_2, rank)
+    if certified and zero_rows.size and not _nonsingular(-A[np.ix_(zero_rows, zero_rows)]):
+        try:
+            numkit.Factorization(_REGULARITY_SHIFT * E - A)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"matrix pencil is singular at lambda = {_REGULARITY_SHIFT}"
+            ) from exc
+        return IndexReport(INDEX_AT_LEAST_2, rank)
+    return IndexReport(1 if zero_rows.size else 0, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ class DiscreteOperators:
     same names are read-only dense views made on first read, for the tests
     and their oracle.  ``mass_u`` / ``mass_p`` are the unit-coefficient mass
     matrices used as input weights and as the pressure-space embedding.
-    ``build_full_first_order`` keeps its system in ``_systems``.
+    ``build_full_first_order`` and ``_flow_report`` keep their results in ``_systems``.
     """
 
     csr: OperatorBlocks
@@ -439,9 +439,12 @@ def _lowest_eigenvalue(A: csr_array, B: csr_array | None = None) -> float:
 
 
 def _flow_report(ops: DiscreteOperators, coupling: NetworkCoupling | None):
-    """The coupled flow operator and its ``certified_report``."""
-    kbar = kbar_matrix(ops, coupling)
-    return kbar, numkit.certified_report(kbar, numkit.psd_certificate(kbar))
+    """The coupled flow operator and its ``certified_report``, kept per exchange matrix."""
+    key = ("flow", None if coupling is None else coupling.exchange.tobytes())
+    if key not in ops._systems:
+        kbar = kbar_matrix(ops, coupling)
+        ops._systems[key] = kbar, numkit.certified_report(kbar, numkit.psd_certificate(kbar))
+    return ops._systems[key]
 
 
 def check_network_ellipticity(ops: DiscreteOperators,

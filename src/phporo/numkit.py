@@ -324,12 +324,13 @@ REFINE_SOLVES = 16
 
 
 def _abs_sums(M) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of |M| for a CSC matrix M, each added up in data
-    order from M.data, as ``abs(M) @ ones`` adds them, explicit zeros too."""
-    magnitude, n = np.abs(M.data), M.shape[1]
-    columns = np.repeat(np.arange(n), np.diff(M.indptr))
-    return (np.bincount(M.indices, weights=magnitude, minlength=M.shape[0]),
-            np.bincount(columns, weights=magnitude, minlength=n))
+    """Row and column sums of |M| for a sparse M, each added up in data order
+    from M.data (kept by ``tocoo`` for CSR and CSC), as ``abs(M) @ ones``
+    adds them, explicit zeros too."""
+    C = M.tocoo(copy=False)
+    magnitude = np.abs(C.data)
+    return (np.bincount(C.row, weights=magnitude, minlength=M.shape[0]),
+            np.bincount(C.col, weights=magnitude, minlength=M.shape[1]))
 
 
 class Factorization:
@@ -344,29 +345,28 @@ class Factorization:
 
     ``order`` holds the columns of the matrix in the order the factor
     eliminates them (``np.argsort(perm_c)``).  Given the ``order`` of an
-    earlier factorization of a matrix A with the same pattern, M must hold
-    the columns of A in that order (M = A[:, order], best as CSC, which is
-    factored as it is); it is factored with natural ordering, which skips
-    COLAMD, and the row pivots are chosen afresh, so a matrix equal to the
-    earlier one gets the same factor.  ``solve`` answers for A.
+    earlier factorization of a matrix with the same pattern, the factor is
+    made of the matrix's columns taken in that order with natural ordering,
+    which skips COLAMD, and the row pivots are chosen afresh, so a matrix
+    equal to the earlier one gets the same factor; ``solve`` puts the
+    solution back in the matrix's own order.  ``refactor`` does this for a
+    new matrix in place of the factor.
 
-    ``refine`` uses the factor for a nearby matrix of the same layout: it
-    returns a solution whose backward error meets ``REFINE_TARGET`` within
-    ``REFINE_SOLVES`` solves, or None when refinement stalls, and then the
-    caller factors that matrix afresh, which applies the singularity rule
-    to it.
+    ``refine`` uses the factor for a nearby matrix: it returns a solution
+    whose backward error meets ``REFINE_TARGET`` within ``REFINE_SOLVES``
+    solves, or None when refinement stalls, and then the caller factors that
+    matrix afresh, which applies the singularity rule to it.
     """
 
     def __init__(self, M, what: str = "matrix", order: np.ndarray | None = None):
-        if issparse(M) and M.format == "csc":
-            A = M
-        else:
-            A = csc_array(M if issparse(M) else as_matrix(M), dtype=float)
+        A = _square(csc_array(M if issparse(M) else as_matrix(M), dtype=float), "factorization")
         if not np.all(np.isfinite(A.data)):
             raise ValueError("matrix contains non-finite entries")
-        _square(A, "factorization")
-        self.size = A.shape[0]
-        self.order = order
+        self.size, self.order = A.shape[0], order
+        if order is not None:
+            A = A[:, order]
+        # a refactor drops the old factor only now, so that the new one reuses
+        # its memory (copying after the drop doubled the run's page faults)
         self._lu = None
         if self.size == 0:
             return
@@ -389,16 +389,22 @@ class Factorization:
         rhs = np.asarray(b, dtype=float)
         if rhs.shape[0] != self.size:
             raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix size {self.size}")
-        if self._lu is None:
+        if self.size == 0:
             return np.zeros_like(rhs)
         x = self._lu.solve(rhs)
         return x if self._unpermute is None else x[self._unpermute]
 
+    def refactor(self, M, what: str = "matrix") -> None:
+        """Factor M, a matrix of the factored one's pattern, in this factor's
+        column order, in its place.  The old factor is dropped before the new
+        one is made, so one is held at a time, and a singular M leaves none:
+        it raises as the constructor does."""
+        self.__init__(M, what, self.order)
+
     def refine(self, M, b) -> np.ndarray | None:
         """Solve M x = b by iterative refinement x <- x + F^-1 (b - M x)
-        with this factor F, for a sparse M laid out as ``Factorization(M,
-        order=self.order)`` would take it (M = A'[:, order] for a matrix A'
-        near the factored one); x answers for A', like ``solve``.
+        with this factor F, for a sparse M (CSR or CSC, taken as it is) near
+        the factored matrix.
 
         x is returned once ||b - M x|| <= REFINE_TARGET (||M|| ||x|| + ||b||)
         in the max norm, the first iterate being ``solve(b)``.  The result
@@ -419,7 +425,7 @@ class Factorization:
             raise ValueError("matrix contains non-finite entries")
         if self.size == 0:
             return np.zeros(0)
-        row_sums, column_sums = _abs_sums(M if M.format == "csc" else csc_array(M))
+        row_sums, column_sums = _abs_sums(M)
         if not (np.all(row_sums) and np.all(column_sums)):
             return None  # exactly singular
         scale_M, scale_b = float(np.max(row_sums)), float(np.max(np.abs(rhs)))
@@ -427,7 +433,7 @@ class Factorization:
         for used in range(1, REFINE_SOLVES + 1):
             dx = self.solve(resid)
             x = dx if x is None else x + dx
-            resid = rhs - M @ x[self.order]
+            resid = rhs - M @ x
             error = float(np.max(np.abs(resid)))
             scale = scale_M * float(np.max(np.abs(x))) + scale_b
             if error <= REFINE_TARGET * scale:

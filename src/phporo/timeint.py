@@ -19,16 +19,16 @@ callable by one call per sample time, in block order.  The nonlinear
 permeability run supplies a new R of one fixed pattern on every step: both
 step matrices then live on one CSR pattern, the union of those of
 E - theta h J, E + (1 - theta) h J and R, made again only when h or R's
-pattern changes, and each step writes their data arrays, the implicit one
-as CSC with its columns already in the order of the last factorization.
-R moves by O(h) from one step to the next, so the last step's factor is
-kept and each step is first solved by iterative refinement with it
-(``Factorization.refine``): the step's solution is taken once its normwise
-backward error against the step's own matrix is at most
+pattern changes, and each step writes their data arrays.  R moves by O(h)
+from one step to the next, so the last step's factor is kept and each step
+is first solved by iterative refinement with it (``Factorization.refine``,
+which takes the implicit CSR as it is): the step's solution is taken once
+its normwise backward error against the step's own matrix is at most
 ``numkit.REFINE_TARGET`` (1e-15).  Only when refinement stalls, or
 ``numkit.REFINE_SOLVES`` (16) solves do not get there, or the step matrix
 has a zero row or column, is the stale factor dropped and the step matrix
-factored afresh, in the kept column order and under the usual pivot rule.
+factored afresh (``Factorization.refactor``: in the factor's own column
+order, which skips COLAMD, and under the usual pivot rule).
 Such a run agrees with one that factors every step to about 1e-12 relative
 (4e-12 at n = 12), not bit for bit.  With a constant R a plain solve with
 the first factor meets the target (a fresh LU solve lands near 1e-16), so
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import csr_array
 
 from . import fem
 from .formulations import DiscreteOperators, SeparableSignal, build_full_first_order
@@ -245,7 +245,7 @@ def _check_consistent_start(sys: PhDae, z0: np.ndarray, v0: np.ndarray) -> None:
     vectors span the left kernel of E.
     """
     A = sys.drift()
-    zero_rows, _ = algebraic_rows(sys.csr.E, A, certificate(sys, "E"))
+    zero_rows = algebraic_rows(sys.csr.E, A, certificate(sys, "E"))
     rhs = A @ z0 + sys.csr.G @ v0
     resid = float(np.linalg.norm(rhs[zero_rows]))
     scale = 1.0 + float(np.max(np.abs(rhs))) if rhs.size else 1.0
@@ -279,53 +279,39 @@ def _entry_keys(M) -> np.ndarray:
 
 class _FrozenRSteps:
     """Both step matrices of the frozen-R path for one step size, on one
-    pattern, and the last factor of the implicit one.
+    CSR pattern, and the last factor of the implicit one.
 
     The pattern is the union of those of E - a J, E + b J and the first R
     (a = theta h, b = (1 - theta) h).  ``step`` takes an R of that same
     pattern and writes E - a J + a R and E + b J - b R, entry by entry as the
-    sparse sums would, into the data arrays of containers made once per
-    pattern and column order: the explicit matrix's CSR and the implicit
-    one's CSC, its columns in the order of the last factorization.  The step
-    is solved by refinement with the last factor
+    sparse sums would, into the data arrays of two CSR containers made once
+    per pattern.  The step is solved by refinement with the last factor
     (``Factorization.refine``); only when that fails is the step matrix
-    factored, without a new ordering once the pattern has one.
+    factored, in the last factor's column order once there is one
+    (``Factorization.refactor``).
     """
 
     def __init__(self, E, J, R, a: float, b: float):
         implicit, explicit = E - a * J, E + b * J
         keys = np.unique(np.concatenate([_entry_keys(M) for M in (implicit, explicit, R)]))
         n, m = R.shape
-        self._shape = R.shape
-        self._indptr = np.searchsorted(keys, np.arange(n + 1) * m)
-        self._indices = keys % m
+        # 32-bit indices, as SuperLU takes them: a refactor converts no index array
+        indptr = np.searchsorted(keys, np.arange(n + 1) * m).astype(np.intc)
+        self._indices = (keys % m).astype(np.intc)
         slots = [np.searchsorted(keys, _entry_keys(M)) for M in (implicit, explicit, R)]
         self._implicit = self._on_pattern(slots[0], implicit.data)
         self._explicit = self._on_pattern(slots[1], explicit.data)
-        self._explicit_csr = csr_array((self._explicit.copy(), self._indices, self._indptr),
-                                       shape=self._shape)
+        self._implicit_csr, self._explicit_csr = (
+            csr_array((data.copy(), self._indices, indptr), shape=R.shape)
+            for data in (self._implicit, self._explicit))
         self._R_slots = slots[2]
         self._R_pattern = (R.indptr, R.indices)
         self._a, self._b = a, b
         self._lu = None
-        self._lay_out(np.arange(m))
 
     def _on_pattern(self, slots, values) -> np.ndarray:
         """Data array with the values at their slots and zeros elsewhere."""
         return np.bincount(slots, weights=values, minlength=self._indices.size)
-
-    def _lay_out(self, order) -> None:
-        """CSC container of the pattern with column order[j] as column j:
-        ``_csc_slots`` maps its entries to the slots of the CSR pattern."""
-        rows = np.repeat(np.arange(self._shape[0]), np.diff(self._indptr))
-        column = np.empty_like(order)
-        column[order] = np.arange(order.size)
-        cols = column[self._indices]
-        self._csc_slots = np.lexsort((rows, cols))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=order.size))])
-        self._implicit_csc = csc_array((self._implicit[self._csc_slots],
-                                        rows[self._csc_slots].astype(np.intc),
-                                        indptr.astype(np.intc)), shape=self._shape)
 
     def holds(self, R, a: float) -> bool:
         """True if the steps were made for this a and R has the pattern of
@@ -335,18 +321,16 @@ class _FrozenRSteps:
     def step(self, R, z: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         """The new state of the step from z with this R and the forcing h G v."""
         r = self._on_pattern(self._R_slots, R.data)
-        implicit, explicit = self._implicit_csc, self._explicit_csr
-        np.take(self._implicit + self._a * r, self._csc_slots, out=implicit.data)
+        implicit, explicit = self._implicit_csr, self._explicit_csr
+        np.add(self._implicit, self._a * r, out=implicit.data)
         np.subtract(self._explicit, self._b * r, out=explicit.data)
         rhs = explicit @ z + forcing
-        z_new = None if self._lu is None else self._lu.refine(implicit, rhs)
-        if z_new is not None:
+        if self._lu is None:
+            self._lu = Factorization(implicit, "step matrix")
+        elif (z_new := self._lu.refine(implicit, rhs)) is not None:
             return z_new
-        order = None if self._lu is None else self._lu.order
-        self._lu = None  # the stale factor goes before the new one is made
-        self._lu = Factorization(implicit, "step matrix", order=order)
-        if order is None or not np.array_equal(self._lu.order, order):
-            self._lay_out(self._lu.order)
+        else:
+            self._lu.refactor(implicit, "step matrix")
         return self._lu.solve(rhs)
 
 
@@ -378,11 +362,12 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     and G v formed before the steps, and H and the ledger booked after them,
     each by one sparse product (``_products``).  ``frozen_R(z)``, if given,
     returns the CSR dissipation matrix for the step that starts at z, used
-    for that step's matrices and its dissipated entry, booked in the step;
-    they are written into one pattern (``_FrozenRSteps``, made anew when h
-    or R's pattern changes) and solved by refinement with the last step's
-    factor, or factored without a new ordering when that fails; one factor
-    is held at a time.
+    for that step's matrices and its dissipated entry, booked in the step
+    (so it may hand out one matrix whose data it rewrites); they are written
+    into one CSR pattern (``_FrozenRSteps``, made anew when h or R's pattern
+    changes) and solved by refinement with the last step's factor, or
+    refactored in that factor's column order when that fails; one factor is
+    held at a time.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.state_dim,):
@@ -460,16 +445,19 @@ def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None, 
     nu = ops.materials[0].nu
     u_slice = base.state_slice("u")
     p_slice = base.state_slice("p")
-    embedded = []  # R's indptr and indices: the block's, fixed for the run, made once
+    embedded = None  # R on the block's pattern at the p rows and columns, made once per run
 
     def frozen_R(z):
+        nonlocal embedded
         block = fem.assemble_nonlinear_permeability(
             ops.qspace, ops.vspace, z[u_slice], kappa_fn, nu, bounds=bounds
         )
-        if not embedded:  # the block's rows and columns are the p rows and columns of R
-            embedded[:] = (block.indices + p_slice.start,
-                           np.pad(block.indptr, (p_slice.start, base.state_dim - p_slice.stop),
-                                  mode="edge"))
-        return csr_array((block.data, *embedded), shape=base.csr.R.shape)
+        if embedded is None:
+            indptr = np.pad(block.indptr, (p_slice.start, base.state_dim - p_slice.stop),
+                            mode="edge")
+            embedded = csr_array((block.data, block.indices + p_slice.start, indptr),
+                                 shape=base.csr.R.shape)
+        embedded.data = block.data  # the step's R, read before the next call
+        return embedded
 
     return _theta_run(base, z0, input, t_grid, 0.5, frozen_R)

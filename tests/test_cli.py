@@ -185,6 +185,17 @@ class TestCheck:
         assert ellipticity["elliptic"] is False
         assert -np.inf < ellipticity["min_sym_eigenvalue"] < 0.0
 
+    def test_oversized_exchange_rates_decide_the_flow_operator_once(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # the ellipticity report and the builder share one verdict
+        calls = []
+        real = numkit.lowest_eigenvalue
+        monkeypatch.setattr(numkit, "lowest_eigenvalue",
+                            lambda S: calls.append(S.shape) or real(S))
+        assert cli.main(self.oversized_check(tmp_path)) == 1
+        assert len(calls) == 1
+        assert "exchange rates too large" in json.loads(capsys.readouterr().out)["error"]
+
     def test_oversized_exchange_rates_report_the_same_bytes(self, tmp_path, capsys):
         outs = []
         for _ in range(2):

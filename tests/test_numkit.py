@@ -408,12 +408,30 @@ class TestKeptOrder:
         B = rng.standard_normal((first.size, 3))
         for A in matrices:
             fresh = numkit.Factorization(A)
-            kept = numkit.Factorization(csc_array(A)[:, first.order], order=first.order)
+            kept = numkit.Factorization(A, order=first.order)
             assert np.array_equal(fresh.order, first.order)
             assert np.array_equal(kept.order, first.order)
             assert np.array_equal(kept.solve(b), fresh.solve(b))
             assert np.array_equal(kept.solve(B), fresh.solve(B))
         assert np.linalg.norm(A @ kept.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_refactor_keeps_the_order_and_skips_colamd(self, ops3, monkeypatch):
+        matrices = self.nonlinear_step_matrices(ops3)
+        b = np.random.default_rng(23).standard_normal(matrices[0].shape[0])
+        fresh = [numkit.Factorization(A).solve(b) for A in matrices]
+        lu = numkit.Factorization(matrices[0])
+        order, calls, real = lu.order, [], numkit.lu_factor
+        monkeypatch.setattr(numkit, "lu_factor",
+                            lambda A, **kwargs: calls.append(kwargs) or real(A, **kwargs))
+        for A, x in zip(matrices[1:], fresh[1:]):
+            lu.refactor(A, "step matrix")
+            assert np.array_equal(lu.order, order)
+            assert np.array_equal(lu.solve(b), x)
+        assert calls == [{"natural": True}] * (len(matrices) - 1)
+        zero = matrices[0].copy()
+        zero.data[:] = 0.0  # the pattern, all stored zeros
+        with pytest.raises(SingularMatrixError, match="^step matrix numerically singular"):
+            lu.refactor(zero, "step matrix")
 
     @pytest.mark.parametrize("M", [np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3)),
                                    np.diag([1.0, 1e-14]), np.diag([1e-14, 1.0, 1.0])])
@@ -428,7 +446,7 @@ class TestKeptOrder:
 
 class TestRefine:
     """``Factorization.refine``: iterative refinement with the factor of a
-    nearby matrix, given in the factor's column order."""
+    nearby matrix, given in its own column layout."""
 
     @pytest.fixture()
     def solves(self, monkeypatch):
@@ -453,7 +471,7 @@ class TestRefine:
         """A fresh factor of A and one made in a kept column order."""
         fresh = numkit.Factorization(A)
         reversed_order = np.arange(A.shape[0])[::-1]
-        kept = numkit.Factorization(A[:, reversed_order], order=reversed_order)
+        kept = numkit.Factorization(A, order=reversed_order)
         return fresh, kept
 
     @staticmethod
@@ -461,22 +479,24 @@ class TestRefine:
         scale = np.abs(M).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
         return np.abs(b - M @ x).max() / scale
 
-    def test_the_factored_matrix_takes_one_solve(self, solves):
+    @pytest.mark.parametrize("layout", [csc_array, csr_array])
+    def test_the_factored_matrix_takes_one_solve(self, solves, layout):
         A, b = self.matrix()
         for lu in self.factors(A):
             expected = lu.solve(b)
             solves.clear()
-            x = lu.refine(A[:, lu.order], b)
+            x = lu.refine(layout(A), b)
             assert len(solves) == 1
             assert np.array_equal(x, expected)
 
-    def test_a_nearby_matrix_meets_the_target(self, solves):
+    @pytest.mark.parametrize("layout", [csc_array, csr_array])
+    def test_a_nearby_matrix_meets_the_target(self, solves, layout):
         A, b = self.matrix()
         near = A.copy()
         near.data *= 1.0 + 1e-4 * np.random.default_rng(25).standard_normal(near.data.size)
         for lu in self.factors(A):
             solves.clear()
-            x = lu.refine(near[:, lu.order], b)
+            x = lu.refine(layout(near), b)
             assert 1 < len(solves) <= numkit.REFINE_SOLVES
             assert self.backward_error(near, x, b) <= numkit.REFINE_TARGET
             assert self.backward_error(near, lu.solve(b), b) > numkit.REFINE_TARGET
@@ -495,17 +515,18 @@ class TestRefine:
             warnings.simplefilter("error")
             for M in (far, rank_one, zero_row, zero_col):
                 solves.clear()
-                assert fresh.refine(M[:, fresh.order], b) is None
+                assert fresh.refine(M, b) is None
                 assert len(solves) <= numkit.REFINE_SOLVES
         # a consistent right-hand side does not hide the zero row
         consistent = zero_row @ np.ones(40)
-        assert fresh.refine(zero_row[:, fresh.order], consistent) is None
+        assert fresh.refine(zero_row, consistent) is None
 
-    def test_sums_of_abs_match_the_sparse_products(self):
+    @pytest.mark.parametrize("layout", [csc_array, csr_array])
+    def test_sums_of_abs_match_the_sparse_products(self, layout):
         # magnitudes over 16 decades, so that the sums' rounding depends on
         # their order, and stored zeros, which the sums must step over
         A, _ = self.matrix()
-        M = A.copy()
+        M = layout(A.copy())
         M.data *= 10.0 ** np.random.default_rng(27).uniform(-8.0, 8.0, M.data.size)
         M.data[::5] = 0.0
         assert M.nnz > np.count_nonzero(M.data)
@@ -520,8 +541,8 @@ class TestRefine:
         A, b = self.matrix()
         fresh, _ = self.factors(A)
         dense = A.toarray()
-        dense[:, fresh.order[position]] = 0.0
-        M = csc_array(dense)[:, fresh.order]
+        dense[:, position] = 0.0
+        M = csc_array(dense)
         assert np.diff(M.indptr)[position] == 0
         assert fresh.refine(M, b) is None
         assert solves == []
@@ -530,7 +551,7 @@ class TestRefine:
         A, b = self.matrix()
         fresh, _ = self.factors(A)
         monkeypatch.setattr(numkit, "REFINE_SOLVES", 0)
-        assert fresh.refine(A[:, fresh.order], b) is None
+        assert fresh.refine(A, b) is None
         assert solves == []
 
     def test_size_mismatch_and_non_finite_entries_raise(self):

@@ -1,5 +1,5 @@
 """The sparse operator blocks, systems and theta-method core against dense
-references at n <= 4.
+references at n <= 4, and one nonlinear run at n = 16 that refactors.
 
 The operator blocks are the canonical CSR of ``oracle.dense_scatter``, and
 every builder and coupled route stores the CSR of the dense quadruple that
@@ -376,6 +376,29 @@ def test_nonlinear_kappa_matches_fresh_colamd_run_bitwise(n, monkeypatch):
     assert np.array_equal(traj.supplied, supp)
 
 
+def test_refactors_of_their_own_accord_keep_one_ordering(monkeypatch):
+    # at n = 16 and h = 0.1 refinement with the last step's factor stalls on
+    # most steps, with REFINE_SOLVES as it is; those steps are factored in the
+    # kept column order, so the run makes one COLAMD ordering
+    ops = make_ops(16)
+    kappa = lambda xi: (1.0 + 4.0 * xi * xi) / (2.0 + 4.0 * xi * xi)  # noqa: E731
+    v, f, fdot, g = linear_data(ops, seed=14)
+    z0 = consistent_state(ops, np.random.default_rng(15).uniform(-0.5, 0.5, ops.dim_p),
+                          f, fdot, g)
+    grid = np.linspace(0.0, 1.0, 11)
+    ref = colamd_every_step(ops, kappa, z0, v, grid, (0.5, 1.0))
+    orderings, real = Counter(), numkit.lu_factor
+
+    def counting(A, **kwargs):
+        orderings["colamd" if not kwargs else "natural" if kwargs.get("natural") else "ldlt"] += 1
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(numkit, "lu_factor", counting)
+    traj = timeint.integrate_nonlinear_kappa(ops, kappa, z0, v, grid, bounds=(0.5, 1.0))
+    assert orderings["colamd"] == 1 and orderings["natural"] >= 2
+    assert_agrees(formulations.build_full_first_order(ops), traj, ref)
+
+
 def test_frozen_R_whose_pattern_changes_matches_dense_reference(ops3, monkeypatch):
     # on step 7 alone R is lumped to its diagonal: the step matrices get a
     # new pattern there and the old one back on step 8
@@ -434,33 +457,22 @@ def test_nonlinear_run_needs_no_dense_matrix(monkeypatch):
 
 
 def test_longer_nonlinear_run_recomputes_no_run_constant(monkeypatch):
-    # element geometry is computed once per space, and a step writes into
-    # step-matrix containers made before it, so 20 steps make no more of
-    # either than 5 do
-    counts, in_step = Counter(), []
+    # element geometry is computed once per space, and the run's sparse
+    # containers (the embedded R and both step matrices) are made once and
+    # written on every step, so 20 steps make no more of either than 5 do
+    counts = Counter()
 
-    def count(owner, name, only_in_step=False):
+    def count(owner, name):
         real = getattr(owner, name)
 
         def counting(*args, **kwargs):
-            if in_step or not only_in_step:
-                counts[name] += 1
+            counts[name] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
 
     count(fem, "p1_gradients")
     count(fem, "triangle_area")
-    count(timeint, "csc_array", only_in_step=True)
-    count(timeint, "csr_array", only_in_step=True)
-    real_step = timeint._FrozenRSteps.step
-
-    def step(self, *args):
-        in_step.append(self)
-        try:
-            return real_step(self, *args)
-        finally:
-            in_step.pop()
-    monkeypatch.setattr(timeint._FrozenRSteps, "step", step)
+    count(timeint, "csr_array")
     kappa = lambda xi: (1.0 + 4.0 * xi * xi) / (2.0 + 4.0 * xi * xi)  # noqa: E731
 
     def run(steps):
@@ -474,5 +486,5 @@ def test_longer_nonlinear_run_recomputes_no_run_constant(monkeypatch):
         return dict(counts)
 
     short = run(5)
-    assert short["p1_gradients"] > 0 and short["triangle_area"] > 0
+    assert short["p1_gradients"] > 0 and short["triangle_area"] > 0 and short["csr_array"] > 0
     assert short == run(20)

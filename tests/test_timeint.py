@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.sparse import csr_array
 
-from phporo import formulations, timeint
+from phporo import dae_analysis, formulations, timeint
 from phporo import numkit
 from phporo.numkit import SingularMatrixError
-from phporo.phdae import InconsistentStateError, PhDae
+from phporo.phdae import InconsistentStateError, PhDae, certificate
 from phporo.timeint import Trajectory, integrate_euler, integrate_midpoint
 
 import oracle
@@ -110,6 +110,25 @@ class TestMidpoint:
                 rhs = sys.drift() @ traj.states[k] + sys.G @ v(t)
                 assert np.linalg.norm(W.T @ rhs) <= 1e-8
 
+
+    def test_start_check_decides_no_index(self, monkeypatch):
+        # a certified E names its algebraic rows by itself; whether -A[Z, Z]
+        # is nonsingular is the index question, which the start check skips
+        ops = make_ops(3, rho=0.0)
+        v, f, fdot, g = linear_data(ops, seed=9)
+        p0 = np.random.default_rng(10).uniform(-1.0, 1.0, ops.dim_p)
+        u0, q0 = formulations.alternative_qs_initialization(ops, p0, f(0.0))
+        starts = ((formulations.build_quasi_static(ops), consistent_state(ops, p0, f, fdot, g)),
+                  (formulations.build_alternative_qs(ops), np.concatenate([u0, p0, q0])))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("index decided in the start check")
+
+        monkeypatch.setattr(dae_analysis, "_nonsingular", refuse)
+        for sys, start in starts:
+            assert certificate(sys, "E").size > 0
+            traj = integrate_midpoint(sys, start, v, np.linspace(0.0, 0.1, 3))
+            assert np.all(np.isfinite(traj.states))
 
 class TestEuler:
     def test_oscillator_loses_energy_every_step(self):
