@@ -236,12 +236,16 @@ def kbar_matrix(ops: DiscreteOperators, coupling: NetworkCoupling | None = None)
 
 
 def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None,
-                        mass_rho, e_uu, c_uu) -> PhDae:
-    """State (w, u, p) with E = diag(mass_rho, e_uu, M-bar); c_uu couples w and u in J."""
+                        mass_rho, e_uu, c_uu=None) -> PhDae:
+    """State (w, u, p) with E = diag(mass_rho, e_uu, M-bar); c_uu couples w and u in J.
+
+    Without c_uu it is e_uu: the u rows then read e_uu u' = e_uu w, and the
+    system records that its u block is kinematic (``PhDae.kinematic``)."""
     du, mdp = ops.dim_u, ops.networks * ops.dim_p
     n = 2 * du + mdp
     ksym, kskew = numkit.sym_skew_split(kbar_matrix(ops, coupling))
-    dbar, c_uu = stacked_coupling(ops), numkit.as_csr(c_uu)
+    kinematic = ("u", "w") if c_uu is None else None
+    dbar, c_uu = stacked_coupling(ops), numkit.as_csr(e_uu if c_uu is None else c_uu)
     E = numkit.block_csr((n, n), [(0, 0, mass_rho), (du, du, e_uu),
                                   (2 * du, 2 * du, blocked_storage_mass(ops))])
     J = numkit.block_csr((n, n), [(0, du, -c_uu), (du, 0, c_uu), (0, 2 * du, dbar.T),
@@ -253,6 +257,7 @@ def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None
         E, J, R, G,
         state_blocks=(("w", du), ("u", du), ("p", mdp)),
         input_blocks=(("f", du), ("g", mdp)),
+        kinematic=kinematic,
     )
 
 
@@ -268,8 +273,8 @@ def build_full_first_order(ops: DiscreteOperators) -> PhDae:
     if ops.networks != 1:
         raise ValueError("the two-field builder needs a single network; see build_network_ph")
     if "full" not in ops._systems:
-        ka = ops.csr.stiff_elast
-        ops._systems["full"] = _first_order_system(ops, None, ops.csr.mass_rho, ka, ka)
+        ops._systems["full"] = _first_order_system(ops, None, ops.csr.mass_rho,
+                                                   ops.csr.stiff_elast)
     return ops._systems["full"]
 
 
@@ -278,7 +283,7 @@ def build_quasi_static(ops: DiscreteOperators, coupling: NetworkCoupling | None 
     if coupling is not None:
         _require_elliptic(ops, coupling)
     ka = ops.csr.stiff_elast
-    return _first_order_system(ops, coupling, csr_array(ka.shape), ka, ka)
+    return _first_order_system(ops, coupling, csr_array(ka.shape), ka)
 
 
 def build_sqrt_formulation(ops: DiscreteOperators) -> PhDae:
@@ -497,5 +502,4 @@ def build_network_ph(ops: DiscreteOperators, coupling: NetworkCoupling) -> PhDae
     the symmetric part in R.  Rejects couplings whose symmetric part is
     indefinite."""
     _require_elliptic(ops, coupling)
-    ka = ops.csr.stiff_elast
-    return _first_order_system(ops, coupling, ops.csr.mass_rho, ka, ka)
+    return _first_order_system(ops, coupling, ops.csr.mass_rho, ops.csr.stiff_elast)

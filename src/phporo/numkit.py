@@ -324,13 +324,17 @@ REFINE_SOLVES = 16
 
 
 def _abs_sums(M) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of |M| for a sparse M, each added up in data order
-    from M.data (kept by ``tocoo`` for CSR and CSC), as ``abs(M) @ ones``
-    adds them, explicit zeros too."""
-    C = M.tocoo(copy=False)
-    magnitude = np.abs(C.data)
-    return (np.bincount(C.row, weights=magnitude, minlength=M.shape[0]),
-            np.bincount(C.col, weights=magnitude, minlength=M.shape[1]))
+    """Row and column sums of |M| for a CSR or CSC M, each added up in data
+    order, as ``abs(M) @ ones`` and ``ones @ abs(M)`` add them, explicit
+    zeros too: the sums along the compressed axis by one mat-vec, the others
+    by one ``bincount``."""
+    magnitude = np.abs(M.data)
+    compressed = type(M)((magnitude, M.indices, M.indptr), shape=M.shape)
+    if M.format == "csr":
+        return (compressed @ np.ones(M.shape[1]),
+                np.bincount(M.indices, weights=magnitude, minlength=M.shape[1]))
+    return (np.bincount(M.indices, weights=magnitude, minlength=M.shape[0]),
+            compressed.T @ np.ones(M.shape[0]))
 
 
 class Factorization:
@@ -401,7 +405,7 @@ class Factorization:
         it raises as the constructor does."""
         self.__init__(M, what, self.order)
 
-    def refine(self, M, b) -> np.ndarray | None:
+    def refine(self, M, b, first=None, keep=slice(None), lift=None) -> np.ndarray | None:
         """Solve M x = b by iterative refinement x <- x + F^-1 (b - M x)
         with this factor F, for a sparse M (CSR or CSC, taken as it is) near
         the factored matrix.
@@ -416,26 +420,36 @@ class Factorization:
         |M| from M.data (``_abs_sums``), so the matrix is not copied; each
         iterate costs one ``solve`` and one mat-vec with M.  Non-finite
         entries of M raise ``ValueError``, as in the constructor.
+
+        With ``lift`` the factor is of a reduction of M: the iterates are
+        x = lift(y) for y of the factor's size, the first y is
+        ``solve(first)``, and each correction of y solves with the ``keep``
+        rows of the residual b - M x.  The backward error is still that of x
+        against M and b.
         """
         rhs = np.asarray(b, dtype=float)
-        if M.shape != (self.size, self.size) or rhs.shape != (self.size,):
-            raise ValueError(f"refine needs a {self.size} x {self.size} matrix and a "
-                             f"vector of that length, got {M.shape} and {rhs.shape}")
+        n = rhs.shape[0]
+        resid = rhs if lift is None else np.asarray(first, dtype=float)
+        if M.shape != (n, n) or rhs.shape != (n,) or resid.shape != (self.size,):
+            raise ValueError(f"refine needs a square matrix, a vector of its length and a "
+                             f"vector of length {self.size}, got {M.shape}, {rhs.shape} "
+                             f"and {resid.shape}")
         if not np.all(np.isfinite(M.data)):
             raise ValueError("matrix contains non-finite entries")
-        if self.size == 0:
+        if n == 0:
             return np.zeros(0)
         row_sums, column_sums = _abs_sums(M)
         if not (np.all(row_sums) and np.all(column_sums)):
             return None  # exactly singular
         scale_M, scale_b = float(np.max(row_sums)), float(np.max(np.abs(rhs)))
-        x, resid, last = None, rhs, None
+        y, last = None, None
         for used in range(1, REFINE_SOLVES + 1):
-            dx = self.solve(resid)
-            x = dx if x is None else x + dx
+            dy = self.solve(resid)
+            y = dy if y is None else y + dy
+            x = y if lift is None else lift(y)
             resid = rhs - M @ x
-            error = float(np.max(np.abs(resid)))
-            scale = scale_M * float(np.max(np.abs(x))) + scale_b
+            error = float(abs(resid).max())
+            scale = scale_M * float(abs(x).max()) + scale_b
             if error <= REFINE_TARGET * scale:
                 return x
             error /= scale
@@ -443,6 +457,7 @@ class Factorization:
             if error * rate ** (REFINE_SOLVES - used) > REFINE_TARGET:
                 return None  # stalled
             last = error
+            resid = resid[keep]
         return None
 
 

@@ -67,6 +67,11 @@ class PhDae:
     deliberately broken systems.  The report is kept, so validating again at
     the same tolerance is free; so are the certificates of E and R (see
     ``certificate``).
+
+    ``kinematic``, a pair of state block labels (q, w), is a builder's
+    record that the rows of block q read E_qq q' = E_qq w: E's and J's q rows
+    are E_qq at columns q and w, R's and G's are zero.  It is not checked;
+    ``timeint`` steps such a system on the other blocks and rebuilds q.
     """
 
     E = numkit.DenseView()
@@ -75,7 +80,7 @@ class PhDae:
     G = numkit.DenseView()
 
     def __init__(self, E, J, R, G, state_blocks=None, input_blocks=None,
-                 validate: bool = True):
+                 validate: bool = True, kinematic: tuple[str, str] | None = None):
         self.csr = SystemMatrices(*(numkit.as_csr(M) for M in (E, J, R, G)))
         n = self.csr.E.shape[0]
         for name, M in zip("EJR", self.csr):
@@ -85,6 +90,9 @@ class PhDae:
             raise ValueError(f"G must have {n} rows, got {self.csr.G.shape}")
         self.state_blocks = _named_blocks(state_blocks, n, "z")
         self.input_blocks = _named_blocks(input_blocks, self.csr.G.shape[1], "v")
+        self.kinematic = kinematic
+        for label in kinematic or ():
+            self.state_slice(label)  # KeyError for a block it does not have
         self._dense: dict = {}  # name -> dense view
         self._structure = None  # (tol, StructureReport) of the last validation
         self._certificates: dict = {}  # "E"/"R" -> numkit.psd_certificate of it

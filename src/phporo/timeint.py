@@ -12,23 +12,32 @@ convention without the exact identity.  Both are the theta method
 (theta = 1/2 and theta = 1) of one stepping loop.  The loop works on the
 system's stored CSR of E, J, R and G: step matrices are sparse sums,
 factored once per distinct step size by ``numkit``'s sparse LU, and a step
-is one sparse mat-vec and one solve.  The input is sampled and the ledger
+is one sparse mat-vec and one solve.  When the system's builder recorded a
+kinematic block (``PhDae.kinematic``: the u rows K_A u' = K_A w of the
+first-order forms), the step gives u+ = u + b w + a w+ (a = theta h,
+b = (1 - theta) h) with no solve, so the LU, the mat-vec and the solve are
+those of the step on the other rows and columns, (w, p) (``_Reduction``),
+and u+ is rebuilt; the fill of that LU is about a third of the whole step
+matrix's.  The input is sampled and the ledger
 booked per block of steps, bit-identical to per-step products: a
 ``SeparableSignal`` by one ``sample`` call per block, any other input
 callable by one call per sample time, in block order.  The nonlinear
 permeability run supplies a new R of one fixed pattern on every step: both
 step matrices then live on one CSR pattern, the union of those of
 E - theta h J, E + (1 - theta) h J and R, made again only when h or R's
-pattern changes, and each step writes their data arrays.  R moves by O(h)
-from one step to the next, so the last step's factor is kept and each step
-is first solved by iterative refinement with it (``Factorization.refine``,
-which takes the implicit CSR as it is): the step's solution is taken once
-its normwise backward error against the step's own matrix is at most
-``numkit.REFINE_TARGET`` (1e-15).  Only when refinement stalls, or
-``numkit.REFINE_SOLVES`` (16) solves do not get there, or the step matrix
-has a zero row or column, is the stale factor dropped and the step matrix
-factored afresh (``Factorization.refactor``: in the factor's own column
-order, which skips COLAMD, and under the usual pivot rule).
+pattern changes, and each step writes their data arrays and the entries of
+the reduced ones that R moves (R lives outside the kinematic rows and
+columns).  R moves by O(h) from one step to the next, so the last step's
+factor is kept and each step is first solved by iterative refinement with
+it (``Factorization.refine``, which takes the implicit CSR as it is and
+lifts each reduced iterate to the whole state): the step's solution is
+taken once its normwise backward error against the step's own whole
+matrix, kinematic rows included, is at most ``numkit.REFINE_TARGET``
+(1e-15).  Only when refinement stalls, or ``numkit.REFINE_SOLVES`` (16)
+solves do not get there, or the step matrix has a zero row or column, is
+the stale factor dropped and the reduced step matrix factored afresh
+(``Factorization.refactor``: in the factor's own column order, which skips
+COLAMD, and under the usual pivot rule).
 Such a run agrees with one that factors every step to about 1e-12 relative
 (4e-12 at n = 12), not bit for bit.  With a constant R a plain solve with
 the first factor meets the target (a fresh LU solve lands near 1e-16), so
@@ -277,41 +286,134 @@ def _entry_keys(M) -> np.ndarray:
     return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) * M.shape[1] + M.indices
 
 
+def _kept_rows(sys: PhDae):
+    """The rows and columns a step of sys solves for: all but those of a
+    kinematic block (``PhDae.kinematic``), or all (``slice(None)``)."""
+    if sys.kinematic is None:
+        return slice(None)
+    u = sys.state_slice(sys.kinematic[0])
+    return np.r_[0:u.start, u.stop:sys.state_dim]
+
+
+class _Reduction:
+    """The step matrices of one step size on the kept rows (``_kept_rows``),
+    and the new state from the solution there (``lifting``).
+
+    With a kinematic block u (``PhDae.kinematic`` = (u, w)), the u rows of a
+    step with F = E - a J + a R and X = E + b J - b R (a = theta h,
+    b = (1 - theta) h) read E_uu (u+ - a w+) = E_uu (u + b w), so that
+    u+ = u + b w + a w+.  The kept rows of the step then read S y = X_r z + f
+    for y, the kept entries of z+, where S is F[keep, keep] with a F[keep, u]
+    added to its w columns and X_r is X[keep, :] with F[keep, u] subtracted
+    from its u columns and b F[keep, u] from its w columns.  Each of their
+    entries is that sum of at most two terms, stored on the pattern those
+    terms give, explicit zeros of F and X included.  ``kept`` holds the row
+    and column of S of each kept index, -1 for u's.  Without a kinematic
+    block, S is F, X_r is X and y is z+.
+    """
+
+    def __init__(self, sys: PhDae, F, X, a: float, b: float):
+        self.keep = _kept_rows(sys)
+        self.S, self.X, self._u = F, X, None
+        if sys.kinematic is None:
+            return
+        self._u, self._w = (sys.state_slice(label) for label in sys.kinematic)
+        self._a, self._b = a, b
+        n, u, w, k = F.shape[0], self._u, self._w, self.keep.size
+        self.kept = kept = np.full(n, -1)
+        kept[self.keep] = np.arange(k)
+        to_w = np.arange(n)  # a u column moves to its w column
+        to_w[u] = np.arange(w.start, w.stop)
+        rows = [np.repeat(kept, np.diff(M.indptr)) for M in (F, X)]
+        in_F, in_X = (np.flatnonzero(r >= 0) for r in rows)
+        kept_column = kept[F.indices[in_F]] >= 0
+        from_u = in_F[~kept_column]
+        # terms of each sum: (row, column, entry of F.data then X.data, weight)
+        S_terms = (rows[0][in_F], kept[to_w[F.indices[in_F]]], in_F,
+                   np.where(kept_column, 1.0, a))
+        X_terms = [(rows[1][in_X], X.indices[in_X], F.data.size + in_X, np.ones(in_X.size)),
+                   (rows[0][from_u], F.indices[from_u], from_u, np.full(from_u.size, -1.0))]
+        if b:
+            X_terms.append((rows[0][from_u], to_w[F.indices[from_u]], from_u,
+                            np.full(from_u.size, -b)))
+        X_terms = tuple(map(np.concatenate, zip(*X_terms)))
+        data = np.concatenate([F.data, X.data])
+        self.S, self.X = (self._summed(*terms, data, shape)
+                          for terms, shape in ((S_terms, (k, k)), (X_terms, (k, n))))
+
+    @staticmethod
+    def _summed(rows, columns, entries, weights, data, shape):
+        """The CSR matrix of the sums of the terms weight * data[entry] at
+        (row, column)."""
+        keys, slots = np.unique(rows * shape[1] + columns, return_inverse=True)
+        # 32-bit indices, as SuperLU takes them: a factorization converts no index array
+        indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1]).astype(np.intc)
+        values = np.bincount(slots, weights=data[entries] * weights, minlength=keys.size)
+        return csr_array((values, (keys % shape[1]).astype(np.intc), indptr), shape=shape)
+
+    def lifting(self, z: np.ndarray):
+        """y -> the new state of the step from z whose kept entries are y."""
+        if self._u is None:
+            return lambda y: y
+        u, w, a = self._u, self._w, self._a
+        known = z[u] + self._b * z[w]
+
+        def lift(y):
+            x = np.empty(z.size)
+            x[:u.start], x[u.stop:] = y[:u.start], y[u.start:]
+            x[u] = known + a * x[w]
+            return x
+        return lift
+
+
 class _FrozenRSteps:
     """Both step matrices of the frozen-R path for one step size, on one
-    CSR pattern, and the last factor of the implicit one.
+    CSR pattern, their ``_Reduction``, and the last factor of its S.
 
     The pattern is the union of those of E - a J, E + b J and the first R
     (a = theta h, b = (1 - theta) h).  ``step`` takes an R of that same
     pattern and writes E - a J + a R and E + b J - b R, entry by entry as the
     sparse sums would, into the data arrays of two CSR containers made once
-    per pattern.  The step is solved by refinement with the last factor
-    (``Factorization.refine``); only when that fails is the step matrix
-    factored, in the last factor's column order once there is one
+    per pattern, and S and X_r likewise: R has no entries in the kinematic
+    block's rows and columns, so it moves only entries that those take
+    unscaled.  The step is solved by refinement with the last factor
+    (``Factorization.refine``), accepted by the backward error of the whole
+    step, kinematic rows included; only when that fails is S factored, in
+    the last factor's column order once there is one
     (``Factorization.refactor``).
     """
 
-    def __init__(self, E, J, R, a: float, b: float):
+    def __init__(self, sys: PhDae, R, a: float, b: float):
+        E, J = sys.csr.E, sys.csr.J
         implicit, explicit = E - a * J, E + b * J
         keys = np.unique(np.concatenate([_entry_keys(M) for M in (implicit, explicit, R)]))
         n, m = R.shape
         # 32-bit indices, as SuperLU takes them: a refactor converts no index array
         indptr = np.searchsorted(keys, np.arange(n + 1) * m).astype(np.intc)
-        self._indices = (keys % m).astype(np.intc)
-        slots = [np.searchsorted(keys, _entry_keys(M)) for M in (implicit, explicit, R)]
-        self._implicit = self._on_pattern(slots[0], implicit.data)
-        self._explicit = self._on_pattern(slots[1], explicit.data)
-        self._implicit_csr, self._explicit_csr = (
-            csr_array((data.copy(), self._indices, indptr), shape=R.shape)
-            for data in (self._implicit, self._explicit))
-        self._R_slots = slots[2]
+        indices = (keys % m).astype(np.intc)
+        self._implicit, self._explicit = implicit, explicit = [
+            csr_array((np.bincount(np.searchsorted(keys, _entry_keys(M)), weights=M.data,
+                                   minlength=keys.size), indices, indptr), shape=R.shape)
+            for M in (implicit, explicit)]
+        R_slots = np.searchsorted(keys, _entry_keys(R))
+        self._reduction = reduced = _Reduction(sys, implicit, explicit, a, b)
+        # (container, the slots of R's entries in it, their values without R, R's weight)
+        self._writes = [(implicit, R_slots, a), (explicit, R_slots, -b)]
+        if reduced.S is not implicit:
+            R_rows, R_columns = divmod(_entry_keys(R), m)
+            rows, columns = reduced.kept[R_rows], reduced.kept[R_columns]
+            if min(rows.min(initial=0), columns.min(initial=0)) < 0:
+                raise ValueError("a frozen R must have no entries in the rows and columns "
+                                 "of the kinematic block")
+            # S and X_r store every entry of F and X in kept rows and columns, R's among them
+            S, X_r = reduced.S, reduced.X
+            self._writes += [
+                (S, np.searchsorted(_entry_keys(S), rows * S.shape[1] + columns), a),
+                (X_r, np.searchsorted(_entry_keys(X_r), rows * m + R_columns), -b)]
+        self._writes = [(M, slots, M.data[slots], weight) for M, slots, weight in self._writes]
         self._R_pattern = (R.indptr, R.indices)
-        self._a, self._b = a, b
+        self._a = a
         self._lu = None
-
-    def _on_pattern(self, slots, values) -> np.ndarray:
-        """Data array with the values at their slots and zeros elsewhere."""
-        return np.bincount(slots, weights=values, minlength=self._indices.size)
 
     def holds(self, R, a: float) -> bool:
         """True if the steps were made for this a and R has the pattern of
@@ -320,18 +422,19 @@ class _FrozenRSteps:
 
     def step(self, R, z: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         """The new state of the step from z with this R and the forcing h G v."""
-        r = self._on_pattern(self._R_slots, R.data)
-        implicit, explicit = self._implicit_csr, self._explicit_csr
-        np.add(self._implicit, self._a * r, out=implicit.data)
-        np.subtract(self._explicit, self._b * r, out=explicit.data)
-        rhs = explicit @ z + forcing
+        for M, slots, base, weight in self._writes:
+            M.data[slots] = base + weight * R.data  # the other entries never change
+        implicit, explicit, reduced = self._implicit, self._explicit, self._reduction
+        rhs, lift = reduced.X @ z + forcing[reduced.keep], reduced.lifting(z)
         if self._lu is None:
-            self._lu = Factorization(implicit, "step matrix")
-        elif (z_new := self._lu.refine(implicit, rhs)) is not None:
-            return z_new
+            self._lu = Factorization(reduced.S, "step matrix")
         else:
-            self._lu.refactor(implicit, "step matrix")
-        return self._lu.solve(rhs)
+            whole = rhs if reduced.X is explicit else explicit @ z + forcing
+            z_new = self._lu.refine(implicit, whole, rhs, reduced.keep, lift)
+            if z_new is not None:
+                return z_new
+            self._lu.refactor(reduced.S, "step matrix")
+        return lift(self._lu.solve(rhs))
 
 
 _BLOCK_VALUES = 16384  # state and input values per block of steps sampled and booked at once
@@ -357,13 +460,16 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     Each step solves (E - theta h J + theta h R) z_new =
     (E + (1 - theta) h J - (1 - theta) h R) z + h G v with v sampled at
     t_k + theta h: one mat-vec and one solve with the step matrices formed
-    from the stored CSR, factored once per distinct step size.  Per block of
+    from the stored CSR, factored once per distinct step size, and reduced
+    to the rows and columns outside a kinematic block (``_Reduction``), whose
+    entries are then rebuilt.  Per block of
     ``_BLOCK_VALUES // (state_dim + input_dim)`` steps the input is sampled
     and G v formed before the steps, and H and the ledger booked after them,
     each by one sparse product (``_products``).  ``frozen_R(z)``, if given,
     returns the CSR dissipation matrix for the step that starts at z, used
     for that step's matrices and its dissipated entry, booked in the step
-    (so it may hand out one matrix whose data it rewrites); they are written
+    (so it may hand out one matrix whose data it rewrites) and that has no
+    entries in a kinematic block's rows and columns; they are written
     into one CSR pattern (``_FrozenRSteps``, made anew when h or R's pattern
     changes) and solved by refinement with the last step's factor, or
     refactored in that factor's column order when that fails; one factor is
@@ -383,8 +489,9 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     states = np.empty((len(t), sys.state_dim))
     states[0] = z0
     H, diss, supp = np.empty(len(t)), np.empty(len(steps)), np.empty(len(steps))
-    step_matrices: dict[float, tuple] = {}  # h -> (factored step matrix, explicit matrix)
+    step_matrices: dict[float, tuple] = {}  # h -> (factor of S, _Reduction)
     frozen = None  # _FrozenRSteps of the last step
+    keep = _kept_rows(sys)
     block = max(1, _BLOCK_VALUES // max(1, sys.state_dim + sys.input_dim))
     for start in range(0, len(steps) or 1, block):
         hs = steps[start:start + block]
@@ -392,19 +499,21 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
         Gv = _products(G, _samples(v, t[rows] + 0.5 * hs, sys.input_dim))
         forcing = hs[:, None] * (Gv if theta == 0.5 else
                                  _products(G, _samples(v, t[rows] + theta * hs, sys.input_dim)))
+        kept_forcing = forcing[:, keep]
         for k, h in enumerate(hs.tolist(), start):
             a, b, z = theta * h, (1.0 - theta) * h, states[k]
             try:
                 if frozen_R is None:
                     if h not in step_matrices:
-                        step_matrices[h] = (Factorization(E - a * J + a * R, "step matrix"),
-                                            E + b * J - b * R)
-                    lu, explicit = step_matrices[h]
-                    states[k + 1] = lu.solve(explicit @ z + forcing[k - start])
+                        reduced = _Reduction(sys, E - a * J + a * R, E + b * J - b * R, a, b)
+                        step_matrices[h] = (Factorization(reduced.S, "step matrix"), reduced)
+                    lu, reduced = step_matrices[h]
+                    y = lu.solve(reduced.X @ z + kept_forcing[k - start])
+                    states[k + 1] = reduced.lifting(z)(y)
                 else:
                     R_k = frozen_R(z)
                     if frozen is None or not frozen.holds(R_k, a):
-                        frozen = _FrozenRSteps(E, J, R_k, a, b)  # drops the old factor
+                        frozen = _FrozenRSteps(sys, R_k, a, b)  # drops the old factor
                     states[k + 1] = frozen.step(R_k, z, forcing[k - start])
                     zm = 0.5 * (z + states[k + 1])
                     diss[k] = h * float(zm @ (R_k @ zm))  # R_k is this step's alone

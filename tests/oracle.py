@@ -17,7 +17,10 @@ writes a trajectory one ``repr`` per value, the byte-for-byte reference of
 the vectorized formatter behind phporo.timeint.Trajectory.to_csv.
 ``stepwise_theta_run`` is the theta-method loop of phporo.timeint with the
 input sampled and the ledger booked one step at a time by one-vector
-products, the bit-for-bit reference of its blocked bookkeeping.
+products, the bit-for-bit reference of its blocked bookkeeping; it reduces
+the step of a system with a kinematic block by scipy slicing, and with
+``full_lu`` it steps with the LU of the whole step matrix instead, the
+reference that the reduced steps must agree with.
 ``separable_closure`` evaluates a sum of scenario source terms one time at a
 time with ``math``'s sin and cos, the bit-for-bit reference of
 phporo.formulations.SeparableSignal.
@@ -27,6 +30,7 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse import csr_array
 
 from phporo import timeint
 from phporo.dae_analysis import INDEX_AT_LEAST_2, IndexReport
@@ -515,15 +519,50 @@ def trajectory_csv(traj) -> bytes:
     return (",".join(header) + "\n").encode() + csv_text(table)
 
 
-def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None):
+def reduced_step_matrices(sys, F, X, a, b):
+    """(keep, S, X_r) of a step with F = E - a J + a R and X = E + b J - b R
+    of a system with a kinematic block u (``PhDae.kinematic`` = (u, w)), by
+    scipy slicing and sparse sums: keep is every row but u's, S is
+    F[keep, keep] + a F[keep, u] at the w columns, and X_r is
+    X[keep, :] - F[keep, u] at the u columns - b F[keep, u] at the w columns."""
+    u, w = (sys.state_slice(label) for label in sys.kinematic)
+    n = F.shape[0]
+    keep = np.r_[0:u.start, u.stop:n]
+    F_k, X_k = F[keep], X[keep]
+    F_ku = F_k[:, u]
+
+    def at(M, column, width):
+        return csr_array((M.data, M.indices + column, M.indptr), shape=(M.shape[0], width))
+
+    S = F_k[:, keep] + a * at(F_ku, int(np.searchsorted(keep, w.start)), keep.size)
+    X_r = X_k - at(F_ku, u.start, n) - b * at(F_ku, w.start, n)
+    return keep, S, X_r
+
+
+def rebuilt_state(sys, y, z, a, b):
+    """The new state whose entries outside the kinematic block u are y, with
+    u+ = u + b w + a w+ from the old state z."""
+    u, w = (sys.state_slice(label) for label in sys.kinematic)
+    x = np.insert(y, u.start, np.zeros(u.stop - u.start))
+    x[u] = z[u] + b * z[w] + a * x[w]
+    return x
+
+
+def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None, full_lu=False):
     """``timeint._theta_run`` one step at a time: per step it samples the
     input, forms G v, solves, and books zm^T R zm, zm^T G v and z^T E z with
-    one-vector sparse products.  Returns (states, H, dissipated, supplied)."""
+    one-vector sparse products.  A system with a kinematic block steps on
+    ``reduced_step_matrices`` and ``rebuilt_state``, unless ``full_lu``: then
+    every system steps as before that reduction, with the LU of the whole
+    step matrix, and a frozen R is solved by refinement with the last
+    whole-matrix factor (refactored when that fails), both step matrices
+    made by sparse sums.  Returns (states, H, dissipated, supplied)."""
     z0 = np.asarray(z0, dtype=float)
     t = np.asarray(t_grid, dtype=float)
     v = input if input is not None else (lambda t, zero=np.zeros(sys.input_dim): zero)
     timeint._check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float))
     E, J, R, G = sys.csr
+    reduce = sys.kinematic is not None and not full_lu
     steps = timeint._snapped_steps(t)
     states = np.empty((len(t), sys.state_dim))
     states[0] = z0
@@ -538,14 +577,28 @@ def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None):
         try:
             if frozen_R is None:
                 if h not in step_matrices:
-                    step_matrices[h] = (Factorization(E - a * J + a * R, "step matrix"),
-                                        E + b * J - b * R)
-                lu, explicit = step_matrices[h]
-                z_new = lu.solve(explicit @ z + h * Gv_step)
+                    F, X = E - a * J + a * R, E + b * J - b * R
+                    keep, S, X_r = (reduced_step_matrices(sys, F, X, a, b) if reduce
+                                    else (slice(None), F, X))
+                    step_matrices[h] = (Factorization(S, "step matrix"), keep, X_r)
+                lu, keep, X_r = step_matrices[h]
+                y = lu.solve(X_r @ z + (h * Gv_step)[keep])
+                z_new = rebuilt_state(sys, y, z, a, b) if reduce else y
+            elif full_lu:
+                R = frozen_R(z)
+                F, X = E - a * J + a * R, E + b * J - b * R
+                rhs = X @ z + h * Gv_step
+                key = (a, R.indptr.tobytes(), R.indices.tobytes())
+                if frozen is None or frozen[0] != key:
+                    frozen = (key, Factorization(F, "step matrix"))
+                    z_new = frozen[1].solve(rhs)
+                elif (z_new := frozen[1].refine(F, rhs)) is None:
+                    frozen[1].refactor(F, "step matrix")
+                    z_new = frozen[1].solve(rhs)
             else:
                 R = frozen_R(z)
                 if frozen is None or not frozen.holds(R, a):
-                    frozen = timeint._FrozenRSteps(E, J, R, a, b)
+                    frozen = timeint._FrozenRSteps(sys, R, a, b)
                 z_new = frozen.step(R, z, h * Gv_step)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"step {k}: {exc}") from exc

@@ -521,6 +521,35 @@ class TestRefine:
         consistent = zero_row @ np.ones(40)
         assert fresh.refine(zero_row, consistent) is None
 
+    def test_a_reduction_is_judged_by_the_whole_matrix(self, solves):
+        # rows 10-19 read x_u = 0.5 x_w for w = 0-9: the factor is of the
+        # other rows with that put in, and x = lift(y) must meet the target
+        # against the whole matrix
+        A, b = self.matrix()
+        M, u, w, keep = A.toarray(), slice(10, 20), slice(0, 10), np.r_[0:10, 20:40]
+        M[u] = 0.0
+        M[u, u], M[u, w] = np.eye(10), -0.5 * np.eye(10)
+        b[u] = 0.0
+        S = M[keep][:, keep]
+        S[:, w] += 0.5 * M[keep][:, u]
+
+        def lift(y):
+            x = np.insert(y, 10, np.zeros(10))
+            x[u] = 0.5 * x[w]
+            return x
+
+        exact = numkit.Factorization(S)
+        near = numkit.Factorization(S * (1.0 + 1e-4 * np.random.default_rng(28).standard_normal(
+            S.shape)))
+        for lu, most in ((exact, 1), (near, numkit.REFINE_SOLVES)):
+            solves.clear()
+            x = lu.refine(csr_array(M), b, b[keep], keep, lift)
+            assert 1 <= len(solves) <= most
+            assert all(len(rhs) == 30 for rhs in solves)
+            assert self.backward_error(M, x, b) <= numkit.REFINE_TARGET
+            assert np.array_equal(x[u], 0.5 * x[w])
+        assert len(solves) > 1
+
     @pytest.mark.parametrize("layout", [csc_array, csr_array])
     def test_sums_of_abs_match_the_sparse_products(self, layout):
         # magnitudes over 16 decades, so that the sums' rounding depends on

@@ -332,7 +332,8 @@ def test_nonlinear_kappa_run_is_reproducible(ops3):
 def colamd_every_step(ops, kappa, z0, v, t, bounds):
     """The frozen-R midpoint run as it was before step matrices kept a
     pattern: R from the nonzeros of the dense block, sparse sums, and a fresh
-    COLAMD-ordered LU on every step."""
+    COLAMD-ordered LU on every step, of the step reduced to the rows and
+    columns outside the kinematic u block (``oracle.reduced_step_matrices``)."""
     base = formulations.build_full_first_order(ops)
     u, p = base.state_slice("u"), base.state_slice("p")
     E, J, G = (csr_array(M) for M in (base.E, base.J, base.G))
@@ -342,10 +343,12 @@ def colamd_every_step(ops, kappa, z0, v, t, bounds):
         block = coo_array(fem.assemble_nonlinear_permeability(
             ops.qspace, ops.vspace, z[u], kappa, ops.materials[0].nu, bounds=bounds).toarray())
         R = csr_array((block.data, (block.row + p.start, block.col + p.start)), shape=E.shape)
-        lu = numkit.Factorization((E - (0.5 * h) * J) + (0.5 * h) * R)
-        explicit = (E + (0.5 * h) * J) - (0.5 * h) * R
+        keep, S, X_r = oracle.reduced_step_matrices(
+            base, (E - (0.5 * h) * J) + (0.5 * h) * R, (E + (0.5 * h) * J) - (0.5 * h) * R,
+            0.5 * h, 0.5 * h)
         Gv = G @ np.asarray(v(t[k] + 0.5 * h), dtype=float)
-        z_new = lu.solve(explicit @ z + h * Gv)
+        y = numkit.Factorization(S).solve(X_r @ z + (h * Gv)[keep])
+        z_new = oracle.rebuilt_state(base, y, z, 0.5 * h, 0.5 * h)
         zm = 0.5 * (z + z_new)
         diss.append(h * float(zm @ (R @ zm)))
         supp.append(h * float(zm @ Gv))
