@@ -239,12 +239,11 @@ def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None
                         mass_rho, e_uu, c_uu=None) -> PhDae:
     """State (w, u, p) with E = diag(mass_rho, e_uu, M-bar); c_uu couples w and u in J.
 
-    Without c_uu it is e_uu: the u rows then read e_uu u' = e_uu w, and the
-    system records that its u block is kinematic (``PhDae.kinematic``)."""
+    Without c_uu it is e_uu: the u rows then read e_uu u' = e_uu w, which
+    ``timeint`` finds on the matrices and steps without a solve."""
     du, mdp = ops.dim_u, ops.networks * ops.dim_p
     n = 2 * du + mdp
     ksym, kskew = numkit.sym_skew_split(kbar_matrix(ops, coupling))
-    kinematic = ("u", "w") if c_uu is None else None
     dbar, c_uu = stacked_coupling(ops), numkit.as_csr(e_uu if c_uu is None else c_uu)
     E = numkit.block_csr((n, n), [(0, 0, mass_rho), (du, du, e_uu),
                                   (2 * du, 2 * du, blocked_storage_mass(ops))])
@@ -257,7 +256,6 @@ def _first_order_system(ops: DiscreteOperators, coupling: NetworkCoupling | None
         E, J, R, G,
         state_blocks=(("w", du), ("u", du), ("p", mdp)),
         input_blocks=(("f", du), ("g", mdp)),
-        kinematic=kinematic,
     )
 
 

@@ -12,13 +12,14 @@ convention without the exact identity.  Both are the theta method
 (theta = 1/2 and theta = 1) of one stepping loop.  The loop works on the
 system's stored CSR of E, J, R and G: step matrices are sparse sums,
 factored once per distinct step size by ``numkit``'s sparse LU, and a step
-is one sparse mat-vec and one solve.  When the system's builder recorded a
-kinematic block (``PhDae.kinematic``: the u rows K_A u' = K_A w of the
-first-order forms), the step gives u+ = u + b w + a w+ (a = theta h,
-b = (1 - theta) h) with no solve, so the LU, the mat-vec and the solve are
-those of the step on the other rows and columns, (w, p) (``_Reduction``),
-and u+ is rebuilt; the fill of that LU is about a third of the whole step
-matrix's.  The input is sampled and the ledger
+is one sparse mat-vec and one solve.  A run first finds on those matrices
+its kinematic block (``_kinematic_block``), if any: the u rows that read
+E_uu u' = E_uu w, as K_A u' = K_A w of the first-order forms, however built.
+A step gives u+ = u + b w + a w+ there (a = theta h, b = (1 - theta) h) with
+no solve, so the LU, the mat-vec and the solve are those of the step on the
+other rows and columns, (w, p) (``_Reduction``; all of them without a
+block), and u+ is rebuilt; the fill of that LU is about a third of the whole
+step matrix's.  The input is sampled and the ledger
 booked per block of steps, bit-identical to per-step products: a
 ``SeparableSignal`` by one ``sample`` call per block, any other input
 callable by one call per sample time, in block order.  The nonlinear
@@ -50,6 +51,7 @@ measure on the returned states.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,40 +288,48 @@ def _entry_keys(M) -> np.ndarray:
     return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) * M.shape[1] + M.indices
 
 
-def _kept_rows(sys: PhDae):
-    """The rows and columns a step of sys solves for: all but those of a
-    kinematic block (``PhDae.kinematic``), or all (``slice(None)``)."""
-    if sys.kinematic is None:
-        return slice(None)
-    u = sys.state_slice(sys.kinematic[0])
-    return np.r_[0:u.start, u.stop:sys.state_dim]
+def _kinematic_block(sys: PhDae) -> tuple[slice, slice]:
+    """The first pair of state blocks (q, w) whose q rows read E_qq q' = E_qq w
+    on the stored CSR: E's q rows hold only E_qq, J's exactly E_qq at the w
+    columns, R's and G's nothing, and E's certificate holds with no zero row
+    in q, so E_qq is nonsingular; else two empty slices."""
+    E, J, R, G = sys.csr
+    zero_rows = certificate(sys, "E")
+    ends = np.cumsum([0] + [size for _, size in sys.state_blocks]).tolist()
+    for q, w in itertools.permutations(map(slice, ends[:-1], ends[1:]), 2):
+        E_q, size = E[q], q.stop - q.start
+        if (zero_rows is None or not size or size != w.stop - w.start
+                or np.any((zero_rows >= q.start) & (zero_rows < q.stop))
+                or np.any((E_q.indices < q.start) | (E_q.indices >= q.stop))):
+            continue
+        at_w = csr_array((E_q.data, E_q.indices + w.start - q.start, E_q.indptr), E_q.shape)
+        if not ((J[q] != at_w).nnz or R[q].count_nonzero() or G[q].count_nonzero()):
+            return q, w
+    return slice(0, 0), slice(0, 0)
 
 
 class _Reduction:
-    """The step matrices of one step size on the kept rows (``_kept_rows``),
-    and the new state from the solution there (``lifting``).
+    """The step matrices of one step size on the rows and columns outside a
+    kinematic block (u, w) (``_kinematic_block``), and the new state from the
+    solution there (``lifting``).
 
-    With a kinematic block u (``PhDae.kinematic`` = (u, w)), the u rows of a
-    step with F = E - a J + a R and X = E + b J - b R (a = theta h,
-    b = (1 - theta) h) read E_uu (u+ - a w+) = E_uu (u + b w), so that
-    u+ = u + b w + a w+.  The kept rows of the step then read S y = X_r z + f
-    for y, the kept entries of z+, where S is F[keep, keep] with a F[keep, u]
-    added to its w columns and X_r is X[keep, :] with F[keep, u] subtracted
-    from its u columns and b F[keep, u] from its w columns.  Each of their
-    entries is that sum of at most two terms, stored on the pattern those
-    terms give, explicit zeros of F and X included.  ``kept`` holds the row
-    and column of S of each kept index, -1 for u's.  Without a kinematic
-    block, S is F, X_r is X and y is z+.
+    The u rows of a step with F = E - a J + a R and X = E + b J - b R
+    (a = theta h, b = (1 - theta) h) read E_uu (u+ - a w+) = E_uu (u + b w),
+    so that u+ = u + b w + a w+.  The kept rows of the step then read
+    S y = X_r z + f for y, the kept entries of z+, where S is F[keep, keep]
+    with a F[keep, u] added to its w columns and X_r is X[keep, :] with
+    F[keep, u] subtracted from its u columns and b F[keep, u] from its w
+    columns.  Each of their entries is that sum of at most two terms, stored
+    on the pattern those terms give, explicit zeros of F and X included.
+    ``kept`` holds the row and column of S of each kept index, -1 for u's.
+    With empty slices S has F's entries, X_r X's, and the lift copies y.
     """
 
-    def __init__(self, sys: PhDae, F, X, a: float, b: float):
-        self.keep = _kept_rows(sys)
-        self.S, self.X, self._u = F, X, None
-        if sys.kinematic is None:
-            return
-        self._u, self._w = (sys.state_slice(label) for label in sys.kinematic)
-        self._a, self._b = a, b
-        n, u, w, k = F.shape[0], self._u, self._w, self.keep.size
+    def __init__(self, block: tuple[slice, slice], F, X, a: float, b: float):
+        (u, w), n = block, F.shape[0]
+        self._u, self._w, self._a, self._b = u, w, a, b
+        self.keep = np.r_[0:u.start, u.stop:n]
+        k = self.keep.size
         self.kept = kept = np.full(n, -1)
         kept[self.keep] = np.arange(k)
         to_w = np.arange(n)  # a u column moves to its w column
@@ -353,8 +363,6 @@ class _Reduction:
 
     def lifting(self, z: np.ndarray):
         """y -> the new state of the step from z whose kept entries are y."""
-        if self._u is None:
-            return lambda y: y
         u, w, a = self._u, self._w, self._a
         known = z[u] + self._b * z[w]
 
@@ -383,7 +391,7 @@ class _FrozenRSteps:
     (``Factorization.refactor``).
     """
 
-    def __init__(self, sys: PhDae, R, a: float, b: float):
+    def __init__(self, sys: PhDae, block: tuple[slice, slice], R, a: float, b: float):
         E, J = sys.csr.E, sys.csr.J
         implicit, explicit = E - a * J, E + b * J
         keys = np.unique(np.concatenate([_entry_keys(M) for M in (implicit, explicit, R)]))
@@ -395,22 +403,20 @@ class _FrozenRSteps:
             csr_array((np.bincount(np.searchsorted(keys, _entry_keys(M)), weights=M.data,
                                    minlength=keys.size), indices, indptr), shape=R.shape)
             for M in (implicit, explicit)]
-        R_slots = np.searchsorted(keys, _entry_keys(R))
-        self._reduction = reduced = _Reduction(sys, implicit, explicit, a, b)
+        self._reduction = reduced = _Reduction(block, implicit, explicit, a, b)
+        R_rows, R_columns = divmod(_entry_keys(R), m)
+        rows, columns = reduced.kept[R_rows], reduced.kept[R_columns]
+        if min(rows.min(initial=0), columns.min(initial=0)) < 0:
+            raise ValueError("a frozen R must have no entries in the rows and columns "
+                             "of the kinematic block")
+        # S and X_r store every entry of F and X in kept rows and columns, R's among them
+        S, X_r, R_slots = reduced.S, reduced.X, np.searchsorted(keys, _entry_keys(R))
         # (container, the slots of R's entries in it, their values without R, R's weight)
-        self._writes = [(implicit, R_slots, a), (explicit, R_slots, -b)]
-        if reduced.S is not implicit:
-            R_rows, R_columns = divmod(_entry_keys(R), m)
-            rows, columns = reduced.kept[R_rows], reduced.kept[R_columns]
-            if min(rows.min(initial=0), columns.min(initial=0)) < 0:
-                raise ValueError("a frozen R must have no entries in the rows and columns "
-                                 "of the kinematic block")
-            # S and X_r store every entry of F and X in kept rows and columns, R's among them
-            S, X_r = reduced.S, reduced.X
-            self._writes += [
+        self._writes = [
+            (M, slots, M.data[slots], weight) for M, slots, weight in (
+                (implicit, R_slots, a), (explicit, R_slots, -b),
                 (S, np.searchsorted(_entry_keys(S), rows * S.shape[1] + columns), a),
-                (X_r, np.searchsorted(_entry_keys(X_r), rows * m + R_columns), -b)]
-        self._writes = [(M, slots, M.data[slots], weight) for M, slots, weight in self._writes]
+                (X_r, np.searchsorted(_entry_keys(X_r), rows * m + R_columns), -b))]
         self._R_pattern = (R.indptr, R.indices)
         self._a = a
         self._lu = None
@@ -424,13 +430,13 @@ class _FrozenRSteps:
         """The new state of the step from z with this R and the forcing h G v."""
         for M, slots, base, weight in self._writes:
             M.data[slots] = base + weight * R.data  # the other entries never change
-        implicit, explicit, reduced = self._implicit, self._explicit, self._reduction
+        reduced = self._reduction
         rhs, lift = reduced.X @ z + forcing[reduced.keep], reduced.lifting(z)
         if self._lu is None:
             self._lu = Factorization(reduced.S, "step matrix")
         else:
-            whole = rhs if reduced.X is explicit else explicit @ z + forcing
-            z_new = self._lu.refine(implicit, whole, rhs, reduced.keep, lift)
+            whole = self._explicit @ z + forcing
+            z_new = self._lu.refine(self._implicit, whole, rhs, reduced.keep, lift)
             if z_new is not None:
                 return z_new
             self._lu.refactor(reduced.S, "step matrix")
@@ -461,8 +467,8 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     (E + (1 - theta) h J - (1 - theta) h R) z + h G v with v sampled at
     t_k + theta h: one mat-vec and one solve with the step matrices formed
     from the stored CSR, factored once per distinct step size, and reduced
-    to the rows and columns outside a kinematic block (``_Reduction``), whose
-    entries are then rebuilt.  Per block of
+    to the rows and columns outside a kinematic block (``_kinematic_block``,
+    ``_Reduction``), whose entries are then rebuilt.  Per block of
     ``_BLOCK_VALUES // (state_dim + input_dim)`` steps the input is sampled
     and G v formed before the steps, and H and the ledger booked after them,
     each by one sparse product (``_products``).  ``frozen_R(z)``, if given,
@@ -491,7 +497,8 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     H, diss, supp = np.empty(len(t)), np.empty(len(steps)), np.empty(len(steps))
     step_matrices: dict[float, tuple] = {}  # h -> (factor of S, _Reduction)
     frozen = None  # _FrozenRSteps of the last step
-    keep = _kept_rows(sys)
+    kinematic = u, _ = _kinematic_block(sys)
+    keep = np.r_[0:u.start, u.stop:sys.state_dim]
     block = max(1, _BLOCK_VALUES // max(1, sys.state_dim + sys.input_dim))
     for start in range(0, len(steps) or 1, block):
         hs = steps[start:start + block]
@@ -505,7 +512,7 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
             try:
                 if frozen_R is None:
                     if h not in step_matrices:
-                        reduced = _Reduction(sys, E - a * J + a * R, E + b * J - b * R, a, b)
+                        reduced = _Reduction(kinematic, E - a * J + a * R, E + b * J - b * R, a, b)
                         step_matrices[h] = (Factorization(reduced.S, "step matrix"), reduced)
                     lu, reduced = step_matrices[h]
                     y = lu.solve(reduced.X @ z + kept_forcing[k - start])
@@ -513,7 +520,7 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
                 else:
                     R_k = frozen_R(z)
                     if frozen is None or not frozen.holds(R_k, a):
-                        frozen = _FrozenRSteps(sys, R_k, a, b)  # drops the old factor
+                        frozen = _FrozenRSteps(sys, kinematic, R_k, a, b)  # drops the old factor
                     states[k + 1] = frozen.step(R_k, z, forcing[k - start])
                     zm = 0.5 * (z + states[k + 1])
                     diss[k] = h * float(zm @ (R_k @ zm))  # R_k is this step's alone

@@ -18,9 +18,9 @@ the vectorized formatter behind phporo.timeint.Trajectory.to_csv.
 ``stepwise_theta_run`` is the theta-method loop of phporo.timeint with the
 input sampled and the ledger booked one step at a time by one-vector
 products, the bit-for-bit reference of its blocked bookkeeping; it reduces
-the step of a system with a kinematic block by scipy slicing, and with
-``full_lu`` it steps with the LU of the whole step matrix instead, the
-reference that the reduced steps must agree with.
+the step of a system with a kinematic block (``timeint._kinematic_block``)
+by scipy slicing, and with ``full_lu`` it steps with the LU of the whole
+step matrix instead, the reference that the reduced steps must agree with.
 ``separable_closure`` evaluates a sum of scenario source terms one time at a
 time with ``math``'s sin and cos, the bit-for-bit reference of
 phporo.formulations.SeparableSignal.
@@ -519,13 +519,13 @@ def trajectory_csv(traj) -> bytes:
     return (",".join(header) + "\n").encode() + csv_text(table)
 
 
-def reduced_step_matrices(sys, F, X, a, b):
+def reduced_step_matrices(block, F, X, a, b):
     """(keep, S, X_r) of a step with F = E - a J + a R and X = E + b J - b R
-    of a system with a kinematic block u (``PhDae.kinematic`` = (u, w)), by
-    scipy slicing and sparse sums: keep is every row but u's, S is
+    of a system with a kinematic block (u, w) (``timeint._kinematic_block``),
+    by scipy slicing and sparse sums: keep is every row but u's, S is
     F[keep, keep] + a F[keep, u] at the w columns, and X_r is
     X[keep, :] - F[keep, u] at the u columns - b F[keep, u] at the w columns."""
-    u, w = (sys.state_slice(label) for label in sys.kinematic)
+    u, w = block
     n = F.shape[0]
     keep = np.r_[0:u.start, u.stop:n]
     F_k, X_k = F[keep], X[keep]
@@ -539,10 +539,10 @@ def reduced_step_matrices(sys, F, X, a, b):
     return keep, S, X_r
 
 
-def rebuilt_state(sys, y, z, a, b):
-    """The new state whose entries outside the kinematic block u are y, with
-    u+ = u + b w + a w+ from the old state z."""
-    u, w = (sys.state_slice(label) for label in sys.kinematic)
+def rebuilt_state(block, y, z, a, b):
+    """The new state whose entries outside the kinematic block (u, w) are
+    y, with u+ = u + b w + a w+ from the old state z."""
+    u, w = block
     x = np.insert(y, u.start, np.zeros(u.stop - u.start))
     x[u] = z[u] + b * z[w] + a * x[w]
     return x
@@ -551,8 +551,9 @@ def rebuilt_state(sys, y, z, a, b):
 def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None, full_lu=False):
     """``timeint._theta_run`` one step at a time: per step it samples the
     input, forms G v, solves, and books zm^T R zm, zm^T G v and z^T E z with
-    one-vector sparse products.  A system with a kinematic block steps on
-    ``reduced_step_matrices`` and ``rebuilt_state``, unless ``full_lu``: then
+    one-vector sparse products.  A system with a kinematic block
+    (``timeint._kinematic_block``) steps on ``reduced_step_matrices`` and
+    ``rebuilt_state``, unless ``full_lu``: then
     every system steps as before that reduction, with the LU of the whole
     step matrix, and a frozen R is solved by refinement with the last
     whole-matrix factor (refactored when that fails), both step matrices
@@ -562,7 +563,8 @@ def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None, full_lu=Fal
     v = input if input is not None else (lambda t, zero=np.zeros(sys.input_dim): zero)
     timeint._check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float))
     E, J, R, G = sys.csr
-    reduce = sys.kinematic is not None and not full_lu
+    block = timeint._kinematic_block(sys)
+    reduce = block[0].stop > block[0].start and not full_lu
     steps = timeint._snapped_steps(t)
     states = np.empty((len(t), sys.state_dim))
     states[0] = z0
@@ -578,12 +580,12 @@ def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None, full_lu=Fal
             if frozen_R is None:
                 if h not in step_matrices:
                     F, X = E - a * J + a * R, E + b * J - b * R
-                    keep, S, X_r = (reduced_step_matrices(sys, F, X, a, b) if reduce
+                    keep, S, X_r = (reduced_step_matrices(block, F, X, a, b) if reduce
                                     else (slice(None), F, X))
                     step_matrices[h] = (Factorization(S, "step matrix"), keep, X_r)
                 lu, keep, X_r = step_matrices[h]
                 y = lu.solve(X_r @ z + (h * Gv_step)[keep])
-                z_new = rebuilt_state(sys, y, z, a, b) if reduce else y
+                z_new = rebuilt_state(block, y, z, a, b) if reduce else y
             elif full_lu:
                 R = frozen_R(z)
                 F, X = E - a * J + a * R, E + b * J - b * R
@@ -598,7 +600,7 @@ def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None, full_lu=Fal
             else:
                 R = frozen_R(z)
                 if frozen is None or not frozen.holds(R, a):
-                    frozen = timeint._FrozenRSteps(sys, R, a, b)
+                    frozen = timeint._FrozenRSteps(sys, block, R, a, b)
                 z_new = frozen.step(R, z, h * Gv_step)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"step {k}: {exc}") from exc

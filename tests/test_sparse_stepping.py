@@ -336,6 +336,7 @@ def colamd_every_step(ops, kappa, z0, v, t, bounds):
     columns outside the kinematic u block (``oracle.reduced_step_matrices``)."""
     base = formulations.build_full_first_order(ops)
     u, p = base.state_slice("u"), base.state_slice("p")
+    kinematic = timeint._kinematic_block(base)
     E, J, G = (csr_array(M) for M in (base.E, base.J, base.G))
     states, H, diss, supp = [z0], [0.5 * float(z0 @ (E @ z0))], [], []
     for k, h in enumerate(timeint._snapped_steps(t).tolist()):
@@ -344,11 +345,11 @@ def colamd_every_step(ops, kappa, z0, v, t, bounds):
             ops.qspace, ops.vspace, z[u], kappa, ops.materials[0].nu, bounds=bounds).toarray())
         R = csr_array((block.data, (block.row + p.start, block.col + p.start)), shape=E.shape)
         keep, S, X_r = oracle.reduced_step_matrices(
-            base, (E - (0.5 * h) * J) + (0.5 * h) * R, (E + (0.5 * h) * J) - (0.5 * h) * R,
+            kinematic, (E - (0.5 * h) * J) + (0.5 * h) * R, (E + (0.5 * h) * J) - (0.5 * h) * R,
             0.5 * h, 0.5 * h)
         Gv = G @ np.asarray(v(t[k] + 0.5 * h), dtype=float)
         y = numkit.Factorization(S).solve(X_r @ z + (h * Gv)[keep])
-        z_new = oracle.rebuilt_state(base, y, z, 0.5 * h, 0.5 * h)
+        z_new = oracle.rebuilt_state(kinematic, y, z, 0.5 * h, 0.5 * h)
         zm = 0.5 * (z + z_new)
         diss.append(h * float(zm @ (R @ zm)))
         supp.append(h * float(zm @ Gv))
