@@ -3,11 +3,14 @@
 Every routine takes a dense array or a ``scipy.sparse`` matrix of float64.
 The structural and spectral ones work on the canonical CSR of ``as_csr``, to
 which dense input is converted once; only ``sqrtm_spd`` densifies.
-``Factorization`` and ``psd_certificate`` factor through the sparse LU of
-``lu_factor``.  No routine mutates its arguments.  Structural tolerances
-default to the scale-aware value ``1e-10 * (1 + max|entry|)``; only the
-reporting checks take another one, and every other decision uses a fixed
-relative cut.
+``Factorization`` (factor, solve, and refactor in the kept column order)
+and ``psd_certificate`` factor through the sparse LU of ``lu_factor``; when
+a step reuses a factor and when it refactors is decided by the frozen-R
+stepper of ``timeint`` (``_FrozenRSteps``, ``timeint.REFINE_TARGET``,
+``timeint.REFINE_SOLVES``).  No routine mutates its arguments.  Structural
+tolerances default to the scale-aware value ``1e-10 * (1 + max|entry|)``;
+only the reporting checks take another one, and every other decision uses a
+fixed relative cut.
 
 Definiteness is decided by ``psd_certificate`` (one sparse LDL^T) where it
 certifies, and everywhere else by ``psd_check`` from the lowest eigenvalue
@@ -315,28 +318,6 @@ def lu_factor(A, symmetric: bool = False, natural: bool = False):
     return splu(A, **pivoting)
 
 
-# ``Factorization.refine`` accepts a normwise backward error of REFINE_TARGET
-# (a fresh LU solve of a nonlinear-permeability step matrix lands at 2e-17 to
-# 6e-17 at n = 12) within REFINE_SOLVES solves; there an LU costs about 50
-# solves at n = 12 to 48, and a reused step takes 6 to 13 on average.
-REFINE_TARGET = 1e-15
-REFINE_SOLVES = 16
-
-
-def _abs_sums(M) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of |M| for a CSR or CSC M, each added up in data
-    order, as ``abs(M) @ ones`` and ``ones @ abs(M)`` add them, explicit
-    zeros too: the sums along the compressed axis by one mat-vec, the others
-    by one ``bincount``."""
-    magnitude = np.abs(M.data)
-    compressed = type(M)((magnitude, M.indices, M.indptr), shape=M.shape)
-    if M.format == "csr":
-        return (compressed @ np.ones(M.shape[1]),
-                np.bincount(M.indices, weights=magnitude, minlength=M.shape[1]))
-    return (np.bincount(M.indices, weights=magnitude, minlength=M.shape[0]),
-            compressed.T @ np.ones(M.shape[0]))
-
-
 class Factorization:
     """Sparse LU factorization of a square dense or sparse matrix.
 
@@ -347,46 +328,16 @@ class Factorization:
     tiny.  The factor is kept, so every later ``solve`` costs two triangular
     solves.
 
-    ``order`` holds the columns of the matrix in the order the factor
-    eliminates them (``np.argsort(perm_c)``).  Given the ``order`` of an
-    earlier factorization of a matrix with the same pattern, the factor is
-    made of the matrix's columns taken in that order with natural ordering,
-    which skips COLAMD, and the row pivots are chosen afresh, so a matrix
-    equal to the earlier one gets the same factor; ``solve`` puts the
-    solution back in the matrix's own order.  ``refactor`` does this for a
-    new matrix in place of the factor.
-
-    ``refine`` uses the factor for a nearby matrix: it returns a solution
-    whose backward error meets ``REFINE_TARGET`` within ``REFINE_SOLVES``
-    solves, or None when refinement stalls, and then the caller factors that
-    matrix afresh, which applies the singularity rule to it.
+    ``refactor`` factors a new matrix of the same pattern in its place: its
+    columns are taken in the order this factor eliminates them, with natural
+    ordering, which skips COLAMD, and the row pivots are chosen afresh, so a
+    matrix equal to the first one gets the same factor; ``solve`` puts the
+    solution back in the matrix's own order.
     """
 
-    def __init__(self, M, what: str = "matrix", order: np.ndarray | None = None):
-        A = _square(csc_array(M if issparse(M) else as_matrix(M), dtype=float), "factorization")
-        if not np.all(np.isfinite(A.data)):
-            raise ValueError("matrix contains non-finite entries")
-        self.size, self.order = A.shape[0], order
-        if order is not None:
-            A = A[:, order]
-        # a refactor drops the old factor only now, so that the new one reuses
-        # its memory (copying after the drop doubled the run's page faults)
-        self._lu = None
-        if self.size == 0:
-            return
-        try:
-            lu = lu_factor(A) if order is None else lu_factor(A, natural=True)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SingularMatrixError(f"{what} numerically singular ({exc})") from exc
-        pivots = np.abs(lu.U.diagonal())
-        if float(np.min(pivots)) <= 1e-13 * float(np.max(pivots)):
-            raise SingularMatrixError(
-                f"{what} numerically singular (smallest pivot {np.min(pivots):.3e})"
-            )
-        self.order = np.argsort(lu.perm_c) if order is None else order[np.argsort(lu.perm_c)]
-        # x solves A[:, order] x = b, so entry i of x belongs to column order[i]
-        self._unpermute = None if order is None else np.argsort(order)
-        self._lu = lu
+    def __init__(self, M, what: str = "matrix"):
+        self._order = None  # the order of the factor's columns, once there is one
+        self.refactor(M, what)
 
     def solve(self, b) -> np.ndarray:
         """Solve for a vector or a matrix right-hand side."""
@@ -400,65 +351,33 @@ class Factorization:
 
     def refactor(self, M, what: str = "matrix") -> None:
         """Factor M, a matrix of the factored one's pattern, in this factor's
-        column order, in its place.  The old factor is dropped before the new
-        one is made, so one is held at a time, and a singular M leaves none:
-        it raises as the constructor does."""
-        self.__init__(M, what, self.order)
-
-    def refine(self, M, b, first=None, keep=slice(None), lift=None) -> np.ndarray | None:
-        """Solve M x = b by iterative refinement x <- x + F^-1 (b - M x)
-        with this factor F, for a sparse M (CSR or CSC, taken as it is) near
-        the factored matrix.
-
-        x is returned once ||b - M x|| <= REFINE_TARGET (||M|| ||x|| + ||b||)
-        in the max norm, the first iterate being ``solve(b)``.  The result
-        is None after ``REFINE_SOLVES`` solves without that, as soon as the
-        backward error, falling on at the rate of the last solve, would miss
-        the target at the last one, and for an M with an exactly zero row or
-        column (whose singularity a consistent b can hide from the
-        residual).  ||M|| and the zero row and column test take the sums of
-        |M| from M.data (``_abs_sums``), so the matrix is not copied; each
-        iterate costs one ``solve`` and one mat-vec with M.  Non-finite
-        entries of M raise ``ValueError``, as in the constructor.
-
-        With ``lift`` the factor is of a reduction of M: the iterates are
-        x = lift(y) for y of the factor's size, the first y is
-        ``solve(first)``, and each correction of y solves with the ``keep``
-        rows of the residual b - M x.  The backward error is still that of x
-        against M and b.
-        """
-        rhs = np.asarray(b, dtype=float)
-        n = rhs.shape[0]
-        resid = rhs if lift is None else np.asarray(first, dtype=float)
-        if M.shape != (n, n) or rhs.shape != (n,) or resid.shape != (self.size,):
-            raise ValueError(f"refine needs a square matrix, a vector of its length and a "
-                             f"vector of length {self.size}, got {M.shape}, {rhs.shape} "
-                             f"and {resid.shape}")
-        if not np.all(np.isfinite(M.data)):
+        column order, in its place.  The old factor is dropped once M is
+        copied and permuted, before the new one is made, so one is held at a
+        time, and a singular M leaves none: it raises as the constructor does."""
+        A = _square(csc_array(M if issparse(M) else as_matrix(M), dtype=float), "factorization")
+        if not np.all(np.isfinite(A.data)):
             raise ValueError("matrix contains non-finite entries")
-        if n == 0:
-            return np.zeros(0)
-        row_sums, column_sums = _abs_sums(M)
-        if not (np.all(row_sums) and np.all(column_sums)):
-            return None  # exactly singular
-        scale_M, scale_b = float(np.max(row_sums)), float(np.max(np.abs(rhs)))
-        y, last = None, None
-        for used in range(1, REFINE_SOLVES + 1):
-            dy = self.solve(resid)
-            y = dy if y is None else y + dy
-            x = y if lift is None else lift(y)
-            resid = rhs - M @ x
-            error = float(abs(resid).max())
-            scale = scale_M * float(abs(x).max()) + scale_b
-            if error <= REFINE_TARGET * scale:
-                return x
-            error /= scale
-            rate = 0.0 if last is None else error / last
-            if error * rate ** (REFINE_SOLVES - used) > REFINE_TARGET:
-                return None  # stalled
-            last = error
-            resid = resid[keep]
-        return None
+        self.size, order = A.shape[0], self._order
+        if order is not None:
+            A = A[:, order]
+        # the old factor is dropped only now, so that the new one reuses its
+        # memory (copying after the drop doubled the run's page faults)
+        self._lu = None
+        if self.size == 0:
+            return
+        try:
+            lu = lu_factor(A) if order is None else lu_factor(A, natural=True)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SingularMatrixError(f"{what} numerically singular ({exc})") from exc
+        pivots = np.abs(lu.U.diagonal())
+        if float(np.min(pivots)) <= 1e-13 * float(np.max(pivots)):
+            raise SingularMatrixError(
+                f"{what} numerically singular (smallest pivot {np.min(pivots):.3e})"
+            )
+        self._order = np.argsort(lu.perm_c) if order is None else order[np.argsort(lu.perm_c)]
+        # x solves A[:, order] x = b, so entry i of x belongs to column order[i]
+        self._unpermute = None if order is None else np.argsort(order)
+        self._lu = lu
 
 
 def solve(M, b) -> np.ndarray:

@@ -29,16 +29,16 @@ E - theta h J, E + (1 - theta) h J and R, made again only when h or R's
 pattern changes, and each step writes their data arrays and the entries of
 the reduced ones that R moves (R lives outside the kinematic rows and
 columns).  R moves by O(h) from one step to the next, so the last step's
-factor is kept and each step is first solved by iterative refinement with
-it (``Factorization.refine``, which takes the implicit CSR as it is and
-lifts each reduced iterate to the whole state): the step's solution is
-taken once its normwise backward error against the step's own whole
-matrix, kinematic rows included, is at most ``numkit.REFINE_TARGET``
-(1e-15).  Only when refinement stalls, or ``numkit.REFINE_SOLVES`` (16)
-solves do not get there, or the step matrix has a zero row or column, is
-the stale factor dropped and the reduced step matrix factored afresh
-(``Factorization.refactor``: in the factor's own column order, which skips
-COLAMD, and under the usual pivot rule).
+factor is kept, and this stepper (``_FrozenRSteps``) alone decides when it
+is reused: each step is first solved by iterative refinement with it, each
+reduced iterate lifted to the whole state, and the step's solution is taken
+once its normwise backward error against the step's own whole matrix,
+kinematic rows included, is at most ``REFINE_TARGET`` (1e-15).  Only when
+refinement stalls, or ``REFINE_SOLVES`` (16) solves do not get there, or
+the step matrix has a zero row or column, is the stale factor dropped and
+the reduced step matrix factored afresh (``Factorization.refactor``: in the
+factor's own column order, which skips COLAMD, and under the usual pivot
+rule).
 Such a run agrees with one that factors every step to about 1e-12 relative
 (4e-12 at n = 12), not bit for bit.  With a constant R a plain solve with
 the first factor meets the target (a fresh LU solve lands near 1e-16), so
@@ -374,6 +374,14 @@ class _Reduction:
         return lift
 
 
+# A frozen-R step refined with the last factor is accepted at a normwise backward
+# error of REFINE_TARGET (a fresh LU solve of a nonlinear-permeability step matrix
+# lands at 2e-17 to 6e-17 at n = 12) within REFINE_SOLVES solves; there an LU costs
+# about 50 solves at n = 12 to 48, and a reused step takes 6 to 13 on average.
+REFINE_TARGET = 1e-15
+REFINE_SOLVES = 16
+
+
 class _FrozenRSteps:
     """Both step matrices of the frozen-R path for one step size, on one
     CSR pattern, their ``_Reduction``, and the last factor of its S.
@@ -384,11 +392,9 @@ class _FrozenRSteps:
     sparse sums would, into the data arrays of two CSR containers made once
     per pattern, and S and X_r likewise: R has no entries in the kinematic
     block's rows and columns, so it moves only entries that those take
-    unscaled.  The step is solved by refinement with the last factor
-    (``Factorization.refine``), accepted by the backward error of the whole
-    step, kinematic rows included; only when that fails is S factored, in
-    the last factor's column order once there is one
-    (``Factorization.refactor``).
+    unscaled.  A step after the first is solved by refinement with the
+    last factor (``_refined``); only when that fails is S factored afresh,
+    in the last factor's column order (``Factorization.refactor``).
     """
 
     def __init__(self, sys: PhDae, block: tuple[slice, slice], R, a: float, b: float):
@@ -399,10 +405,14 @@ class _FrozenRSteps:
         # 32-bit indices, as SuperLU takes them: a refactor converts no index array
         indptr = np.searchsorted(keys, np.arange(n + 1) * m).astype(np.intc)
         indices = (keys % m).astype(np.intc)
+        # float data also when M stores nothing: bincount then gives integers
         self._implicit, self._explicit = implicit, explicit = [
             csr_array((np.bincount(np.searchsorted(keys, _entry_keys(M)), weights=M.data,
-                                   minlength=keys.size), indices, indptr), shape=R.shape)
+                                   minlength=keys.size).astype(float, copy=False),
+                       indices, indptr), shape=R.shape)
             for M in (implicit, explicit)]
+        # |E - a J + a R|, its data written by each refinement
+        self._magnitude = csr_array((np.abs(implicit.data), indices, indptr), shape=R.shape)
         self._reduction = reduced = _Reduction(block, implicit, explicit, a, b)
         R_rows, R_columns = divmod(_entry_keys(R), m)
         rows, columns = reduced.kept[R_rows], reduced.kept[R_columns]
@@ -434,13 +444,52 @@ class _FrozenRSteps:
         rhs, lift = reduced.X @ z + forcing[reduced.keep], reduced.lifting(z)
         if self._lu is None:
             self._lu = Factorization(reduced.S, "step matrix")
+        elif (z_new := self._refined(self._explicit @ z + forcing, rhs, lift)) is not None:
+            return z_new
         else:
-            whole = self._explicit @ z + forcing
-            z_new = self._lu.refine(self._implicit, whole, rhs, reduced.keep, lift)
-            if z_new is not None:
-                return z_new
             self._lu.refactor(reduced.S, "step matrix")
         return lift(self._lu.solve(rhs))
+
+    def _refined(self, whole: np.ndarray, rhs: np.ndarray, lift) -> np.ndarray | None:
+        """The new state x = lift(y) by iterative refinement with the last
+        factor F of S: y is first F^-1 rhs, then each correction solves with
+        the kept rows of the residual whole - M x, M the whole implicit step
+        matrix.  x is returned once ||whole - M x|| <= REFINE_TARGET (||M||
+        ||x|| + ||whole||) in the max norm; None after ``REFINE_SOLVES``
+        solves without that, as soon as the error, falling on at the rate of
+        the last solve, would miss the target at the last one, and for an M
+        with an exactly zero row or column (whose singularity a consistent
+        right-hand side can hide).  The sums of |M| are added up in data
+        order, explicit zeros too; non-finite entries raise ``ValueError``.
+        """
+        M, magnitude = self._implicit, self._magnitude
+        if not np.all(np.isfinite(M.data)):
+            raise ValueError("matrix contains non-finite entries")
+        if not whole.size:
+            return whole
+        np.abs(M.data, out=magnitude.data)
+        row_sums = magnitude @ np.ones(M.shape[1])
+        column_sums = np.bincount(M.indices, weights=magnitude.data, minlength=M.shape[1])
+        if not (np.all(row_sums) and np.all(column_sums)):
+            return None  # exactly singular
+        scale_M, scale_b = float(np.max(row_sums)), float(np.max(np.abs(whole)))
+        y, last, resid = None, None, rhs
+        for used in range(1, REFINE_SOLVES + 1):
+            dy = self._lu.solve(resid)
+            y = dy if y is None else y + dy
+            x = lift(y)
+            resid = whole - M @ x
+            error = float(abs(resid).max())
+            scale = scale_M * float(abs(x).max()) + scale_b
+            if error <= REFINE_TARGET * scale:
+                return x
+            error /= scale
+            rate = 0.0 if last is None else error / last
+            if error * rate ** (REFINE_SOLVES - used) > REFINE_TARGET:
+                return None  # stalled
+            last = error
+            resid = resid[self._reduction.keep]
+        return None
 
 
 _BLOCK_VALUES = 16384  # state and input values per block of steps sampled and booked at once
@@ -477,9 +526,9 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     (so it may hand out one matrix whose data it rewrites) and that has no
     entries in a kinematic block's rows and columns; they are written
     into one CSR pattern (``_FrozenRSteps``, made anew when h or R's pattern
-    changes) and solved by refinement with the last step's factor, or
-    refactored in that factor's column order when that fails; one factor is
-    held at a time.
+    changes), which solves by refinement with the last step's factor to
+    ``REFINE_TARGET`` within ``REFINE_SOLVES`` solves, or refactors in that
+    factor's column order when that fails; one factor is held at a time.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (sys.state_dim,):

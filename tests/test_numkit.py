@@ -1,5 +1,5 @@
 import ast
-import warnings
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -365,10 +365,22 @@ class TestFactorization:
                       and "splu(" in ast.get_source_segment(text, fn)]
         assert found == ["numkit.py", "numkit.py:lu_factor"]
 
+    def test_factorization_keeps_only_factor_solve_and_refactor(self):
+        # when to reuse a step factor is decided by timeint._FrozenRSteps
+        # alone: numkit takes no reduction and no caller-given column order
+        assert list(signature(numkit.Factorization.__init__).parameters) == ["self", "M", "what"]
+        names = set(vars(numkit)) | set(vars(numkit.Factorization))
+        assert not {"refine", "_abs_sums"} & names
+        assert not [name for name in names if name.startswith("REFINE_")]
+        tree = ast.parse(Path(numkit.__file__).read_text())
+        parameters = {arg.arg for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      for arg in fn.args.args + fn.args.kwonlyargs}
+        assert not {"first", "keep", "lift"} & parameters
+
 
 class TestKeptOrder:
-    """``Factorization(A, order=...)`` with the order of an earlier
-    factorization of the same pattern: natural ordering, same factor."""
+    """``Factorization.refactor`` of a matrix of the factored one's pattern:
+    natural ordering in the kept column order, same factor."""
 
     def nonlinear_step_matrices(self, ops, count=4, h=0.05):
         # the semi-implicit kappa(div u) step matrices E - h/2 (J - R(u)) at n = 3
@@ -403,14 +415,15 @@ class TestKeptOrder:
             assert all(not np.array_equal(lu.perm_r, lu.perm_c)
                        for lu in map(numkit.lu_factor, matrices))
         first = numkit.Factorization(matrices[0])
+        kept = numkit.Factorization(matrices[0])
         rng = np.random.default_rng(23)
         b = rng.standard_normal(first.size)
         B = rng.standard_normal((first.size, 3))
         for A in matrices:
             fresh = numkit.Factorization(A)
-            kept = numkit.Factorization(A, order=first.order)
-            assert np.array_equal(fresh.order, first.order)
-            assert np.array_equal(kept.order, first.order)
+            kept.refactor(A)
+            assert np.array_equal(fresh._order, first._order)
+            assert np.array_equal(kept._order, first._order)
             assert np.array_equal(kept.solve(b), fresh.solve(b))
             assert np.array_equal(kept.solve(B), fresh.solve(B))
         assert np.linalg.norm(A @ kept.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
@@ -420,12 +433,12 @@ class TestKeptOrder:
         b = np.random.default_rng(23).standard_normal(matrices[0].shape[0])
         fresh = [numkit.Factorization(A).solve(b) for A in matrices]
         lu = numkit.Factorization(matrices[0])
-        order, calls, real = lu.order, [], numkit.lu_factor
+        order, calls, real = lu._order, [], numkit.lu_factor
         monkeypatch.setattr(numkit, "lu_factor",
                             lambda A, **kwargs: calls.append(kwargs) or real(A, **kwargs))
         for A, x in zip(matrices[1:], fresh[1:]):
             lu.refactor(A, "step matrix")
-            assert np.array_equal(lu.order, order)
+            assert np.array_equal(lu._order, order)
             assert np.array_equal(lu.solve(b), x)
         assert calls == [{"natural": True}] * (len(matrices) - 1)
         zero = matrices[0].copy()
@@ -439,158 +452,8 @@ class TestKeptOrder:
         prefix = "^step matrix numerically singular"
         with pytest.raises(SingularMatrixError, match=prefix):
             numkit.Factorization(M, "step matrix")
-        for order in (np.arange(len(M)), np.arange(len(M))[::-1]):
+        # refactors from a factor of the identity and of the reversal
+        for first in (np.eye(len(M)), np.eye(len(M))[::-1]):
+            lu = numkit.Factorization(first)
             with pytest.raises(SingularMatrixError, match=prefix):
-                numkit.Factorization(csr_array(M), "step matrix", order=order)
-
-
-class TestRefine:
-    """``Factorization.refine``: iterative refinement with the factor of a
-    nearby matrix, given in its own column layout."""
-
-    @pytest.fixture()
-    def solves(self, monkeypatch):
-        calls = []
-        real = numkit.Factorization.solve
-
-        def counting(self, b):
-            calls.append(b)
-            return real(self, b)
-
-        monkeypatch.setattr(numkit.Factorization, "solve", counting)
-        return calls
-
-    def matrix(self, n=40):
-        # nonsymmetric with a small diagonal, so the factor pivots off it
-        rng = np.random.default_rng(24)
-        M = np.where(rng.uniform(size=(n, n)) < 0.1, rng.standard_normal((n, n)), 0.0)
-        M[np.diag_indices(n)] = 1e-3 + np.abs(M.sum(axis=1))
-        return csc_array(M), rng.standard_normal(n)
-
-    def factors(self, A):
-        """A fresh factor of A and one made in a kept column order."""
-        fresh = numkit.Factorization(A)
-        reversed_order = np.arange(A.shape[0])[::-1]
-        kept = numkit.Factorization(A, order=reversed_order)
-        return fresh, kept
-
-    @staticmethod
-    def backward_error(M, x, b):
-        scale = np.abs(M).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
-        return np.abs(b - M @ x).max() / scale
-
-    @pytest.mark.parametrize("layout", [csc_array, csr_array])
-    def test_the_factored_matrix_takes_one_solve(self, solves, layout):
-        A, b = self.matrix()
-        for lu in self.factors(A):
-            expected = lu.solve(b)
-            solves.clear()
-            x = lu.refine(layout(A), b)
-            assert len(solves) == 1
-            assert np.array_equal(x, expected)
-
-    @pytest.mark.parametrize("layout", [csc_array, csr_array])
-    def test_a_nearby_matrix_meets_the_target(self, solves, layout):
-        A, b = self.matrix()
-        near = A.copy()
-        near.data *= 1.0 + 1e-4 * np.random.default_rng(25).standard_normal(near.data.size)
-        for lu in self.factors(A):
-            solves.clear()
-            x = lu.refine(layout(near), b)
-            assert 1 < len(solves) <= numkit.REFINE_SOLVES
-            assert self.backward_error(near, x, b) <= numkit.REFINE_TARGET
-            assert self.backward_error(near, lu.solve(b), b) > numkit.REFINE_TARGET
-
-    def test_a_far_or_singular_matrix_gives_none(self, solves):
-        A, b = self.matrix()
-        far = A.copy()
-        far.data = np.random.default_rng(26).standard_normal(far.data.size)
-        rank_one = csc_array(np.outer(np.arange(1.0, 41.0), np.ones(40)))
-        zero_row = A.copy()
-        zero_row.data[zero_row.indices == 7] = 0.0  # a zero row, still stored
-        zero_col = A.copy()
-        zero_col.data[zero_col.indptr[3]:zero_col.indptr[4]] = 0.0
-        fresh, _ = self.factors(A)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for M in (far, rank_one, zero_row, zero_col):
-                solves.clear()
-                assert fresh.refine(M, b) is None
-                assert len(solves) <= numkit.REFINE_SOLVES
-        # a consistent right-hand side does not hide the zero row
-        consistent = zero_row @ np.ones(40)
-        assert fresh.refine(zero_row, consistent) is None
-
-    def test_a_reduction_is_judged_by_the_whole_matrix(self, solves):
-        # rows 10-19 read x_u = 0.5 x_w for w = 0-9: the factor is of the
-        # other rows with that put in, and x = lift(y) must meet the target
-        # against the whole matrix
-        A, b = self.matrix()
-        M, u, w, keep = A.toarray(), slice(10, 20), slice(0, 10), np.r_[0:10, 20:40]
-        M[u] = 0.0
-        M[u, u], M[u, w] = np.eye(10), -0.5 * np.eye(10)
-        b[u] = 0.0
-        S = M[keep][:, keep]
-        S[:, w] += 0.5 * M[keep][:, u]
-
-        def lift(y):
-            x = np.insert(y, 10, np.zeros(10))
-            x[u] = 0.5 * x[w]
-            return x
-
-        exact = numkit.Factorization(S)
-        near = numkit.Factorization(S * (1.0 + 1e-4 * np.random.default_rng(28).standard_normal(
-            S.shape)))
-        for lu, most in ((exact, 1), (near, numkit.REFINE_SOLVES)):
-            solves.clear()
-            x = lu.refine(csr_array(M), b, b[keep], keep, lift)
-            assert 1 <= len(solves) <= most
-            assert all(len(rhs) == 30 for rhs in solves)
-            assert self.backward_error(M, x, b) <= numkit.REFINE_TARGET
-            assert np.array_equal(x[u], 0.5 * x[w])
-        assert len(solves) > 1
-
-    @pytest.mark.parametrize("layout", [csc_array, csr_array])
-    def test_sums_of_abs_match_the_sparse_products(self, layout):
-        # magnitudes over 16 decades, so that the sums' rounding depends on
-        # their order, and stored zeros, which the sums must step over
-        A, _ = self.matrix()
-        M = layout(A.copy())
-        M.data *= 10.0 ** np.random.default_rng(27).uniform(-8.0, 8.0, M.data.size)
-        M.data[::5] = 0.0
-        assert M.nnz > np.count_nonzero(M.data)
-        rows, columns = numkit._abs_sums(M)
-        ones = np.ones(40)
-        assert np.array_equal(rows, abs(M) @ ones)
-        assert np.array_equal(columns, ones @ abs(M))
-
-    @pytest.mark.parametrize("position", [0, 17, -1])
-    def test_an_empty_column_gives_none(self, solves, position):
-        # the column stores nothing at all, also when it is the last one
-        A, b = self.matrix()
-        fresh, _ = self.factors(A)
-        dense = A.toarray()
-        dense[:, position] = 0.0
-        M = csc_array(dense)
-        assert np.diff(M.indptr)[position] == 0
-        assert fresh.refine(M, b) is None
-        assert solves == []
-
-    def test_no_budget_gives_none(self, monkeypatch, solves):
-        A, b = self.matrix()
-        fresh, _ = self.factors(A)
-        monkeypatch.setattr(numkit, "REFINE_SOLVES", 0)
-        assert fresh.refine(A, b) is None
-        assert solves == []
-
-    def test_size_mismatch_and_non_finite_entries_raise(self):
-        A, b = self.matrix()
-        fresh, _ = self.factors(A)
-        with pytest.raises(ValueError, match="refine needs"):
-            fresh.refine(A[:39, :39], b[:39])
-        with pytest.raises(ValueError, match="refine needs"):
-            fresh.refine(A, b[:39])
-        bad = A.copy()
-        bad.data[5] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            fresh.refine(bad, b)
+                lu.refactor(csr_array(M), "step matrix")

@@ -371,7 +371,7 @@ def test_nonlinear_kappa_matches_fresh_colamd_run_bitwise(n, monkeypatch):
     traj = timeint.integrate_nonlinear_kappa(ops, kappa, z0, v, grid, bounds=(0.5, 1.0))
     assert_agrees(formulations.build_full_first_order(ops), traj, ref)
     # without reuse every step is factored, bit for bit as a fresh COLAMD LU
-    monkeypatch.setattr(numkit, "REFINE_SOLVES", 0)
+    monkeypatch.setattr(timeint, "REFINE_SOLVES", 0)
     traj = timeint.integrate_nonlinear_kappa(ops, kappa, z0, v, grid, bounds=(0.5, 1.0))
     states, H, diss, supp = ref
     assert np.array_equal(traj.states, states)

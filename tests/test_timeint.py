@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -451,9 +452,10 @@ class TestFactorReuse:
         made, steps = [], []
 
         class Counting(numkit.Factorization):
-            def __init__(self, *args, **kwargs):
+            # every factor, the first one too, is made by refactor
+            def refactor(self, *args, **kwargs):
                 made.append(len(steps))
-                super().__init__(*args, **kwargs)
+                super().refactor(*args, **kwargs)
 
         def frozen_R(z):
             steps.append(z)
@@ -477,6 +479,188 @@ class TestFactorReuse:
         with pytest.raises(ValueError, match="non-finite"):
             run()
         assert made == [1]  # raised by the reuse step, not by a new factorization
+
+
+class TestRefine:
+    """``_FrozenRSteps._refined``: a step solved by iterative refinement with
+    the last factor and judged by the whole step matrix; a step that
+    refinement cannot solve is refactored."""
+
+    NO_BLOCK = (slice(0, 0), slice(0, 0))
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        calls = []
+        real = numkit.Factorization.solve
+
+        def counting(self, b):
+            calls.append(b)
+            return real(self, b)
+
+        monkeypatch.setattr(numkit.Factorization, "solve", counting)
+        return calls
+
+    def matrix(self, n=40):
+        # nonsymmetric with a small diagonal, so the factor pivots off it
+        rng = np.random.default_rng(24)
+        M = np.where(rng.uniform(size=(n, n)) < 0.1, rng.standard_normal((n, n)), 0.0)
+        M[np.diag_indices(n)] = 1e-3 + np.abs(M.sum(axis=1))
+        return csr_array(M), rng.standard_normal(n)
+
+    def stepper(self, M, lu=None):
+        """Frozen-R steps whose implicit step matrix is M: theta = h = 1 on a
+        system with E = J = 0, so the step from 0 with forcing b solves
+        M x = b; given lu, that is the last factor."""
+        n = M.shape[0]
+        sys = PhDae(np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, 0)))
+        steps = timeint._FrozenRSteps(sys, self.NO_BLOCK, M, 1.0, 0.0)
+        steps._lu = lu
+        return steps
+
+    @staticmethod
+    def backward_error(M, x, b):
+        scale = np.abs(M).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+        return np.abs(b - M @ x).max() / scale
+
+    def test_the_factored_matrix_takes_one_solve(self, solves):
+        A, b = self.matrix()
+        steps = self.stepper(A)
+        first = steps.step(A, np.zeros(40), b)  # makes the factor
+        solves.clear()
+        x = steps.step(A, np.zeros(40), b)
+        assert len(solves) == 1
+        assert np.array_equal(x, first)
+
+    def test_a_nearby_matrix_meets_the_target(self, solves):
+        A, b = self.matrix()
+        near = A.copy()
+        near.data *= 1.0 + 1e-4 * np.random.default_rng(25).standard_normal(near.data.size)
+        steps = self.stepper(A)
+        steps.step(A, np.zeros(40), b)
+        factor = steps._lu._lu
+        solves.clear()
+        x = steps.step(near, np.zeros(40), b)
+        assert 1 < len(solves) <= timeint.REFINE_SOLVES
+        assert steps._lu._lu is factor  # not refactored
+        assert self.backward_error(near, x, b) <= timeint.REFINE_TARGET
+        assert self.backward_error(near, steps._lu.solve(b), b) > timeint.REFINE_TARGET
+
+    def test_a_far_or_singular_matrix_is_refactored(self, solves):
+        A, b = self.matrix()
+        far = A.copy()
+        far.data = np.random.default_rng(26).standard_normal(far.data.size)
+        rank_one = csr_array(np.outer(np.arange(1.0, 41.0), np.ones(40)))
+        zero_row = A.copy()
+        zero_row.data[zero_row.indptr[7]:zero_row.indptr[8]] = 0.0  # a zero row, still stored
+        zero_col = A.copy()
+        zero_col.data[zero_col.indices == 3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps = self.stepper(far, numkit.Factorization(A))
+            factor = steps._lu._lu
+            solves.clear()
+            steps.step(far, np.zeros(40), b)
+            assert steps._lu._lu is not factor
+            assert len(solves) <= timeint.REFINE_SOLVES + 1  # the last after the refactor
+            # a consistent right-hand side does not hide the zero row
+            for M, rhs in ((rank_one, b), (zero_row, b), (zero_col, b),
+                           (zero_row, zero_row @ np.ones(40))):
+                steps = self.stepper(M, numkit.Factorization(A))
+                solves.clear()
+                with pytest.raises(SingularMatrixError, match="^step matrix numerically singular"):
+                    steps.step(M, np.zeros(40), rhs)
+                assert len(solves) <= timeint.REFINE_SOLVES
+
+    def test_a_reduction_is_judged_by_the_whole_matrix(self, solves):
+        # rows 10-19 read x_u - 0.5 x_w = 0 for w = 0-9 (E_uu = I, J_uw = I,
+        # theta h = 0.5): the factor is of the other rows with that put in,
+        # and x = lift(y) must meet the target against the whole matrix
+        A, b = self.matrix()
+        u, w, keep = slice(10, 20), slice(0, 10), np.r_[0:10, 20:40]
+        E, J, R = np.zeros((40, 40)), np.zeros((40, 40)), np.zeros((40, 40))
+        E[u, u], J[u, w], J[w, u] = np.eye(10), np.eye(10), -np.eye(10)
+        R[np.ix_(keep, keep)] = 2.0 * A.toarray()[np.ix_(keep, keep)]
+        M = E - 0.5 * J + 0.5 * R
+        b[u] = 0.0
+        S = M[keep][:, keep]
+        S[:, w] += 0.5 * M[keep][:, u]
+        sys = PhDae(E, J, np.zeros((40, 40)), np.zeros((40, 0)))
+        exact = timeint._FrozenRSteps(sys, (u, w), csr_array(R), 0.5, 0.0)
+        exact.step(csr_array(R), np.zeros(40), b)  # makes the factor of S
+        near = timeint._FrozenRSteps(sys, (u, w), csr_array(R), 0.5, 0.0)
+        near._lu = numkit.Factorization(
+            S * (1.0 + 1e-4 * np.random.default_rng(28).standard_normal(S.shape)))
+        for steps, most in ((exact, 1), (near, timeint.REFINE_SOLVES)):
+            factor = steps._lu._lu
+            solves.clear()
+            x = steps.step(csr_array(R), np.zeros(40), b)
+            assert 1 <= len(solves) <= most
+            assert steps._lu._lu is factor
+            assert all(len(rhs) == 30 for rhs in solves)
+            assert self.backward_error(M, x, b) <= timeint.REFINE_TARGET
+            assert np.array_equal(x[u], 0.5 * x[w])
+        assert len(solves) > 1
+
+    def test_sums_of_abs_are_those_of_the_sparse_products(self, solves):
+        # rows scaled over 8 decades, so that the sums' rounding depends on
+        # their order, and stored zeros, which the sums must step over: the
+        # step is refined as the oracle's refinement with abs(M) @ ones and
+        # ones @ abs(M) refines it, bit for bit and solve for solve
+        A, b = self.matrix()
+        rows = np.repeat(np.arange(40), np.diff(A.indptr))
+        stored_zero = (rows != A.indices) & (np.arange(A.nnz) % 5 == 0)
+        A.data[stored_zero] = 0.0
+        near = A.copy()
+        near.data *= 1.0 + 1e-6 * np.random.default_rng(25).standard_normal(near.data.size)
+        for M in (A, near):
+            M.data *= 10.0 ** np.random.default_rng(27).uniform(-4.0, 4.0, 40)[rows]
+        assert near.nnz > np.count_nonzero(near.data)
+        lu = numkit.Factorization(A)
+        solves.clear()
+        want = oracle.refined(lu, near, b)
+        oracle_solves = len(solves)
+        steps = self.stepper(near, lu)
+        solves.clear()
+        x = steps.step(near, np.zeros(40), b)
+        assert want is not None and oracle_solves > 1
+        assert np.array_equal(x, want)
+        assert len(solves) == oracle_solves
+
+    @pytest.mark.parametrize("position", [0, 17, -1])
+    def test_an_empty_column_is_refactored(self, solves, position):
+        # the column stores nothing at all, also when it is the last one
+        A, b = self.matrix()
+        dense = A.toarray()
+        dense[:, position] = 0.0
+        M = csr_array(dense)
+        assert position % 40 not in M.indices
+        steps = self.stepper(M, numkit.Factorization(A))
+        with pytest.raises(SingularMatrixError, match="^step matrix numerically singular"):
+            steps.step(M, np.zeros(40), b)
+        assert solves == []
+
+    def test_no_budget_is_refactored(self, monkeypatch, solves):
+        A, b = self.matrix()
+        steps = self.stepper(A)
+        steps.step(A, np.zeros(40), b)
+        factor = steps._lu._lu
+        monkeypatch.setattr(timeint, "REFINE_SOLVES", 0)
+        solves.clear()
+        steps.step(A, np.zeros(40), b)
+        assert steps._lu._lu is not factor
+        assert len(solves) == 1  # with the new factor
+
+    def test_non_finite_entries_raise(self, solves):
+        A, b = self.matrix()
+        steps = self.stepper(A)
+        steps.step(A, np.zeros(40), b)
+        factor = steps._lu._lu
+        bad = A.copy()
+        bad.data[5] = np.nan
+        solves.clear()
+        with pytest.raises(ValueError, match="non-finite"):
+            steps.step(bad, np.zeros(40), b)
+        assert solves == [] and steps._lu._lu is factor  # raised before refining
 
 
 @pytest.mark.parametrize("rows, columns", [(3000, 7), (4, 9000)])
