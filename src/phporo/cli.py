@@ -150,6 +150,18 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
+def _per_network(doc: dict, key: str, m: int) -> tuple:
+    """The source terms of ``key``, one tuple per network: a flat list is one
+    network's, and a missing key gives m empty tuples."""
+    lists = doc.get(key) or []
+    if lists and not isinstance(lists[0], list):
+        lists = [lists]
+    parsed = tuple(_parse_terms(terms, key) for terms in lists)
+    if parsed and len(parsed) != m:
+        raise ScenarioError(f"{key} must list terms for each of the {m} networks")
+    return parsed or tuple(() for _ in range(m))
+
+
 def _parse_document(doc: dict) -> Scenario:
     try:
         mesh_n = int(doc["mesh_n"])
@@ -187,23 +199,8 @@ def _parse_document(doc: dict) -> Scenario:
         raise ScenarioError(f"{formulation} at mesh_n = {mesh_n} forms a dense matrix of "
                             f"{dense_rows} rows, above DENSE_ROWS_CAP = {DENSE_ROWS_CAP}")
 
-    raw_g = doc.get("source_g") or []
-    if raw_g and not isinstance(raw_g[0], list):
-        raw_g = [raw_g]
-    source_g = tuple(_parse_terms(g, "source_g") for g in raw_g)
-    if source_g and len(source_g) != m:
-        raise ScenarioError(f"source_g must list terms for each of the {m} networks")
-    if not source_g:
-        source_g = tuple(() for _ in range(m))
-
-    raw_p0 = doc.get("initial_pressure") or []
-    if raw_p0 and not isinstance(raw_p0[0], list):
-        raw_p0 = [raw_p0]
-    initial_pressure = tuple(_parse_terms(p, "initial_pressure") for p in raw_p0)
-    if initial_pressure and len(initial_pressure) != m:
-        raise ScenarioError(f"initial_pressure must list terms for each of the {m} networks")
-    if not initial_pressure:
-        initial_pressure = tuple(() for _ in range(m))
+    source_g, initial_pressure = (_per_network(doc, key, m)
+                                  for key in ("source_g", "initial_pressure"))
 
     route = str(doc.get("route", "direct"))
     if route not in ("direct", "coupled"):

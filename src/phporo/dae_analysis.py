@@ -218,14 +218,14 @@ def nonaugmented_quasi_static_pencil(ops: DiscreteOperators,
 def regularize_output_feedback(sys: PhDae, F11) -> PhDae:
     """Close the loop v_f = F11 y_f + residual on the velocity port.
 
-    F11 is embedded at the f port of an otherwise zero gain, so the closed
-    loop adds M_u F11 M_u into the (w, w) drift position: the skew part goes
-    to J, the symmetric part (sign-flipped) to R.  The result has index 1 for
-    nonsingular F11 and keeps the dissipative structure exactly when the
-    symmetric part of F11 is negative semidefinite; the returned system is
-    built unvalidated so both properties can be checked explicitly.
+    F11, dense or sparse (kept sparse), is embedded at the f port of an
+    otherwise zero gain, so the closed loop adds M_u F11 M_u into the (w, w)
+    drift position: the skew part goes to J, the symmetric part (sign-flipped)
+    to R.  The result has index 1 for nonsingular F11 and keeps the dissipative
+    structure exactly when the symmetric part of F11 is negative semidefinite;
+    the returned system is built unvalidated so both properties can be checked.
     """
-    F11 = numkit.as_matrix(F11)
+    F11 = numkit.as_csr(F11)
     f_cols = sys.input_slice("f")
     size = f_cols.stop - f_cols.start
     if F11.shape != (size, size):

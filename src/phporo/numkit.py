@@ -2,7 +2,9 @@
 
 Every routine takes a dense array or a ``scipy.sparse`` matrix of float64.
 The structural and spectral ones work on the canonical CSR of ``as_csr``, to
-which dense input is converted once; only ``sqrtm_spd`` densifies.
+which dense input is converted once; only ``sqrtm_spd`` densifies.  A CSR
+made of placed, weighted matrices comes from one builder, ``placed`` (one
+scipy COO build): ``block_csr`` and the step matrices of ``timeint``.
 ``Factorization`` (factor, solve, and refactor in the kept column order)
 and ``psd_certificate`` factor through the sparse LU of ``lu_factor``; when
 a step reuses a factor and when it refactors is decided by the frozen-R
@@ -105,15 +107,32 @@ class DenseView:
         return obj._dense[self.name]
 
 
+def placed(shape, *terms) -> csr_array:
+    """CSR of the ``shape`` matrix that sums ``weight * M`` over the
+    ``(M, weight, row, column)`` terms, each dense or sparse M placed with
+    its first entry at (row, column), by one ``coo_array`` build.  Every
+    stored entry of every term is kept, explicit zeros too (a dense M stores
+    its nonzeros), and the indices are 32-bit, as SuperLU takes them.
+
+    scipy adds up the terms that fall on one entry in no fixed order, which
+    changes no sum of two terms and, but for the sign of a zero, no sum of
+    one term and exact zeros.  Every caller must keep to those sums: three
+    terms or more on one entry would round in an unknown order.
+    """
+    parts = [(coo_array(M if issparse(M) else as_matrix(M)), weight, row, column)
+             for M, weight, row, column in terms]
+    empty = [np.zeros(0, dtype=np.intc)]
+    rows = np.concatenate(empty + [B.row + r for B, _, r, _ in parts], dtype=np.intc)
+    columns = np.concatenate(empty + [B.col + c for B, _, _, c in parts], dtype=np.intc)
+    data = np.concatenate([np.zeros(0)] + [weight * B.data for B, weight, _, _ in parts])
+    return coo_array((data, (rows, columns)), shape=shape).tocsr()
+
+
 def block_csr(shape, blocks) -> csr_array:
     """Canonical CSR of a ``shape`` matrix made of ``(row, col, block)``
     triples, each dense or sparse block placed with its first entry at
-    (row, col); overlapping blocks add up."""
-    parts = [(coo_array(B if issparse(B) else as_matrix(B)), row, col) for row, col, B in blocks]
-    rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [B.row + r for B, r, _ in parts])
-    cols = np.concatenate([np.zeros(0, dtype=np.int64)] + [B.col + c for B, _, c in parts])
-    vals = np.concatenate([np.zeros(0)] + [B.data for B, _, _ in parts])
-    return as_csr(csr_array((vals, (rows, cols)), shape=shape))
+    (row, col) by ``placed``; overlapping blocks add up."""
+    return as_csr(placed(shape, *((B, 1.0, row, col) for row, col, B in blocks)))
 
 
 def max_abs(M) -> float:

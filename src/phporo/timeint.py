@@ -19,10 +19,12 @@ A step gives u+ = u + b w + a w+ there (a = theta h, b = (1 - theta) h) with
 no solve, so the LU, the mat-vec and the solve are those of the step on the
 other rows and columns, (w, p) (``_Reduction``; all of them without a
 block), and u+ is rebuilt; the fill of that LU is about a third of the whole
-step matrix's.  The input is sampled and the ledger
-booked per block of steps, bit-identical to per-step products: a
-``SeparableSignal`` by one ``sample`` call per block, any other input
-callable by one call per sample time, in block order.  The nonlinear
+step matrix's.  The reduced step matrices, the frozen-R containers below and
+the embedded nonlinear R are ``numkit.placed``: one scipy COO build, with at
+most two terms, or one and exact zeros, on an entry.  The input is sampled
+and the ledger booked per block of steps, bit-identical to per-step
+products: a ``SeparableSignal`` by one ``sample`` call per block, any other
+input callable by one call per sample time, in block order.  The nonlinear
 permeability run supplies a new R of one fixed pattern on every step: both
 step matrices then live on one CSR pattern, the union of those of
 E - theta h J, E + (1 - theta) h J and R, made again only when h or R's
@@ -60,7 +62,7 @@ from scipy.sparse import csr_array
 from . import fem
 from .formulations import DiscreteOperators, SeparableSignal, build_full_first_order
 from .dae_analysis import algebraic_rows
-from .numkit import Factorization, SingularMatrixError
+from .numkit import Factorization, SingularMatrixError, placed
 from .phdae import InconsistentStateError, PhDae, certificate
 
 
@@ -302,7 +304,7 @@ def _kinematic_block(sys: PhDae) -> tuple[slice, slice]:
                 or np.any((zero_rows >= q.start) & (zero_rows < q.stop))
                 or np.any((E_q.indices < q.start) | (E_q.indices >= q.stop))):
             continue
-        at_w = csr_array((E_q.data, E_q.indices + w.start - q.start, E_q.indptr), E_q.shape)
+        at_w = placed(E_q.shape, (E_q[:, q], 1.0, 0, w.start))
         if not ((J[q] != at_w).nnz or R[q].count_nonzero() or G[q].count_nonzero()):
             return q, w
     return slice(0, 0), slice(0, 0)
@@ -319,47 +321,23 @@ class _Reduction:
     S y = X_r z + f for y, the kept entries of z+, where S is F[keep, keep]
     with a F[keep, u] added to its w columns and X_r is X[keep, :] with
     F[keep, u] subtracted from its u columns and b F[keep, u] from its w
-    columns.  Each of their entries is that sum of at most two terms, stored
-    on the pattern those terms give, explicit zeros of F and X included.
-    ``kept`` holds the row and column of S of each kept index, -1 for u's.
-    With empty slices S has F's entries, X_r X's, and the lift copies y.
+    columns.  Both are ``placed``: each entry is a sum of at most two terms,
+    and every entry of F and X those terms take is stored, explicit zeros
+    included.  With empty slices S has F's entries, X_r X's, and the lift
+    copies y.
     """
 
     def __init__(self, block: tuple[slice, slice], F, X, a: float, b: float):
         (u, w), n = block, F.shape[0]
         self._u, self._w, self._a, self._b = u, w, a, b
-        self.keep = np.r_[0:u.start, u.stop:n]
-        k = self.keep.size
-        self.kept = kept = np.full(n, -1)
-        kept[self.keep] = np.arange(k)
-        to_w = np.arange(n)  # a u column moves to its w column
-        to_w[u] = np.arange(w.start, w.stop)
-        rows = [np.repeat(kept, np.diff(M.indptr)) for M in (F, X)]
-        in_F, in_X = (np.flatnonzero(r >= 0) for r in rows)
-        kept_column = kept[F.indices[in_F]] >= 0
-        from_u = in_F[~kept_column]
-        # terms of each sum: (row, column, entry of F.data then X.data, weight)
-        S_terms = (rows[0][in_F], kept[to_w[F.indices[in_F]]], in_F,
-                   np.where(kept_column, 1.0, a))
-        X_terms = [(rows[1][in_X], X.indices[in_X], F.data.size + in_X, np.ones(in_X.size)),
-                   (rows[0][from_u], F.indices[from_u], from_u, np.full(from_u.size, -1.0))]
-        if b:
-            X_terms.append((rows[0][from_u], to_w[F.indices[from_u]], from_u,
-                            np.full(from_u.size, -b)))
-        X_terms = tuple(map(np.concatenate, zip(*X_terms)))
-        data = np.concatenate([F.data, X.data])
-        self.S, self.X = (self._summed(*terms, data, shape)
-                          for terms, shape in ((S_terms, (k, k)), (X_terms, (k, n))))
-
-    @staticmethod
-    def _summed(rows, columns, entries, weights, data, shape):
-        """The CSR matrix of the sums of the terms weight * data[entry] at
-        (row, column)."""
-        keys, slots = np.unique(rows * shape[1] + columns, return_inverse=True)
-        # 32-bit indices, as SuperLU takes them: a factorization converts no index array
-        indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1]).astype(np.intc)
-        values = np.bincount(slots, weights=data[entries] * weights, minlength=keys.size)
-        return csr_array((values, (keys % shape[1]).astype(np.intc), indptr), shape=shape)
+        self.keep = keep = np.r_[0:u.start, u.stop:n]
+        F_kept = F[keep]
+        F_u = F_kept[:, u]
+        # the w columns of S: those of z, less u's size if u comes first
+        w_kept = w.start - (u.stop - u.start) * (u.start < w.start)
+        self.S = placed((keep.size, keep.size), (F_kept[:, keep], 1.0, 0, 0), (F_u, a, 0, w_kept))
+        self.X = placed((keep.size, n), (X[keep], 1.0, 0, 0), (F_u, -1.0, 0, u.start),
+                        *([(F_u, -b, 0, w.start)] if b else []))
 
     def lifting(self, z: np.ndarray):
         """y -> the new state of the step from z whose kept entries are y."""
@@ -387,46 +365,36 @@ class _FrozenRSteps:
     CSR pattern, their ``_Reduction``, and the last factor of its S.
 
     The pattern is the union of those of E - a J, E + b J and the first R
-    (a = theta h, b = (1 - theta) h).  ``step`` takes an R of that same
-    pattern and writes E - a J + a R and E + b J - b R, entry by entry as the
-    sparse sums would, into the data arrays of two CSR containers made once
-    per pattern, and S and X_r likewise: R has no entries in the kinematic
-    block's rows and columns, so it moves only entries that those take
-    unscaled.  A step after the first is solved by refinement with the
-    last factor (``_refined``); only when that fails is S factored afresh,
-    in the last factor's column order (``Factorization.refactor``).
+    (a = theta h, b = (1 - theta) h): each container is ``placed`` from the
+    three, the two that are not its own weighted 0.0.  ``step`` takes an R
+    of that same pattern and writes E - a J + a R and E + b J - b R at R's
+    entries of the two containers, and of S and X_r likewise: R has no
+    entries in the kinematic block's rows and columns, so it moves only
+    entries that those take unscaled.  A step after the first is solved by
+    refinement with the last factor (``_refined``); only when that fails is
+    S factored afresh, in the last factor's column order
+    (``Factorization.refactor``).
     """
 
     def __init__(self, sys: PhDae, block: tuple[slice, slice], R, a: float, b: float):
         E, J = sys.csr.E, sys.csr.J
-        implicit, explicit = E - a * J, E + b * J
-        keys = np.unique(np.concatenate([_entry_keys(M) for M in (implicit, explicit, R)]))
-        n, m = R.shape
-        # 32-bit indices, as SuperLU takes them: a refactor converts no index array
-        indptr = np.searchsorted(keys, np.arange(n + 1) * m).astype(np.intc)
-        indices = (keys % m).astype(np.intc)
-        # float data also when M stores nothing: bincount then gives integers
-        self._implicit, self._explicit = implicit, explicit = [
-            csr_array((np.bincount(np.searchsorted(keys, _entry_keys(M)), weights=M.data,
-                                   minlength=keys.size).astype(float, copy=False),
-                       indices, indptr), shape=R.shape)
-            for M in (implicit, explicit)]
+        F, X = E - a * J, E + b * J
+        self._implicit, self._explicit = implicit, explicit = (
+            placed(R.shape, (F, 1.0, 0, 0), (X, 0.0, 0, 0), (R, 0.0, 0, 0)),
+            placed(R.shape, (F, 0.0, 0, 0), (X, 1.0, 0, 0), (R, 0.0, 0, 0)))
         # |E - a J + a R|, its data written by each refinement
-        self._magnitude = csr_array((np.abs(implicit.data), indices, indptr), shape=R.shape)
+        self._magnitude = csr_array((np.abs(implicit.data), implicit.indices, implicit.indptr),
+                                    shape=R.shape)
         self._reduction = reduced = _Reduction(block, implicit, explicit, a, b)
-        R_rows, R_columns = divmod(_entry_keys(R), m)
-        rows, columns = reduced.kept[R_rows], reduced.kept[R_columns]
-        if min(rows.min(initial=0), columns.min(initial=0)) < 0:
+        R_S, R_X = R[reduced.keep][:, reduced.keep], R[reduced.keep]  # in R's order
+        if R_S.nnz != R.nnz:
             raise ValueError("a frozen R must have no entries in the rows and columns "
                              "of the kinematic block")
+        # (container, the slots of R's entries in it, their values without R, R's weight);
         # S and X_r store every entry of F and X in kept rows and columns, R's among them
-        S, X_r, R_slots = reduced.S, reduced.X, np.searchsorted(keys, _entry_keys(R))
-        # (container, the slots of R's entries in it, their values without R, R's weight)
-        self._writes = [
-            (M, slots, M.data[slots], weight) for M, slots, weight in (
-                (implicit, R_slots, a), (explicit, R_slots, -b),
-                (S, np.searchsorted(_entry_keys(S), rows * S.shape[1] + columns), a),
-                (X_r, np.searchsorted(_entry_keys(X_r), rows * m + R_columns), -b))]
+        self._writes = [(M, slots, M.data[slots], weight) for M, weight, at in (
+            (implicit, a, R), (explicit, -b, R), (reduced.S, a, R_S), (reduced.X, -b, R_X))
+            for slots in [np.searchsorted(_entry_keys(M), _entry_keys(at))]]
         self._R_pattern = (R.indptr, R.indices)
         self._a = a
         self._lu = None
@@ -437,7 +405,10 @@ class _FrozenRSteps:
         return a == self._a and all(map(np.array_equal, self._R_pattern, (R.indptr, R.indices)))
 
     def step(self, R, z: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        """The new state of the step from z with this R and the forcing h G v."""
+        """The new state of the step from z with this R and the forcing h G v;
+        a non-finite entry of R raises ``ValueError`` before anything is written."""
+        if not np.all(np.isfinite(R.data)):
+            raise ValueError("matrix contains non-finite entries")
         for M, slots, base, weight in self._writes:
             M.data[slots] = base + weight * R.data  # the other entries never change
         reduced = self._reduction
@@ -460,7 +431,8 @@ class _FrozenRSteps:
         the last solve, would miss the target at the last one, and for an M
         with an exactly zero row or column (whose singularity a consistent
         right-hand side can hide).  The sums of |M| are added up in data
-        order, explicit zeros too; non-finite entries raise ``ValueError``.
+        order, explicit zeros too; non-finite entries (an overflow of finite
+        E, J and R) raise ``ValueError``.
         """
         M, magnitude = self._implicit, self._magnitude
         if not np.all(np.isfinite(M.data)):
@@ -617,11 +589,8 @@ def integrate_nonlinear_kappa(ops: DiscreteOperators, kappa_fn, z0, input=None, 
         block = fem.assemble_nonlinear_permeability(
             ops.qspace, ops.vspace, z[u_slice], kappa_fn, nu, bounds=bounds
         )
-        if embedded is None:
-            indptr = np.pad(block.indptr, (p_slice.start, base.state_dim - p_slice.stop),
-                            mode="edge")
-            embedded = csr_array((block.data, block.indices + p_slice.start, indptr),
-                                 shape=base.csr.R.shape)
+        if embedded is None:  # the block's indices are sorted: placing keeps its data order
+            embedded = placed(base.csr.R.shape, (block, 1.0, p_slice.start, p_slice.start))
         embedded.data = block.data  # the step's R, read before the next call
         return embedded
 

@@ -128,6 +128,26 @@ class TestParseScenario:
         with pytest.raises(ScenarioError):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("key", ["source_g", "initial_pressure"])
+    def test_a_flat_term_list_is_one_networks(self, key):
+        doc = scenario_doc(**{key: [{"c": 0.3, "ax": 1, "ay": 2}, {"c": -1.0}]})
+        assert getattr(parse_scenario(doc), key) == (
+            (SourceTerm(0.3, 1, 2, "const"), SourceTerm(-1.0, 0, 0, "const")),)
+
+    @pytest.mark.parametrize("key", ["source_g", "initial_pressure"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_missing_term_list_gives_m_empty_ones(self, key, m):
+        doc = network_doc(m=m) if m > 1 else scenario_doc()
+        doc.pop(key)
+        assert getattr(parse_scenario(doc), key) == ((),) * m
+
+    @pytest.mark.parametrize("key", ["source_g", "initial_pressure"])
+    def test_a_term_list_per_network_is_required(self, key):
+        doc = network_doc(m=3, **{key: [[{"c": 1.0}], [{"c": 2.0}]]})
+        with pytest.raises(ScenarioError,
+                           match=f"^{key} must list terms for each of the 3 networks$"):
+            parse_scenario(doc)
+
     def test_zero_input_detection(self):
         assert parse_scenario(network_doc()).zero_input()
         assert not parse_scenario(scenario_doc()).zero_input()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_array, csc_array, csr_array
 
 from phporo import dae_analysis, formulations, interconnect, numkit, phdae, timeint
 from phporo.dae_analysis import classify_index, classify_phdae_index
@@ -260,6 +261,25 @@ class TestOutputFeedbackRegularization:
         sys, du = qs_system
         with pytest.raises(ValueError):
             dae_analysis.regularize_output_feedback(sys, np.eye(du + 1))
+
+    def test_a_sparse_gain_is_never_densified(self, qs_system, monkeypatch):
+        # a du x du gain stays sparse: the closed loop is the dense gain's,
+        # CSR array for CSR array, and nothing calls toarray
+        sys, du = qs_system
+        F11 = np.zeros((du, du))
+        F11[np.diag_indices(du)] = -2.0
+        F11[np.arange(du - 1), np.arange(1, du)] = 0.5
+        dense = dae_analysis.regularize_output_feedback(sys, F11)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a sparse gain was densified")
+
+        for cls in (csr_array, csc_array, coo_array):
+            monkeypatch.setattr(cls, "toarray", refuse)
+        sparse = dae_analysis.regularize_output_feedback(sys, csr_array(F11))
+        for got, want in zip(sparse.csr, dense.csr):
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_dissipative_gains_never_degrade_structure(self, qs_system):
         sys, du = qs_system

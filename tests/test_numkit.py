@@ -273,6 +273,33 @@ class TestMatrixMarket:
             numkit.read_matrix_market(path)
 
 
+class TestPlaced:
+    def test_every_stored_entry_is_kept_with_32_bit_indices(self):
+        # explicit zeros of a sparse term and a term weighted 0.0 stay stored,
+        # two terms on one entry add up, and a dense term stores its nonzeros
+        M = csr_array((np.array([0.0, 2.0, -3.0]), np.array([0, 0, 1]), np.array([0, 1, 3])),
+                      shape=(2, 2))
+        P = numkit.placed((3, 4), (M, 2.0, 1, 2), (np.array([[1.0, 0.0, 4.0]]), -1.0, 0, 1),
+                          (M, 0.0, 0, 0), (csr_array([[4.0]]), 1.5, 2, 2))
+        assert P.indices.dtype == P.indptr.dtype == np.intc
+        assert P.has_canonical_format
+        assert P.toarray().tolist() == [[0.0, -1.0, 0.0, -4.0], [0.0, 0.0, 0.0, 0.0],
+                                        [0.0, 0.0, 10.0, -6.0]]
+        entries = set(zip(np.repeat(np.arange(3), np.diff(P.indptr)).tolist(),
+                          P.indices.tolist()))
+        assert entries == {(0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (2, 2), (2, 3)}
+
+    def test_no_terms_give_an_empty_float_matrix(self):
+        P = numkit.placed((2, 3))
+        assert P.shape == (2, 3) and P.nnz == 0 and P.data.dtype == np.float64
+
+    def test_block_csr_is_the_canonical_sum(self):
+        M = csr_array((np.array([0.0, 2.0]), np.array([0, 1]), np.array([0, 1, 2])), shape=(2, 2))
+        A = numkit.block_csr((3, 3), [(0, 0, M), (1, 1, M), (2, 0, np.array([[1.0, 0.0]]))])
+        assert A.toarray().tolist() == [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 2.0]]
+        assert A.nnz == 3 and not A.data.flags.writeable
+
+
 def test_block_diag_with_empty_blocks():
     out = numkit.block_diag(np.zeros((0, 0)), np.eye(2), np.zeros((0, 0)))
     assert np.array_equal(out, np.eye(2))

@@ -263,3 +263,79 @@ def test_a_singular_kinematic_block_is_not_found():
     for run in (timeint._theta_run, oracle.stepwise_theta_run):
         with pytest.raises(numkit.SingularMatrixError, match="step 0"):
             run(broken, z0, signal, grid, 0.5)
+
+
+
+def frozen_steps(n, theta, h=0.05):
+    """(steps, block, a, b, R): the frozen-R steps of a nonlinear-permeability
+    run after one step, R the pressure stiffness of a random displacement on
+    its stencil at the p rows and columns, explicit zeros included."""
+    ops = make_ops(n)
+    base = formulations.build_full_first_order(ops)
+    u, p = base.state_slice("u"), base.state_slice("p")
+    z = np.random.default_rng(16).uniform(-0.1, 0.1, base.state_dim)
+    kappa = lambda xi: (1.0 + 4.0 * xi * xi) / (2.0 + 4.0 * xi * xi)  # noqa: E731
+    stencil = fem.assemble_nonlinear_permeability(ops.qspace, ops.vspace, z[u], kappa,
+                                                  ops.materials[0].nu)
+    R = numkit.placed(base.csr.R.shape, (stencil, 1.0, p.start, p.start))
+    block, a, b = timeint._kinematic_block(base), theta * h, (1.0 - theta) * h
+    steps = timeint._FrozenRSteps(base, block, R, a, b)
+    steps.step(R, z, np.zeros(base.state_dim))
+    return steps, block, a, b, R
+
+
+def stored_in_order(M):
+    """(rows, columns) of the stored entries of the CSR M, in data order."""
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices
+
+
+def stored(M, row=0, column=0):
+    """The set of (row, column) of the stored entries of M, moved by (row, column)."""
+    rows, columns = stored_in_order(M)
+    return set(zip((rows + row).tolist(), (columns + column).tolist()))
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0], ids=["midpoint", "euler"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_reduction_of_the_union_containers_stores_every_entry(n, theta):
+    # R stores explicit zeros, and so does X with theta = 1: S and X_r keep
+    # every entry of F[keep], X[keep] and F[keep, u] at its place, and their
+    # values are the oracle's sparse sums
+    steps, (u, w), a, b, R = frozen_steps(n, theta)
+    F, X = steps._implicit, steps._explicit
+    assert R.nnz > np.count_nonzero(R.data)
+    assert (X.nnz > np.count_nonzero(X.data)) == (theta == 1.0)
+    reduced = timeint._Reduction((u, w), F, X, a, b)
+    keep, S, X_r = oracle.reduced_step_matrices((u, w), F, X, a, b)
+    assert np.array_equal(reduced.keep, keep)
+    F_u = F[keep][:, u]
+    w_kept = int(np.searchsorted(keep, w.start))
+    assert stored(F[keep][:, keep]) | stored(F_u, 0, w_kept) <= stored(reduced.S)
+    # b F[keep, u] at the w columns is left out for b = 0
+    at_w = stored(F_u, 0, w.start) if b else set()
+    assert stored(X[keep]) | stored(F_u, 0, u.start) | at_w <= stored(reduced.X)
+    assert np.array_equal(reduced.S.toarray(), S.toarray())
+    assert np.array_equal(reduced.X.toarray(), X_r.toarray())
+    for M in (reduced.S, reduced.X):
+        assert M.indices.dtype == M.indptr.dtype == np.intc
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0], ids=["midpoint", "euler"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_write_lands_on_the_entry_of_R(n, theta):
+    # the slots of each write are R's own (row, column) in the two union
+    # containers, and in S and X_r the same entry in the kept numbering
+    steps, _, a, b, R = frozen_steps(n, theta)
+    reduced = steps._reduction
+    rows, columns = stored_in_order(R)
+    kept_rows, kept_columns = (np.searchsorted(reduced.keep, i) for i in (rows, columns))
+    expected = [(steps._implicit, rows, columns, a), (steps._explicit, rows, columns, -b),
+                (reduced.S, kept_rows, kept_columns, a), (reduced.X, kept_rows, columns, -b)]
+    assert len(steps._writes) == len(expected)
+    for (M, slots, base, weight), (container, want_rows, want_columns, want_weight) in zip(
+            steps._writes, expected):
+        got_rows, got_columns = stored_in_order(M)
+        assert M is container and weight == want_weight
+        assert np.array_equal(got_rows[slots], want_rows)
+        assert np.array_equal(got_columns[slots], want_columns)
+        assert np.array_equal(M.data[slots], base + weight * R.data)

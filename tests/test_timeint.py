@@ -1,5 +1,7 @@
+import inspect
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,17 +652,32 @@ class TestRefine:
         assert steps._lu._lu is not factor
         assert len(solves) == 1  # with the new factor
 
-    def test_non_finite_entries_raise(self, solves):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_raise(self, solves, value):
+        # R is checked before it is written: with theta = 1 its explicit
+        # weight is -0.0, and -0.0 * inf would warn first
         A, b = self.matrix()
         steps = self.stepper(A)
         steps.step(A, np.zeros(40), b)
         factor = steps._lu._lu
         bad = A.copy()
-        bad.data[5] = np.nan
+        bad.data[5] = value
         solves.clear()
-        with pytest.raises(ValueError, match="non-finite"):
-            steps.step(bad, np.zeros(40), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                steps.step(bad, np.zeros(40), b)
         assert solves == [] and steps._lu._lu is factor  # raised before refining
+
+
+def test_timeint_builds_no_csr_by_hand():
+    # the step matrices and the embedded R come from numkit.placed: no
+    # sorted keys, no padded indptr, and bincount only in refinement's
+    # column sums
+    text = Path(timeint.__file__).read_text()
+    assert "np.unique" not in text and "np.pad" not in text
+    refined = inspect.getsource(timeint._FrozenRSteps._refined)
+    assert text.count("bincount") == refined.count("bincount") == 1
 
 
 @pytest.mark.parametrize("rows, columns", [(3000, 7), (4, 9000)])
