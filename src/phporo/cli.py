@@ -218,6 +218,9 @@ def _parse_document(doc: dict) -> Scenario:
     t_end = float(doc.get("t_end", 1.0))
     if steps < 1 or t_end <= 0:
         raise ScenarioError("steps must be >= 1 and t_end > 0")
+    tol = None if doc.get("tol") is None else float(doc["tol"])
+    if not (tol is None or 0.0 <= tol < np.inf):
+        raise ScenarioError(f"tol must be a finite number >= 0, got {tol}")
 
     return Scenario(
         mesh_n=mesh_n,
@@ -231,7 +234,7 @@ def _parse_document(doc: dict) -> Scenario:
         source_g=source_g,
         initial_pressure=initial_pressure,
         route=route,
-        tol=None if doc.get("tol") is None else float(doc["tol"]),
+        tol=tol,
     )
 
 

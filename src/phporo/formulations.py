@@ -456,11 +456,11 @@ def check_network_ellipticity(ops: DiscreteOperators,
 
     ``elliptic`` comes from ``psd_certificate`` of the flow operator, or from
     the lowest eigenvalue of ``psd_check`` where that does not certify.  The
-    sufficient bound max |beta_ij| < c / (2 m C^2) uses c, the smallest
-    eigenvalue of the flow blocks against the H1 Gram M + L, and C^2, the
-    largest of (M, M + L), which is 1 / (1 + the smallest of (L, M)):
-    M x = lambda (M + L) x is L x = ((1 - lambda) / lambda) M x.  Each is one
-    ``_lowest_eigenvalue``.
+    bound max |beta_ij| < c / (2 m C^2) uses c, the smallest eigenvalue of the
+    flow blocks against the H1 Gram M + L, and C^2, the largest of (M, M + L).
+    ``_assemble`` makes every flow block k_i L, k_i = kappa_i / nu_i, so both come
+    from one ``_lowest_eigenvalue``, lambda_h of (L, M): c = min_i k_i lambda_h /
+    (1 + lambda_h), C^2 = 1 / (1 + lambda_h), the bound min_i k_i lambda_h / (2 m).
     """
     kbar, report = _flow_report(ops, coupling)
     if kbar.shape[0] == 0:
@@ -469,18 +469,17 @@ def check_network_ellipticity(ops: DiscreteOperators,
     if min_eig is None:  # certified: a kernel spanned by e_Z (semidefinite), or definite
         min_eig = (0.0 if report.verdict == numkit.POSITIVE_SEMIDEFINITE
                    else _lowest_eigenvalue(numkit.sym_skew_split(kbar)[0]))
-    mass, laplace = ops.csr.mass_p, fem.assemble_laplace(ops.qspace, 1.0)
-    c = min(_lowest_eigenvalue(K, mass + laplace) for K in ops.csr.stiff_flow)
-    embed_sq = 1.0 / (1.0 + _lowest_eigenvalue(laplace, mass))
+    lam_h = _lowest_eigenvalue(fem.assemble_laplace(ops.qspace, 1.0), ops.csr.mass_p)
+    rate = min(mat.kappa / mat.nu for mat in ops.materials)
     B = coupling.exchange
     off = np.abs(B - np.diag(np.diag(B)))
     c_beta = float(np.max(off)) if off.size else 0.0
-    bound = c / (2.0 * ops.networks * embed_sq)
+    bound = rate * lam_h / (2.0 * ops.networks)
     return EllipticityReport(
         min_sym_eigenvalue=min_eig,
         elliptic=report.verdict == POSITIVE_DEFINITE,
-        ellipticity_constant=c,
-        embedding_constant_sq=embed_sq,
+        ellipticity_constant=rate * lam_h / (1.0 + lam_h),
+        embedding_constant_sq=1.0 / (1.0 + lam_h),
         max_offdiag_rate=c_beta,
         sufficient_bound=bound,
         bound_satisfied=c_beta < bound,

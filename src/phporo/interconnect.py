@@ -11,7 +11,8 @@ matrix), every subsystem has a coupling port whose G is the identity on the
 rows it couples, so the coupling acts on assembled loads.  These ports are
 closed with the coupling operators themselves, [[0, D^T], [-D, -B kron M_p]],
 and the closed-loop E, J and R equal the direct builders exactly, with their
-sparsity.
+sparsity.  The parts are built unvalidated and ``feedback`` certifies the
+closed loop once: an asymmetric flow block fails the loop's E and J tests.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class FeedbackLaw:
 def aggregate(*systems: PhDae) -> PhDae:
     """Uncoupled juxtaposition: block-diagonal matrices, additive energy.
 
-    Built unvalidated: the parts were validated when they were built."""
+    Built unvalidated: valid parts make it valid, and ``feedback`` checks a closed loop."""
     return PhDae(
         *(block_diag([getattr(s.csr, name) for s in systems], format="csr") for name in "EJRG"),
         state_blocks=sum((s.state_blocks for s in systems), ()),
@@ -103,7 +104,7 @@ def _hyperbolic_subsystem(ops: DiscreteOperators) -> PhDae:
         csr_array(shape),
         numkit.block_csr(shape, [(0, 0, blocks.mass_u), (0, du, eye_array(du))]),
         state_blocks=(("w", du), ("u", du)), input_blocks=(("f", du), (COUPLING_PORT, du)),
-    )
+        validate=False)
 
 
 def _parabolic_subsystem(ops: DiscreteOperators, network: int) -> PhDae:
@@ -114,7 +115,7 @@ def _parabolic_subsystem(ops: DiscreteOperators, network: int) -> PhDae:
         blocks.mass_storage, csr_array((dp, dp)), blocks.stiff_flow[network],
         numkit.block_csr((dp, 2 * dp), [(0, 0, blocks.mass_p), (0, dp, eye_array(dp))]),
         state_blocks=((label, dp),), input_blocks=(("g", dp), (COUPLING_PORT, dp)),
-    )
+        validate=False)
 
 
 def _elliptic_subsystem(ops: DiscreteOperators) -> PhDae:
@@ -124,7 +125,7 @@ def _elliptic_subsystem(ops: DiscreteOperators) -> PhDae:
         csr_array((du, du)), csr_array((du, du)), ops.csr.stiff_elast,
         numkit.block_csr((du, 2 * du), [(0, 0, ops.csr.mass_u), (0, du, eye_array(du))]),
         state_blocks=(("u", du),), input_blocks=(("f", du), (COUPLING_PORT, du)),
-    )
+        validate=False)
 
 
 def _flux_potential_subsystem(ops: DiscreteOperators) -> PhDae:
@@ -139,7 +140,7 @@ def _flux_potential_subsystem(ops: DiscreteOperators) -> PhDae:
         numkit.block_csr(shape, [(0, 0, blocks.mass_storage)]),
         numkit.block_csr(shape, [(0, 0, eye_array(dp)), (dp, dp, blocks.mass_p)]),
         state_blocks=(("p", dp), ("q", dp)), input_blocks=((COUPLING_PORT, dp), ("g", dp)),
-    )
+        validate=False)
 
 
 def _coupling_mask(sys: PhDae) -> np.ndarray:
@@ -180,9 +181,6 @@ def couple_alt_qs(ops: DiscreteOperators) -> PhDae:
     auxiliary-variable builder exactly."""
     if ops.networks != 1:
         raise ValueError("the auxiliary-variable coupling needs a single network")
-    flow = ops.csr.stiff_flow[0]
-    if numkit.symmetry_defect(flow) > numkit.default_tol(flow):
-        raise StructureError("the auxiliary-variable coupling needs a symmetric flow operator")
     return _close_coupling_ports(
         ops, np.zeros((1, 1)), aggregate(_elliptic_subsystem(ops), _flux_potential_subsystem(ops)))
 

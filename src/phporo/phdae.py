@@ -61,12 +61,12 @@ class PhDae:
     they are read; only the tests and their dense oracle read them.
 
     Structure is validated eagerly at default tolerances.  ``validate=False``
-    defers that: to compositions whose parts were validated when built
-    (``interconnect.aggregate``, ``close_loop``), to ``load_phdae``, which
-    validates at the recorded tolerance, and to negative checks that build
-    deliberately broken systems.  The report is kept, so validating again at
-    the same tolerance is free; so are the certificates of E and R (see
-    ``certificate``).
+    defers that: to the parts of a composition that is validated once as a
+    whole (``interconnect``'s subsystems, ``aggregate``, ``close_loop``), to
+    ``load_phdae``, which validates at the recorded tolerance, and to
+    negative checks that build deliberately broken systems.  The report is
+    kept, so validating again at the same tolerance is free; so are the
+    certificates of E and R (see ``certificate``).
     """
 
     E = numkit.DenseView()

@@ -423,6 +423,26 @@ class TestTolerance:
         pair.write_text(json.dumps({"first": scenario_doc(), "second": scenario_doc(route="coupled")}))
         assert cli.main(["compare", "--config", str(pair), "--tol", "1e-6"]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "export"])
+    @pytest.mark.parametrize("via", ["key", "flag"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tol_must_be_a_finite_number_at_least_zero(self, tmp_path, capsys, command, via,
+                                                       tol):
+        # a negative or nan tolerance fails every check, an infinite one
+        # passes any structure: neither is a verdict on the system
+        cfg, out = tmp_path / "scn.json", tmp_path / "export"
+        cfg.write_text(json.dumps(scenario_doc(**({"tol": float(tol)} if via == "key" else {}))))
+        flag = ["--tol", tol] if via == "flag" else []
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *flag]) == 2
+        assert "tol must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_tol_is_a_valid_tolerance(self, tmp_path, capsys):
+        cfg = tmp_path / "scn.json"
+        cfg.write_text(json.dumps(scenario_doc(tol=0.0)))
+        assert cli.main(["check", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["structure"]["psd_tol"] == 0.0
+
     def test_scenario_tol_is_allowed_for_every_command(self, tmp_path):
         # one scenario file serves check, simulate and export alike
         cfg, out = tmp_path / "scn.json", tmp_path / "traj.csv"

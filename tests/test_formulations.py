@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phporo import dae_analysis, formulations, numkit, phdae, timeint
+from phporo import dae_analysis, fem, formulations, numkit, phdae, timeint
 from phporo.formulations import NetworkCoupling
 from phporo.numkit import StructureError
 
@@ -330,6 +330,40 @@ def test_ellipticity_constants_agree_with_dense_spectra(n, m, symmetric):
             assert abs(value - want) <= 1e-10 * abs(want)
         assert report.elliptic is elliptic
         assert (report.min_sym_eigenvalue > 0) is elliptic
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 8, 12])
+def test_every_flow_block_is_a_multiple_of_the_unit_laplacian(n, m):
+    # the identity the exchange-rate constants rest on: one eigenvalue of the
+    # unit Laplacian gives them for every network (measured 2.8e-16)
+    ops = make_ops(n, kappa=0.7, nu=1.3) if m == 1 else make_network_ops(n, m=m)[0]
+    laplace = fem.assemble_laplace(ops.qspace, 1.0)
+    rates = [mat.kappa / mat.nu for mat in ops.materials]
+    assert len(set(rates)) == m
+    for K, rate in zip(ops.csr.stiff_flow, rates):
+        assert np.array_equal(K.indptr, laplace.indptr)
+        assert np.array_equal(K.indices, laplace.indices)
+        want = rate * laplace.data
+        assert np.all(np.abs(K.data - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("oversized", [False, True])
+def test_ellipticity_check_makes_one_solve_for_the_constants(monkeypatch, m, oversized):
+    # lambda_h is one solve whatever m; a certified definite flow operator
+    # adds one for its lowest eigenvalue, an oversized one has it from psd_check
+    ops, B = make_network_ops(4, m=m, seed=m)
+    if oversized:
+        B = random_coupling(np.random.default_rng(m), m, scale=1e6)
+    report = formulations._flow_report(ops, B)[1]
+    assert (report.min_eigenvalue is None) is not oversized
+    calls = []
+    lowest = formulations._lowest_eigenvalue
+    monkeypatch.setattr(formulations, "_lowest_eigenvalue",
+                        lambda *args: calls.append(1) or lowest(*args))
+    assert formulations.check_network_ellipticity(ops, B).elliptic is not oversized
+    assert len(calls) == (1 if oversized else 2)
 
 
 class TestNetworkPh:

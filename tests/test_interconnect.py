@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,16 @@ class TestCoupleAltQs:
         sub = interconnect._flux_potential_subsystem(ops3)
         assert phdae.validate_structure(sub).verdict
 
+    def test_asymmetric_flow_block_fails_the_closed_loop_check(self):
+        # no pre-check: the one validation of the closed loop finds the
+        # asymmetry in E and the skew defect it leaves in J
+        ops = make_ops(3, rho=0.0)
+        K = ops.csr.stiff_flow[0].tolil()
+        K[0, 1] += 1e-3
+        bent = dataclasses.replace(ops, csr=ops.csr._replace(stiff_flow=(K.tocsr(),)))
+        with pytest.raises(StructureError, match=r"E .*asymmetry 1\.000e-03.*J skew defect"):
+            interconnect.couple_alt_qs(bent)
+
 
 class TestCoupleNetwork:
     def test_single_network_matches_two_field(self, ops2):
@@ -191,22 +203,25 @@ class TestCoupleNetwork:
             interconnect.couple_network(ops, Bbig)
 
 
-@pytest.mark.parametrize("route, expected", [("network", 10), ("two_field", 6)])
-def test_each_coupled_system_is_validated_once(monkeypatch, route, expected):
-    # E and R are certified once for each subsystem and once for the closed
-    # loop; the aggregate between them is built unvalidated
+@pytest.mark.parametrize("route", ["network", "two_field", "alt_qs"])
+def test_each_coupled_system_is_validated_once(monkeypatch, route):
+    # the subsystems and their aggregate are built unvalidated: E and R are
+    # certified once, on the closed loop
     if route == "network":
         ops, B = make_network_ops(4, m=3, symmetric=False, seed=5)
         couple = lambda: interconnect.couple_network(ops, B)
-    else:
+    elif route == "two_field":
         ops = make_ops(4)
         couple = lambda: interconnect.couple_two_field(ops)
+    else:
+        ops = make_ops(4, rho=0.0)
+        couple = lambda: interconnect.couple_alt_qs(ops)
     calls = []
     certify = numkit.psd_certificate
     monkeypatch.setattr(numkit, "psd_certificate",
                         lambda *args, **kwargs: calls.append(1) or certify(*args, **kwargs))
     couple()
-    assert len(calls) == expected
+    assert len(calls) == 2
 
 
 ROUTES = ["two_field", "alt_qs"] + [f"network_{m}_{kind}" for m in (2, 3)
