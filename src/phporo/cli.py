@@ -66,6 +66,8 @@ class SourceTerm:
             raise ScenarioError("polynomial exponents must be non-negative")
         if self.component not in (0, 1):
             raise ScenarioError("component must be 0 (x) or 1 (y)")
+        if not (np.isfinite(self.c) and np.isfinite(self.omega)):
+            raise ScenarioError(f"c and omega must be finite, got {self.c} and {self.omega}")
 
     def spatial(self, x, y):
         """Spatial factor c * x^ax * y^ay; x and y may be arrays."""
@@ -146,7 +148,7 @@ def parse_scenario(doc: dict) -> Scenario:
         return _parse_document(doc)
     except ScenarioError:
         raise
-    except (TypeError, ValueError, AttributeError, LookupError) as exc:
+    except (TypeError, ValueError, AttributeError, LookupError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
@@ -216,8 +218,8 @@ def _parse_document(doc: dict) -> Scenario:
 
     steps = int(doc.get("steps", 100))
     t_end = float(doc.get("t_end", 1.0))
-    if steps < 1 or t_end <= 0:
-        raise ScenarioError("steps must be >= 1 and t_end > 0")
+    if steps < 1 or not 0.0 < t_end < np.inf:
+        raise ScenarioError("steps must be >= 1 and t_end a finite number > 0")
     tol = None if doc.get("tol") is None else float(doc["tol"])
     if not (tol is None or 0.0 <= tol < np.inf):
         raise ScenarioError(f"tol must be a finite number >= 0, got {tol}")

@@ -4,8 +4,9 @@ With Z the zero rows of E and N the other rows, det(lambda E - A) has the
 leading coefficient +-det(L), L = [E[N, :]; -A[Z, :]] (Kunkel and Mehrmann,
 EMS 2006): a nonsingular L makes the pencil regular, e_Z span the left kernel
 of E and the index 0 for empty Z, else 1.  A certified E with a singular
-A[Z, Z] has index at least 2, which for a regular pH pencil means exactly 2
-(Mehl, Mehrmann and Wojtylak, SIMAX 2018).
+A[Z, Z] has index at least 2, exactly 2 for a regular pH pencil: one whose E,
+R and J share no kernel vector (Mehl, Mehrmann and Wojtylak, SIMAX 2018), as
+``classify_phdae_index`` proves from ``phdae.kinematic_block`` with no LU.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .formulations import (
 )
 from .interconnect import FeedbackLaw, close_loop
 from .numkit import SingularMatrixError
-from .phdae import PhDae, certificate
+from .phdae import PhDae, certificate, kinematic_block
 
 INDEX_AT_LEAST_2 = 2
 _REGULARITY_SHIFT = 2.0  # any lambda > 0 decides regularity of a pH pencil
@@ -55,10 +56,9 @@ def classify_index(E, A) -> IndexReport:
     On the CSR of E and A, the rows Z of ``algebraic_rows`` give index 0
     (no rows) or 1, unless E is certified and -A[Z, Z] is singular.  Then
     the index is at least 2 if lambda E - A at a fixed lambda > 0 passes
-    ``numkit.Factorization``, else the pencil is singular
-    (``SingularMatrixError``).  That lambda is exact for pH pencils
-    A = J - R: Re x^H (lambda E - J + R) x = 0 forces E x = R x = J x = 0,
-    a kernel common to the pencil at every lambda.
+    ``_nonsingular``, else the pencil is singular
+    (``SingularMatrixError``), exact for a pH pencil A = J - R: Re x^H
+    (lambda E - A) x = 0 forces E x = R x = J x = 0 at every lambda.
     """
     E, A = numkit.as_csr(E), numkit.as_csr(A)
     if E.shape != A.shape or E.shape[0] != E.shape[1]:
@@ -67,8 +67,17 @@ def classify_index(E, A) -> IndexReport:
 
 
 def classify_phdae_index(sys: PhDae) -> IndexReport:
-    """Classify the drift pair (E, J - R) of a system, reusing its certificate of E."""
-    return _classify(sys.csr.E, sys.drift(), certificate(sys, "E"))
+    """Classify the drift pair (E, J - R) of a system, reusing its certificate
+    of E.  An index-2 candidate is regular with no LU if R is certified, J skew
+    (1e-12 scale-relative) and the zero rows K common to E and R lie in the w
+    columns of the ``kinematic_block`` (q, w): J[q, K] = E_qq[:, K - w] has full rank."""
+    def regular() -> bool:
+        J, zero_r = sys.csr.J, certificate(sys, "R")
+        if zero_r is None or not numkit.is_skew(J, 1e-12 * (1.0 + numkit.max_abs(J))):
+            return False
+        K, (_, w) = np.intersect1d(certificate(sys, "E"), zero_r), kinematic_block(sys)
+        return bool(np.all((K >= w.start) & (K < w.stop)))
+    return _classify(sys.csr.E, sys.drift(), certificate(sys, "E"), regular)
 
 
 def _nonsingular(M) -> bool:
@@ -102,19 +111,15 @@ def algebraic_rows(E, A, zero_rows: np.ndarray | None) -> np.ndarray:
     return np.flatnonzero(on_z)
 
 
-def _classify(E, A, zero_rows: np.ndarray | None) -> IndexReport:
+def _classify(E, A, zero_rows: np.ndarray | None, regular=lambda: False) -> IndexReport:
     """Index of the CSR pencil (E, A) given ``zero_rows = psd_certificate(E)``: a
     certified E makes L block triangular (E[N, Z] = 0), so -A[Z, Z] decides it."""
     certified = zero_rows is not None
     zero_rows = algebraic_rows(E, A, zero_rows)
     rank = E.shape[0] - zero_rows.size
     if certified and zero_rows.size and not _nonsingular(-A[np.ix_(zero_rows, zero_rows)]):
-        try:
-            numkit.Factorization(_REGULARITY_SHIFT * E - A)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"matrix pencil is singular at lambda = {_REGULARITY_SHIFT}"
-            ) from exc
+        if not (regular() or _nonsingular(_REGULARITY_SHIFT * E - A)):
+            raise SingularMatrixError(f"matrix pencil is singular at lambda = {_REGULARITY_SHIFT}")
         return IndexReport(INDEX_AT_LEAST_2, rank)
     return IndexReport(1 if zero_rows.size else 0, rank)
 

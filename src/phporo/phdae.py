@@ -8,6 +8,7 @@ rejected by construction: there is no feedthrough slot in the type.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ class PhDae:
     ``load_phdae``, which validates at the recorded tolerance, and to
     negative checks that build deliberately broken systems.  The report is
     kept, so validating again at the same tolerance is free; so are the
-    certificates of E and R (see ``certificate``).
+    certificates of E and R (``certificate``) and the ``kinematic_block``.
     """
 
     E = numkit.DenseView()
@@ -87,7 +88,7 @@ class PhDae:
         self.input_blocks = _named_blocks(input_blocks, self.csr.G.shape[1], "v")
         self._dense: dict = {}  # name -> dense view
         self._structure = None  # (tol, StructureReport) of the last validation
-        self._certificates: dict = {}  # "E"/"R" -> numkit.psd_certificate of it
+        self._facts: dict = {}  # "E"/"R" -> its psd_certificate, "block" -> kinematic_block
         if validate:
             validate_structure(self).require()
 
@@ -161,9 +162,33 @@ class StructureReport:
 def certificate(sys: PhDae, name: str) -> np.ndarray | None:
     """``numkit.psd_certificate`` of ``sys.csr.E`` or ``sys.csr.R``, computed
     once per system; the zero rows of a certified E are the algebraic rows."""
-    if name not in sys._certificates:
-        sys._certificates[name] = numkit.psd_certificate(getattr(sys.csr, name))
-    return sys._certificates[name]
+    if name not in sys._facts:
+        sys._facts[name] = numkit.psd_certificate(getattr(sys.csr, name))
+    return sys._facts[name]
+
+
+def kinematic_block(sys: PhDae) -> tuple[slice, slice]:
+    """The first pair of state blocks (q, w) whose q rows read E_qq q' = E_qq w
+    on the stored CSR: E's q rows hold only E_qq, J's exactly E_qq at the w
+    columns, R's and G's nothing, and E's certificate holds with no zero row
+    in q, so E_qq is nonsingular; else two empty slices; kept on the system."""
+    if "block" in sys._facts:
+        return sys._facts["block"]
+    E, J, R, G = sys.csr
+    zero_rows = certificate(sys, "E")
+    ends = np.cumsum([0] + [size for _, size in sys.state_blocks]).tolist()
+    sys._facts["block"] = slice(0, 0), slice(0, 0)
+    for q, w in itertools.permutations(map(slice, ends[:-1], ends[1:]), 2):
+        E_q, size = E[q], q.stop - q.start
+        if (zero_rows is None or not size or size != w.stop - w.start
+                or np.any((zero_rows >= q.start) & (zero_rows < q.stop))
+                or np.any((E_q.indices < q.start) | (E_q.indices >= q.stop))):
+            continue
+        at_w = numkit.placed(E_q.shape, (E_q[:, q], 1.0, 0, w.start))
+        if not ((J[q] != at_w).nnz or R[q].count_nonzero() or G[q].count_nonzero()):
+            sys._facts["block"] = q, w
+            break
+    return sys._facts["block"]
 
 
 def validate_structure(sys: PhDae, tol: float | None = None) -> StructureReport:

@@ -12,8 +12,9 @@ convention without the exact identity.  Both are the theta method
 (theta = 1/2 and theta = 1) of one stepping loop.  The loop works on the
 system's stored CSR of E, J, R and G: step matrices are sparse sums,
 factored once per distinct step size by ``numkit``'s sparse LU, and a step
-is one sparse mat-vec and one solve.  A run first finds on those matrices
-its kinematic block (``_kinematic_block``), if any: the u rows that read
+is one sparse mat-vec and one solve.  A run first reads the system's
+kinematic block (``phdae.kinematic_block``, with which ``dae_analysis``
+proves an index-2 pencil regular without an LU), if any: the u rows that read
 E_uu u' = E_uu w, as K_A u' = K_A w of the first-order forms, however built.
 A step gives u+ = u + b w + a w+ there (a = theta h, b = (1 - theta) h) with
 no solve, so the LU, the mat-vec and the solve are those of the step on the
@@ -53,7 +54,6 @@ measure on the returned states.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +63,7 @@ from . import fem
 from .formulations import DiscreteOperators, SeparableSignal, build_full_first_order
 from .dae_analysis import algebraic_rows
 from .numkit import Factorization, SingularMatrixError, placed
-from .phdae import InconsistentStateError, PhDae, certificate
+from .phdae import InconsistentStateError, PhDae, certificate, kinematic_block
 
 
 @dataclass(frozen=True)
@@ -290,29 +290,9 @@ def _entry_keys(M) -> np.ndarray:
     return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) * M.shape[1] + M.indices
 
 
-def _kinematic_block(sys: PhDae) -> tuple[slice, slice]:
-    """The first pair of state blocks (q, w) whose q rows read E_qq q' = E_qq w
-    on the stored CSR: E's q rows hold only E_qq, J's exactly E_qq at the w
-    columns, R's and G's nothing, and E's certificate holds with no zero row
-    in q, so E_qq is nonsingular; else two empty slices."""
-    E, J, R, G = sys.csr
-    zero_rows = certificate(sys, "E")
-    ends = np.cumsum([0] + [size for _, size in sys.state_blocks]).tolist()
-    for q, w in itertools.permutations(map(slice, ends[:-1], ends[1:]), 2):
-        E_q, size = E[q], q.stop - q.start
-        if (zero_rows is None or not size or size != w.stop - w.start
-                or np.any((zero_rows >= q.start) & (zero_rows < q.stop))
-                or np.any((E_q.indices < q.start) | (E_q.indices >= q.stop))):
-            continue
-        at_w = placed(E_q.shape, (E_q[:, q], 1.0, 0, w.start))
-        if not ((J[q] != at_w).nnz or R[q].count_nonzero() or G[q].count_nonzero()):
-            return q, w
-    return slice(0, 0), slice(0, 0)
-
-
 class _Reduction:
     """The step matrices of one step size on the rows and columns outside a
-    kinematic block (u, w) (``_kinematic_block``), and the new state from the
+    kinematic block (u, w) (``kinematic_block``), and the new state from the
     solution there (``lifting``).
 
     The u rows of a step with F = E - a J + a R and X = E + b J - b R
@@ -488,7 +468,7 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     (E + (1 - theta) h J - (1 - theta) h R) z + h G v with v sampled at
     t_k + theta h: one mat-vec and one solve with the step matrices formed
     from the stored CSR, factored once per distinct step size, and reduced
-    to the rows and columns outside a kinematic block (``_kinematic_block``,
+    to the rows and columns outside a kinematic block (``kinematic_block``,
     ``_Reduction``), whose entries are then rebuilt.  Per block of
     ``_BLOCK_VALUES // (state_dim + input_dim)`` steps the input is sampled
     and G v formed before the steps, and H and the ledger booked after them,
@@ -518,7 +498,7 @@ def _theta_run(sys: PhDae, z0, input, t_grid, theta: float, frozen_R=None) -> Tr
     H, diss, supp = np.empty(len(t)), np.empty(len(steps)), np.empty(len(steps))
     step_matrices: dict[float, tuple] = {}  # h -> (factor of S, _Reduction)
     frozen = None  # _FrozenRSteps of the last step
-    kinematic = u, _ = _kinematic_block(sys)
+    kinematic = u, _ = kinematic_block(sys)
     keep = np.r_[0:u.start, u.stop:sys.state_dim]
     block = max(1, _BLOCK_VALUES // max(1, sys.state_dim + sys.input_dim))
     for start in range(0, len(steps) or 1, block):

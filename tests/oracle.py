@@ -18,7 +18,7 @@ the vectorized formatter behind phporo.timeint.Trajectory.to_csv.
 ``stepwise_theta_run`` is the theta-method loop of phporo.timeint with the
 input sampled and the ledger booked one step at a time by one-vector
 products, the bit-for-bit reference of its blocked bookkeeping; it reduces
-the step of a system with a kinematic block (``timeint._kinematic_block``)
+the step of a system with a kinematic block (``phdae.kinematic_block``)
 by scipy slicing, and with ``full_lu`` it steps with the LU of the whole
 step matrix instead, the reference that the reduced steps must agree with.
 ``separable_closure`` evaluates a sum of scenario source terms one time at a
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import csr_array
 
-from phporo import timeint
+from phporo import phdae, timeint
 from phporo.dae_analysis import INDEX_AT_LEAST_2, IndexReport
 from phporo import numkit
 from phporo.numkit import Factorization, SingularMatrixError, as_matrix
@@ -521,7 +521,7 @@ def trajectory_csv(traj) -> bytes:
 
 def reduced_step_matrices(block, F, X, a, b):
     """(keep, S, X_r) of a step with F = E - a J + a R and X = E + b J - b R
-    of a system with a kinematic block (u, w) (``timeint._kinematic_block``),
+    of a system with a kinematic block (u, w) (``phdae.kinematic_block``),
     by scipy slicing and sparse sums: keep is every row but u's, S is
     F[keep, keep] + a F[keep, u] at the w columns, and X_r is
     X[keep, :] - F[keep, u] at the u columns - b F[keep, u] at the w columns."""
@@ -580,7 +580,7 @@ def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None, full_lu=Fal
     """``timeint._theta_run`` one step at a time: per step it samples the
     input, forms G v, solves, and books zm^T R zm, zm^T G v and z^T E z with
     one-vector sparse products.  A system with a kinematic block
-    (``timeint._kinematic_block``) steps on ``reduced_step_matrices`` and
+    (``phdae.kinematic_block``) steps on ``reduced_step_matrices`` and
     ``rebuilt_state``, unless ``full_lu``: then
     every system steps as before that reduction, with the LU of the whole
     step matrix, and a frozen R is solved by refinement with the last
@@ -591,7 +591,7 @@ def stepwise_theta_run(sys, z0, input, t_grid, theta, frozen_R=None, full_lu=Fal
     v = input if input is not None else (lambda t, zero=np.zeros(sys.input_dim): zero)
     timeint._check_consistent_start(sys, z0, np.asarray(v(t[0]), dtype=float))
     E, J, R, G = sys.csr
-    block = timeint._kinematic_block(sys)
+    block = phdae.kinematic_block(sys)
     reduce = block[0].stop > block[0].start and not full_lu
     steps = timeint._snapped_steps(t)
     states = np.empty((len(t), sys.state_dim))

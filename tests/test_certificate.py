@@ -380,3 +380,90 @@ def test_psd_check_agrees_with_the_dense_oracle(case):
                             1e-12 * (1.0 + numkit.max_abs(M))), case
         if case.startswith(("oversized", "indefinite", "feedback")):
             assert got.verdict == numkit.INDEFINITE, case
+
+
+def pencil_rows(monkeypatch):
+    """The rows of every ``numkit.lu_factor`` call from now on."""
+    rows, real = [], numkit.lu_factor
+
+    def counting(A, **kwargs):
+        rows.append(A.shape[0])
+        return real(A, **kwargs)
+    monkeypatch.setattr(numkit, "lu_factor", counting)
+    return rows
+
+
+def left_to_the_pencil(n):
+    """Index-2 candidates whose regularity the certificates and the kinematic
+    block do not decide, so the pencil is factored: two with a state that E,
+    R and J all annihilate, one block system with an uncertified R, one with
+    a J that is not skew, and quasi_static without state blocks."""
+    qs = formulations.build_quasi_static(make_ops(n, rho=0.0))
+    idle = PhDae(*(np.zeros((1, 1)),) * 4)
+    nops, B = make_network_ops(n, m=2)
+    network = formulations.build_network_ph(nops, B)
+    big = formulations.kbar_matrix(nops, random_coupling(np.random.default_rng(0), 2,
+                                                         scale=1e6)).toarray()
+    R, J, p = network.R.copy(), qs.J.copy(), qs.state_slice("p")
+    R[2 * nops.dim_u:, 2 * nops.dim_u:] = 0.5 * (big + big.T)
+    J[p, p] += 1e-6 * np.eye(p.stop - p.start)
+    return {
+        "full_with_idle": interconnect.aggregate(
+            formulations.build_full_first_order(make_ops(n)), idle),
+        "quasi_static_with_idle": interconnect.aggregate(qs, idle),
+        "uncertified_R": fresh(network, R=R),
+        "J_not_skew": fresh(qs, J=J),
+        "no_state_blocks": PhDae(qs.csr.E, qs.csr.J, qs.csr.R, qs.csr.G, validate=False),
+    }
+
+
+def index_or_error(classify, *args):
+    try:
+        return classify(*args)
+    except ValueError as exc:  # SingularMatrixError from the package
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("case", ["full_with_idle", "quasi_static_with_idle", "uncertified_R",
+                                  "J_not_skew", "no_state_blocks"])
+def test_the_pencil_is_factored_where_the_structure_leaves_it_open(case, n, monkeypatch):
+    sys = left_to_the_pencil(n)[case]
+    rows = pencil_rows(monkeypatch)
+    got = index_or_error(dae_analysis.classify_phdae_index, sys)
+    assert sys.state_dim in rows, case
+    assert got == index_or_error(oracle.classify_index_dense, sys.E, sys.J - sys.R), case
+    if case.endswith("with_idle"):
+        assert got == "matrix pencil is singular at lambda = 2.0"
+    else:
+        assert got.label == "at_least_2"
+
+
+@pytest.mark.parametrize("n", [4, 12])
+@pytest.mark.parametrize("networks", [1, 2])
+def test_quasi_static_is_regular_without_a_pencil_factor(n, networks, monkeypatch):
+    ops, coupling = ((make_ops(n, rho=0.0), None) if networks == 1
+                     else make_network_ops(n, m=2, symmetric=False))
+    sys = formulations.build_quasi_static(ops, coupling)
+    rows = pencil_rows(monkeypatch)
+    report = dae_analysis.classify_phdae_index(fresh(sys))
+    assert report.label == "at_least_2"
+    assert rows and sys.state_dim not in rows
+    if n == 4:
+        assert report == oracle.classify_index_dense(sys.E, sys.J - sys.R)
+    # the pencil alone, without the system's certificate of R and block, is factored
+    assert dae_analysis.classify_index(sys.csr.E, sys.drift()) == report
+    assert sys.state_dim in rows
+
+
+def test_only_an_index_two_candidate_looks_for_the_block(monkeypatch):
+    looked, real = [], dae_analysis.kinematic_block
+    monkeypatch.setattr(dae_analysis, "kinematic_block",
+                        lambda sys: looked.append(sys) or real(sys))
+    labels = {}
+    for name, sys in built_systems(3).items():
+        looked.clear()
+        labels[name] = dae_analysis.classify_phdae_index(fresh(sys)).label
+        assert len(looked) == (labels[name] == "at_least_2"), name
+    assert labels["full"] == "0" and labels["alt_qs"] == "1"
+    assert labels["quasi_static"] == "at_least_2"

@@ -395,6 +395,35 @@ class TestExport:
         assert (out / "stiff_flow_0.mtx").exists()
 
 
+# where a scenario number sits in ``scenario_doc``: the value is written there
+NUMBER_KEYS = {
+    "t_end": lambda doc: (doc, "t_end"),
+    "steps": lambda doc: (doc, "steps"),
+    "mesh_n": lambda doc: (doc, "mesh_n"),
+    "source_f.c": lambda doc: (doc["source_f"][0], "c"),
+    "source_f.omega": lambda doc: (doc["source_f"][0], "omega"),
+    "source_g.c": lambda doc: (doc["source_g"][0][0], "c"),
+    "source_g.omega": lambda doc: (doc["source_g"][0][0], "omega"),
+    "initial_pressure.c": lambda doc: (doc["initial_pressure"][0][0], "c"),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", list(NUMBER_KEYS))
+def test_a_non_finite_scenario_number_is_a_configuration_error(tmp_path, capsys, key, value):
+    # such a run used to die with a traceback (t_end) or print NaN, which is
+    # not JSON, into its summary (c, omega)
+    doc = scenario_doc()
+    entry, name = NUMBER_KEYS[key](doc)
+    entry[name] = value
+    cfg, out = tmp_path / "scn.json", tmp_path / "traj.csv"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and not captured.out
+    assert not out.exists()
+
+
 class TestTolerance:
     @pytest.mark.parametrize("formulation, route", [
         ("full", "direct"), ("full", "coupled"), ("schur_parabolic", "direct"),

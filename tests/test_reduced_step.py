@@ -1,6 +1,6 @@
 """The step on the rows outside a kinematic block against the whole step.
 
-``timeint._kinematic_block`` finds on the stored matrices the u rows that
+``phdae.kinematic_block`` finds on the stored matrices the u rows that
 read K_A u' = K_A w: on the full, quasi_static and network systems, built
 directly, by interconnection or read back from files.  ``timeint`` then
 factors and solves only the (w, p) rows of a step and rebuilds
@@ -40,10 +40,10 @@ def test_the_kinematic_block_is_found_on_the_matrices(case, n, tmp_path):
     phdae.save_phdae(built, tmp_path)
     for sys in (built, phdae.load_phdae(tmp_path)):
         if case not in FOUND:
-            assert timeint._kinematic_block(sys) == NONE
+            assert phdae.kinematic_block(sys) == NONE
             continue
         u, w = sys.state_slice("u"), sys.state_slice("w")
-        assert timeint._kinematic_block(sys) == (u, w)
+        assert phdae.kinematic_block(sys) == (u, w)
         E, J, R, G = (M.toarray() for M in sys.csr)
         # the u rows read E_uu u' = E_uu w: E_uu at u in E, at w in J, nothing else
         expected_E, expected_J = np.zeros_like(E[u]), np.zeros_like(J[u])
@@ -71,7 +71,7 @@ def assert_reduced_agrees(sys, traj, ref, loose=()):
                                          ("network", ("w",))])
 def test_reduced_step_agrees_with_the_whole_step_lu(case, loose, theta):
     system, signal, z0, grid = scenario_run(case, steps=200, t_end=2.0)
-    assert timeint._kinematic_block(system) == (system.state_slice("u"), system.state_slice("w"))
+    assert phdae.kinematic_block(system) == (system.state_slice("u"), system.state_slice("w"))
     traj = timeint._theta_run(system, z0, signal, grid, theta)
     ref = oracle.stepwise_theta_run(system, z0, signal, grid, theta, full_lu=True)
     assert not np.array_equal(traj.states, ref[0])  # two step paths
@@ -203,7 +203,7 @@ def relabelled_run():
 def test_closed_loops_and_relabelled_blocks_are_found(run, theta):
     system, signal, z0, grid = run()
     du = system.state_blocks[0][1]
-    assert timeint._kinematic_block(system) == (slice(du, 2 * du), slice(0, du))
+    assert phdae.kinematic_block(system) == (slice(du, 2 * du), slice(0, du))
     traj = timeint._theta_run(system, z0, signal, grid, theta)
     ref = oracle.stepwise_theta_run(system, z0, signal, grid, theta, full_lu=True)
     assert_reduced_agrees(system, traj, ref)
@@ -241,7 +241,7 @@ def broken_full_run(change):
                                     "E zero row"])
 def test_a_broken_block_is_not_found_and_the_whole_step_is_taken(change, theta):
     system, signal, z0, grid = broken_full_run(change)
-    assert timeint._kinematic_block(system) == NONE
+    assert phdae.kinematic_block(system) == NONE
     traj = timeint._theta_run(system, z0, signal, grid, theta)
     ref = oracle.stepwise_theta_run(system, z0, signal, grid, theta, full_lu=True)
     assert_reduced_agrees(system, traj, ref)
@@ -259,7 +259,7 @@ def test_a_singular_kinematic_block_is_not_found():
     assert np.array_equal(J[u, w], E[u, u])
     broken = phdae.PhDae(E, J, R, G, state_blocks=system.state_blocks,
                          input_blocks=system.input_blocks)
-    assert timeint._kinematic_block(broken) == NONE
+    assert phdae.kinematic_block(broken) == NONE
     for run in (timeint._theta_run, oracle.stepwise_theta_run):
         with pytest.raises(numkit.SingularMatrixError, match="step 0"):
             run(broken, z0, signal, grid, 0.5)
@@ -278,7 +278,7 @@ def frozen_steps(n, theta, h=0.05):
     stencil = fem.assemble_nonlinear_permeability(ops.qspace, ops.vspace, z[u], kappa,
                                                   ops.materials[0].nu)
     R = numkit.placed(base.csr.R.shape, (stencil, 1.0, p.start, p.start))
-    block, a, b = timeint._kinematic_block(base), theta * h, (1.0 - theta) * h
+    block, a, b = phdae.kinematic_block(base), theta * h, (1.0 - theta) * h
     steps = timeint._FrozenRSteps(base, block, R, a, b)
     steps.step(R, z, np.zeros(base.state_dim))
     return steps, block, a, b, R
@@ -339,3 +339,18 @@ def test_every_write_lands_on_the_entry_of_R(n, theta):
         assert np.array_equal(got_rows[slots], want_rows)
         assert np.array_equal(got_columns[slots], want_columns)
         assert np.array_equal(M.data[slots], base + weight * R.data)
+
+
+def test_a_system_finds_its_block_once(monkeypatch):
+    system = formulations.build_quasi_static(make_ops(3, rho=0.0))
+    calls = []
+    for name in ("placed", "psd_certificate"):
+        real = getattr(numkit, name)
+        monkeypatch.setattr(numkit, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    block = phdae.kinematic_block(system)
+    assert block == (system.state_slice("u"), system.state_slice("w"))
+    assert "placed" in calls
+    calls.clear()
+    assert phdae.kinematic_block(system) is block
+    assert calls == []

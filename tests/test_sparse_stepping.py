@@ -336,7 +336,7 @@ def colamd_every_step(ops, kappa, z0, v, t, bounds):
     columns outside the kinematic u block (``oracle.reduced_step_matrices``)."""
     base = formulations.build_full_first_order(ops)
     u, p = base.state_slice("u"), base.state_slice("p")
-    kinematic = timeint._kinematic_block(base)
+    kinematic = phdae.kinematic_block(base)
     E, J, G = (csr_array(M) for M in (base.E, base.J, base.G))
     states, H, diss, supp = [z0], [0.5 * float(z0 @ (E @ z0))], [], []
     for k, h in enumerate(timeint._snapped_steps(t).tolist()):

@@ -1,6 +1,6 @@
 """Smoke tests of the tooling in ``tools/``: the before-and-after probes patch
-``numkit`` names and the mesh-sequence table reads the ellipticity report, so
-a change there must not break them silently."""
+``numkit`` and ``dae_analysis`` names and the mesh-sequence table reads the
+ellipticity report, so a change there must not break them silently."""
 
 import importlib.util
 import json
@@ -23,15 +23,22 @@ def bench():
 
 
 @pytest.mark.parametrize("probe, keys", [("FACTOR_PROBE", {"state_dim", "step_factors"}),
-                                         ("NONLINEAR_PROBE", {"solves", "lu", "H_end"})])
+                                         ("NONLINEAR_PROBE", {"solves", "lu", "H_end"}),
+                                         ("CHECK_PROBE", {"state_dim", "lu_rows", "index"})])
 def test_probe_runs_on_this_checkout(bench, tmp_path, probe, keys):
     config = tmp_path / "scenario.json"
-    config.write_text(json.dumps(dict(bench.SCENARIO, mesh_n=3, steps=10)))
+    scenario = (bench.check_scenario(3, 2) if probe == "CHECK_PROBE"
+                else dict(bench.SCENARIO, mesh_n=3, steps=10))
+    config.write_text(json.dumps(scenario))
     result = bench.run_child(bench.HERE, ["-c", getattr(bench, probe), str(config)])
     assert result["exit"] == 0, result.get("error")
     assert keys <= set(result)
     if probe == "FACTOR_PROBE":
         assert result["step_factors"] and all(f["nnz_LU"] > 0 for f in result["step_factors"])
+    elif probe == "CHECK_PROBE":
+        # quasi_static is decided without factoring its pencil
+        assert result["check_exit"] == 0 and result["index"] == "at_least_2"
+        assert result["lu_rows"] and result["state_dim"] not in result["lu_rows"]
     else:
         assert result["solves"] > 0 and result["lu"] >= 1
 

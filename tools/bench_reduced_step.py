@@ -19,7 +19,8 @@ is the child's ``ru_maxrss`` (``os.wait4``).  The cases:
 
 Scenario: unit materials with alpha = 0.8 and rho = 1, one sin source per
 field and an initial pressure of x; the nonlinear run takes
-kappa(xi) = (1 + xi^2) / (2 + xi^2) with bounds [0.5, 1].
+kappa(xi) = (1 + xi^2) / (2 + xi^2) with bounds [0.5, 1].  ``CHECK_PROBE``
+and ``check_scenario`` (its quasi-static form) serve ``bench_check.py``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,37 @@ numkit.lu_factor = recording
 timeint.integrate_midpoint(system, z0, signal, cli.time_grid(scn)[:2])
 print(json.dumps({"state_dim": system.state_dim, "step_factors": factors}))
 """
+
+# ``phporo check`` on the scenario, with the rows of every ``numkit.lu_factor``
+# call and the state dimension of the system whose index it classifies
+CHECK_PROBE = """
+import contextlib, io, json, sys
+from phporo import cli, dae_analysis, numkit
+found, real_lu = {"lu_rows": []}, numkit.lu_factor
+real_classify = dae_analysis.classify_phdae_index
+def recording_lu(A, **kwargs):
+    found["lu_rows"].append(A.shape[0])
+    return real_lu(A, **kwargs)
+def recording_classify(system):
+    found["state_dim"] = system.state_dim
+    return real_classify(system)
+numkit.lu_factor, dae_analysis.classify_phdae_index = recording_lu, recording_classify
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["check", "--config", sys.argv[1]])
+print(json.dumps(dict(found, check_exit=code, index=json.loads(out.getvalue())["index"]["index"])))
+"""
+
+
+def check_scenario(n: int, m: int) -> dict:
+    """``SCENARIO`` as the quasi-static form (rho = 0) at mesh size n with m
+    equal networks, exchanging at rate 0.01."""
+    material = dict(SCENARIO["materials"][0], rho=0.0)
+    rate = [[0.01 * (1 - m * (i == j)) for j in range(m)] for i in range(m)]
+    return dict(SCENARIO, formulation="quasi_static", mesh_n=n, steps=1,
+                materials=[material] * m, exchange_matrix=rate if m > 1 else None,
+                source_g=SCENARIO["source_g"] * m,
+                initial_pressure=SCENARIO["initial_pressure"] * m)
+
 
 # the nonlinear-permeability run, with its solve and LU counts
 NONLINEAR_PROBE = """
