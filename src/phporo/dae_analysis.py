@@ -27,7 +27,7 @@ from .formulations import (
 )
 from .interconnect import FeedbackLaw, close_loop
 from .numkit import SingularMatrixError
-from .phdae import PhDae, certificate, kinematic_block
+from .phdae import PhDae, certificate, kinematic_block, validate_structure
 
 INDEX_AT_LEAST_2 = 2
 _REGULARITY_SHIFT = 2.0  # any lambda > 0 decides regularity of a pH pencil
@@ -68,12 +68,12 @@ def classify_index(E, A) -> IndexReport:
 
 def classify_phdae_index(sys: PhDae) -> IndexReport:
     """Classify the drift pair (E, J - R) of a system, reusing its certificate
-    of E.  An index-2 candidate is regular with no LU if R is certified, J skew
-    (1e-12 scale-relative) and the zero rows K common to E and R lie in the w
-    columns of the ``kinematic_block`` (q, w): J[q, K] = E_qq[:, K - w] has full rank."""
+    of E.  An index-2 candidate is regular with no LU if R is certified, the
+    system passes ``validate_structure`` and the zero rows K common to E and R
+    lie in the w columns of ``kinematic_block`` (q, w): J[q, K] = E_qq[:, K - w] has full rank."""
     def regular() -> bool:
-        J, zero_r = sys.csr.J, certificate(sys, "R")
-        if zero_r is None or not numkit.is_skew(J, 1e-12 * (1.0 + numkit.max_abs(J))):
+        zero_r = certificate(sys, "R")
+        if zero_r is None or not validate_structure(sys).verdict:
             return False
         K, (_, w) = np.intersect1d(certificate(sys, "E"), zero_r), kinematic_block(sys)
         return bool(np.all((K >= w.start) & (K < w.stop)))

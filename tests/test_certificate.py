@@ -397,7 +397,8 @@ def left_to_the_pencil(n):
     """Index-2 candidates whose regularity the certificates and the kinematic
     block do not decide, so the pencil is factored: two with a state that E,
     R and J all annihilate, one block system with an uncertified R, one with
-    a J that is not skew, and quasi_static without state blocks."""
+    a J that is not skew, one with a certified R that is not symmetric, and
+    quasi_static without state blocks."""
     qs = formulations.build_quasi_static(make_ops(n, rho=0.0))
     idle = PhDae(*(np.zeros((1, 1)),) * 4)
     nops, B = make_network_ops(n, m=2)
@@ -407,12 +408,16 @@ def left_to_the_pencil(n):
     R, J, p = network.R.copy(), qs.J.copy(), qs.state_slice("p")
     R[2 * nops.dim_u:, 2 * nops.dim_u:] = 0.5 * (big + big.T)
     J[p, p] += 1e-6 * np.eye(p.stop - p.start)
+    wide = formulations.build_quasi_static(make_ops(n + 2, rho=0.0))  # two or more p rows
+    R_qs, p0 = wide.R.copy(), wide.state_slice("p").start
+    R_qs[p0, p0 + 1], R_qs[p0 + 1, p0] = 1e-6, -1e-6  # a skew part keeps the certificate
     return {
         "full_with_idle": interconnect.aggregate(
             formulations.build_full_first_order(make_ops(n)), idle),
         "quasi_static_with_idle": interconnect.aggregate(qs, idle),
         "uncertified_R": fresh(network, R=R),
         "J_not_skew": fresh(qs, J=J),
+        "R_not_symmetric": fresh(wide, R=R_qs),
         "no_state_blocks": PhDae(qs.csr.E, qs.csr.J, qs.csr.R, qs.csr.G, validate=False),
     }
 
@@ -426,9 +431,11 @@ def index_or_error(classify, *args):
 
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("case", ["full_with_idle", "quasi_static_with_idle", "uncertified_R",
-                                  "J_not_skew", "no_state_blocks"])
+                                  "J_not_skew", "R_not_symmetric", "no_state_blocks"])
 def test_the_pencil_is_factored_where_the_structure_leaves_it_open(case, n, monkeypatch):
     sys = left_to_the_pencil(n)[case]
+    if case == "R_not_symmetric":
+        assert phdae.certificate(sys, "R") is not None
     rows = pencil_rows(monkeypatch)
     got = index_or_error(dae_analysis.classify_phdae_index, sys)
     assert sys.state_dim in rows, case

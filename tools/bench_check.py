@@ -1,7 +1,7 @@
 """Fresh-process ``phporo check`` of the quasi-static form, before and after a
 change, as one JSON file.
 
-    python3 tools/bench_check.py --parent DIR [--pairs 5] [--out BENCH_30.json]
+    python3 tools/bench_check.py --parent DIR [--out BENCH_30.json]
 
 DIR is a checkout of the commit before the change (``git archive`` of it
 will do); the checkout this script sits in is the change.  Each case is the
@@ -27,6 +27,7 @@ from pathlib import Path
 from bench_reduced_step import CHECK_PROBE, HERE, check_scenario, run_child
 
 CASES = ((64, 1), (64, 2), (128, 1), (128, 2))
+PAIRS = 5  # alternating parent/change pairs per case
 
 
 def spread(values: list[float]) -> dict:
@@ -37,7 +38,6 @@ def spread(values: list[float]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent")
-    parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--out", default=str(HERE / "BENCH_30.json"))
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": HERE}
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
             config = Path(work) / f"check_{n}_{m}.json"
             config.write_text(json.dumps(check_scenario(n, m)))
             runs = {side: [] for side in sides}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
                     result = run_child(sides[side], ["-c", CHECK_PROBE, str(config)])
                     print(f"n={n} m={m}", side, json.dumps(result), flush=True)
